@@ -18,10 +18,10 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
 from .fields import canonicalize_biquadratic, validate_cyclic
@@ -82,8 +82,26 @@ def _encode_gram(gram: Sequence[Sequence[Sequence[Any]]]) -> list:
     return [[[encode_number(c) for c in vec] for vec in row] for row in gram]
 
 
+@contextmanager
+def _exact_integers() -> Iterator[None]:
+    """Lift Python's 4300-digit int-to-text limit while a document is encoded.
+
+    Generators of large fields exceed it; input parsing keeps the limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _print_document(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
+    with _exact_integers():
+        json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
@@ -134,9 +152,7 @@ def _attach_oracle(doc: dict, field_summary: FieldSummary, bound: int) -> None:
     is recorded but not treated as an error.
     """
     for entry, payload in zip(field_summary.structures, doc["structures"]):
-        action = action_matrix(entry.gram)
-        report = reduction_report(action)
-        found = brute_force_generator(report, action, bound)
+        found = brute_force_generator(entry.reduction, entry.action, bound)
         payload["oracle"] = {
             "bound": bound,
             "generator": list(found) if found is not None else None,
@@ -148,37 +164,27 @@ def _attach_oracle(doc: dict, field_summary: FieldSummary, bound: int) -> None:
             )
 
 
-def _cyclic_document(a: int, b: int, c: int) -> tuple[dict, FieldSummary]:
-    p = validate_cyclic(a, b, c)
+def _field_report(verb: str, params: Sequence[int], verify_oracle: bool,
+                  oracle_bound: int) -> dict:
+    """Document for a "cyclic" (a, b, c) or "biquadratic" (m, n) field."""
+    if verb == "cyclic":
+        p = validate_cyclic(*params)
+        inputs, parameters = dict(zip("abc", params)), {"a": p.a, "b": p.b, "c": p.c, "d": p.d}
+    else:
+        p = canonicalize_biquadratic(*params)
+        inputs, parameters = dict(zip("mn", params)), {"m": p.m, "n": p.n, "k": p.k, "d": p.d}
     fs = summary(p)
-    parameters = {"a": p.a, "b": p.b, "c": p.c, "d": p.d}
-    doc = _field_document({"command": "cyclic", "a": a, "b": b, "c": c}, parameters, fs)
-    return doc, fs
-
-
-def _biquadratic_document(m: int, n: int) -> tuple[dict, FieldSummary]:
-    p = canonicalize_biquadratic(m, n)
-    fs = summary(p)
-    parameters = {"m": p.m, "n": p.n, "k": p.k, "d": p.d}
-    doc = _field_document({"command": "biquadratic", "m": m, "n": n}, parameters, fs)
-    return doc, fs
+    doc = _field_document({"command": verb, **inputs}, parameters, fs)
+    if verify_oracle:
+        _attach_oracle(doc, fs, oracle_bound)
+    return doc
 
 
 # ---- command handlers ----
 
-def _run_cyclic(args: argparse.Namespace) -> int:
-    doc, fs = _cyclic_document(args.a, args.b, args.c)
-    if args.verify_oracle:
-        _attach_oracle(doc, fs, args.oracle_bound)
-    _print_document(doc)
-    return 0
-
-
-def _run_biquadratic(args: argparse.Namespace) -> int:
-    doc, fs = _biquadratic_document(args.m, args.n)
-    if args.verify_oracle:
-        _attach_oracle(doc, fs, args.oracle_bound)
-    _print_document(doc)
+def _run_field(args: argparse.Namespace) -> int:
+    params = (args.a, args.b, args.c) if args.command == "cyclic" else (args.m, args.n)
+    _print_document(_field_report(args.command, params, args.verify_oracle, args.oracle_bound))
     return 0
 
 
@@ -268,15 +274,12 @@ def _corpus_record(lineno: int, line: str, verify_oracle: bool, oracle_bound: in
         if verb == "cyclic":
             if len(params) != 3:
                 raise ValidationError(f"cyclic takes three parameters, got {line!r}")
-            doc, fs = _cyclic_document(*params)
         elif verb == "biquadratic":
             if len(params) != 2:
                 raise ValidationError(f"biquadratic takes two parameters, got {line!r}")
-            doc, fs = _biquadratic_document(*params)
         else:
             raise ValidationError(f"unknown corpus verb {verb!r} on line {lineno}")
-        if verify_oracle:
-            _attach_oracle(doc, fs, oracle_bound)
+        doc = _field_report(verb, params, verify_oracle, oracle_bound)
         doc["line"] = lineno
         return doc
     except ValidationError as exc:
@@ -289,30 +292,18 @@ def _corpus_record(lineno: int, line: str, verify_oracle: bool, oracle_bound: in
 
 
 def _run_corpus(args: argparse.Namespace) -> int:
-    if args.parallel < 1:
-        raise ValidationError(f"--parallel needs a positive worker count, got {args.parallel}")
+    # Records are printed once every line is processed, so an internal
+    # inconsistency aborts with the error document alone.
     text = Path(args.path).read_text(encoding="utf-8")
-    jobs = []
+    records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            jobs.append((lineno, line))
-
-    def worker(job: tuple[int, str]) -> dict:
-        return _corpus_record(job[0], job[1], args.verify_oracle, args.oracle_bound)
-
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            records = list(pool.map(worker, jobs))
-    else:
-        records = [worker(job) for job in jobs]
-
-    had_error = False
-    for record in records:
-        print(json.dumps(record))
-        if "error" in record:
-            had_error = True
-    return 2 if had_error else 0
+            records.append(_corpus_record(lineno, line, args.verify_oracle, args.oracle_bound))
+    with _exact_integers():
+        for record in records:
+            print(json.dumps(record))
+    return 2 if any("error" in record for record in records) else 0
 
 
 # ---- argument parsing ----
@@ -325,12 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument(
-        "--json", action="store_true", default=True,
-        help="emit JSON (the default and only output format)",
-    )
-
     oracle = argparse.ArgumentParser(add_help=False)
     oracle.add_argument(
         "--verify-oracle", action="store_true",
@@ -342,26 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     cyclic = subparsers.add_parser(
-        "cyclic", parents=[output, oracle],
+        "cyclic", parents=[oracle],
         help="analyze the cyclic quartic field with parameters a, b, c",
     )
     cyclic.add_argument("-a", type=int, required=True, help="odd squarefree twist parameter")
     cyclic.add_argument("-b", type=int, required=True, help="positive part of d = b^2 + c^2")
     cyclic.add_argument("-c", type=int, required=True, help="positive part of d = b^2 + c^2")
-    cyclic.set_defaults(handler=_run_cyclic)
+    cyclic.set_defaults(handler=_run_field)
 
     biquadratic = subparsers.add_parser(
-        "biquadratic", parents=[output, oracle],
+        "biquadratic", parents=[oracle],
         help="analyze the biquadratic field generated by sqrt(m) and sqrt(n)",
     )
     biquadratic.add_argument("-m", type=int, required=True, help="first squarefree radicand")
     biquadratic.add_argument("-n", type=int, required=True, help="second squarefree radicand")
-    biquadratic.set_defaults(handler=_run_biquadratic)
+    biquadratic.set_defaults(handler=_run_field)
 
-    pell = subparsers.add_parser(
-        "pell", parents=[output],
-        help="solve x^2 - D*y^2 = N exactly",
-    )
+    pell = subparsers.add_parser("pell", help="solve x^2 - D*y^2 = N exactly")
     pell.add_argument("-D", type=int, required=True, help="coefficient D")
     pell.add_argument("-N", type=int, required=True, help="target value N")
     pell.add_argument(
@@ -375,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     pell.set_defaults(handler=_run_pell)
 
     form = subparsers.add_parser(
-        "form-cycle", parents=[output],
+        "form-cycle",
         help="reduction cycle of an indefinite binary quadratic form A*x^2 + B*x*y + C*y^2",
     )
     form.add_argument("A", type=int)
@@ -384,20 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     form.set_defaults(handler=_run_form_cycle)
 
     corpus = subparsers.add_parser(
-        "corpus", parents=[output, oracle],
+        "corpus", parents=[oracle],
         help="analyze every field listed in a text file, one JSON record per line",
     )
     corpus.add_argument("path", help="file of lines 'cyclic a b c' or 'biquadratic m n'")
-    corpus.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="number of worker threads (default %(default)s)",
-    )
     corpus.set_defaults(handler=_run_corpus)
 
     gram = subparsers.add_parser(
-        "gram-file", parents=[output],
-        help="reduce a structure Gram matrix read from a text file",
-    )
+        "gram-file", help="reduce a structure Gram matrix read from a text file")
     gram.add_argument("--gram", required=True, metavar="PATH", help="Gram matrix file")
     gram.add_argument(
         "--beta", default=None, metavar="B1,B2,B3,B4",

@@ -11,7 +11,7 @@ independent check for tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
@@ -136,14 +136,6 @@ class _NotDivisible(Exception):
 
 # ---- shared pipeline pieces ----
 
-def _structure_analysis(field: FieldParams, structure: StructureId,
-                        descriptor: Sequence[Sequence[Fraction]]):
-    """Gram matrix, action matrix, and reduction for one structure."""
-    gram = change_basis(gram_nonclassical(field, structure), descriptor)
-    action = action_matrix(gram)
-    return gram, action, reduction_report(action)
-
-
 def _first_verified(candidates: Iterator[tuple[int, int, int, int]],
                     report: ReductionReport,
                     action: Sequence[Sequence[Fraction]]) -> tuple[int, int, int, int] | None:
@@ -209,19 +201,10 @@ def _cyclic_candidates(case: int, target: int, cross: int,
             yield (-(v + (v % 2)) // 2 + half, -half, v, q)
 
 
-def decide_cyclic(p: CyclicQuarticParams, use_prescreen: bool = True) -> FreenessReport:
-    """Freeness decision for the unique non-classical cyclic structure.
-
-    Cases 1-2 solve x^2 - d*y^2 = b with b | x - c*y; cases 3-5 swap the
-    roles of b and c.  A found solution is turned into a generator by the
-    per-case formula and verified by the determinant test.
-    """
-    case = classify_cyclic_case(p)
-    structure = structures_for(p)[0]
-    _, action, report = _structure_analysis(p, structure, integral_basis_cyclic(p, case))
-
+def _decide_cyclic_structure(p: CyclicQuarticParams, case: int, structure: StructureId,
+                             action: Sequence[Sequence[Fraction]], report: ReductionReport,
+                             pre: PrescreenVerdict) -> FreenessReport:
     target, cross = (p.b, p.c) if case <= 2 else (p.c, p.b)
-    pre = prescreen_cyclic(p) if use_prescreen else UNDECIDED
     if pre.outcome == NOT_FREE:
         return FreenessReport(structure, NOT_FREE, None, None, None,
                               report.index, f"prescreen:{pre.reason}")
@@ -241,6 +224,16 @@ def decide_cyclic(p: CyclicQuarticParams, use_prescreen: bool = True) -> Freenes
     method = f"prescreen:{pre.reason}" if pre.outcome == FREE else "pell_criterion"
     return FreenessReport(structure, FREE, (hit.x, hit.y), target, beta,
                           report.index, method)
+
+
+def decide_cyclic(p: CyclicQuarticParams, use_prescreen: bool = True) -> FreenessReport:
+    """Freeness decision for the unique non-classical cyclic structure.
+
+    Cases 1-2 solve x^2 - d*y^2 = b with b | x - c*y; cases 3-5 swap the
+    roles of b and c.  A found solution is turned into a generator by the
+    per-case formula and verified by the determinant test.
+    """
+    return _analyse(p, use_prescreen).structures[0].report
 
 
 # ---- biquadratic decision procedure ----
@@ -339,6 +332,41 @@ def _biquad_candidates(kind: str, idx: int, p: BiquadraticParams,
             continue
 
 
+def _decide_biquadratic_structure(p: BiquadraticParams, kind: str, idx: int,
+                                  structure: StructureId, action: Sequence[Sequence[Fraction]],
+                                  red: ReductionReport, pre: PrescreenVerdict) -> FreenessReport:
+    equation = _equation_table(p, kind)[idx]
+    if equation is None:
+        return FreenessReport(structure, NOT_FREE, None, None, None,
+                              red.index, f"prescreen:{STRUCTURAL_RULE}")
+    if pre.outcome == NOT_FREE:
+        return FreenessReport(structure, NOT_FREE, None, None, None,
+                              red.index, f"prescreen:{pre.reason}")
+    a, base = equation
+    solved = None
+    for target in _viable_targets(a, base):
+        classes = solve_all(-a, target)
+        if classes.kind != "empty":
+            solved = (classes, target)
+            break
+    if solved is None:
+        if pre.outcome == FREE:
+            raise InternalInconsistencyError(
+                f"prescreen says free but x^2 + {a}y^2 = +-{base} has no solutions")
+        return FreenessReport(structure, NOT_FREE, None, None, None,
+                              red.index, "pell_criterion")
+    classes, target = solved
+    for rep in classes.solutions:
+        beta = _first_verified(_biquad_candidates(kind, idx, p, rep.x, rep.y), red, action)
+        if beta is not None:
+            method = f"prescreen:{pre.reason}" if pre.outcome == FREE else "pell_criterion"
+            return FreenessReport(structure, FREE, (rep.x, rep.y), target, beta,
+                                  red.index, method)
+    raise InternalInconsistencyError(
+        f"no sign variant of the {kind}-type formula verifies for {p}, "
+        f"structure {idx + 1}, target {target}")
+
+
 def decide_biquadratic(
         p: BiquadraticParams,
         use_prescreen: bool = True) -> tuple[FreenessReport, FreenessReport, FreenessReport]:
@@ -350,54 +378,7 @@ def decide_biquadratic(
     structures two and three are never free: their generator determinants
     are multiples of four while the index is two.
     """
-    kind = classify_biquadratic_type(p)
-    descriptor = integral_basis_biquadratic(p)
-    pres = (prescreen_biquadratic(p) if use_prescreen
-            else (UNDECIDED, UNDECIDED, UNDECIDED))
-    equations = _equation_table(p, kind)
-    reports = []
-    for idx, structure in enumerate(structures_for(p)):
-        _, action, red = _structure_analysis(p, structure, descriptor)
-        equation = equations[idx]
-        if equation is None:
-            reports.append(FreenessReport(structure, NOT_FREE, None, None, None,
-                                          red.index, f"prescreen:{STRUCTURAL_RULE}"))
-            continue
-        pre = pres[idx]
-        if pre.outcome == NOT_FREE:
-            reports.append(FreenessReport(structure, NOT_FREE, None, None, None,
-                                          red.index, f"prescreen:{pre.reason}"))
-            continue
-        a, base = equation
-        solved = None
-        for target in _viable_targets(a, base):
-            classes = solve_all(-a, target)
-            if classes.kind != "empty":
-                solved = (classes, target)
-                break
-        if solved is None:
-            if pre.outcome == FREE:
-                raise InternalInconsistencyError(
-                    f"prescreen says free but x^2 + {a}y^2 = +-{base} has no solutions")
-            reports.append(FreenessReport(structure, NOT_FREE, None, None, None,
-                                          red.index, "pell_criterion"))
-            continue
-        classes, target = solved
-        beta = witness = None
-        for rep in classes.solutions:
-            beta = _first_verified(_biquad_candidates(kind, idx, p, rep.x, rep.y),
-                                   red, action)
-            if beta is not None:
-                witness = rep
-                break
-        if beta is None:
-            raise InternalInconsistencyError(
-                f"no sign variant of the {kind}-type formula verifies for {p}, "
-                f"structure {idx + 1}, target {target}")
-        method = f"prescreen:{pre.reason}" if pre.outcome == FREE else "pell_criterion"
-        reports.append(FreenessReport(structure, FREE, (witness.x, witness.y),
-                                      target, beta, red.index, method))
-    return tuple(reports)
+    return tuple(entry.report for entry in _analyse(p, use_prescreen).structures)
 
 
 # ---- closed-form generator determinants ----
@@ -559,16 +540,24 @@ def brute_force_generator(report: ReductionReport, action: Sequence[Sequence[Fra
 
 @dataclass(frozen=True)
 class StructureSummary:
-    """Everything the pipeline knows about one non-classical structure."""
+    """Everything the pipeline knows about one non-classical structure.
+
+    Each piece is computed once: the Gram matrix in the integral basis, the
+    action matrix stacked from it, its reduction, the prescreen verdict and
+    the freeness decision built on them.
+    """
 
     structure: StructureId
     origin: str | None
     gram: list
-    hnf: list
-    index: Fraction
-    order_basis: list
+    action: list
+    reduction: ReductionReport
     prescreen: PrescreenVerdict
     report: FreenessReport
+
+    hnf = property(lambda self: self.reduction.hnf)
+    index = property(lambda self: self.reduction.index)
+    order_basis = property(lambda self: self.reduction.order_basis)
 
 
 @dataclass(frozen=True)
@@ -581,6 +570,38 @@ class FieldSummary:
     structures: tuple[StructureSummary, ...]
 
 
+def _analyse(p: FieldParams, use_prescreen: bool = True) -> FieldSummary:
+    """One record per non-classical structure, in canonical order.
+
+    The classification, integral basis and prescreen run once per field; the
+    Gram matrix, action matrix, reduction and decision once per structure.
+    Without `use_prescreen` every verdict is UNDECIDED and every decision
+    goes through the Pell criterion.
+    """
+    if isinstance(p, CyclicQuarticParams):
+        case = classify_cyclic_case(p)
+        family, classification, origins = "cyclic", f"case {case}", (None,)
+        descriptor = integral_basis_cyclic(p, case)
+        verdicts = (prescreen_cyclic(p),) if use_prescreen else (UNDECIDED,)
+    else:
+        kind = classify_biquadratic_type(p)
+        family, classification, origins = "biquadratic", kind, p.origins
+        descriptor = integral_basis_biquadratic(p)
+        verdicts = prescreen_biquadratic(p) if use_prescreen else (UNDECIDED,) * 3
+    entries = []
+    for idx, structure in enumerate(structures_for(p)):
+        gram = change_basis(gram_nonclassical(p, structure), descriptor)
+        action = action_matrix(gram)
+        red = reduction_report(action)
+        pre = verdicts[idx]
+        if family == "cyclic":
+            report = _decide_cyclic_structure(p, case, structure, action, red, pre)
+        else:
+            report = _decide_biquadratic_structure(p, kind, idx, structure, action, red, pre)
+        entries.append(StructureSummary(structure, origins[idx], gram, action, red, pre, report))
+    return FieldSummary(family, classification, descriptor, tuple(entries))
+
+
 def summary(p: FieldParams) -> FieldSummary:
     """Aggregate classification, reduction data, and freeness per structure.
 
@@ -588,21 +609,8 @@ def summary(p: FieldParams) -> FieldSummary:
     attached to the first input radicand first, then the second input, then
     the derived third radicand.
     """
-    if isinstance(p, CyclicQuarticParams):
-        case = classify_cyclic_case(p)
-        descriptor = integral_basis_cyclic(p, case)
-        report = decide_cyclic(p)
-        gram, _, red = _structure_analysis(p, report.structure, descriptor)
-        entry = StructureSummary(report.structure, None, gram, red.hnf, red.index,
-                                 red.order_basis, prescreen_cyclic(p), report)
-        return FieldSummary("cyclic", f"case {case}", descriptor, (entry,))
-    kind = classify_biquadratic_type(p)
-    descriptor = integral_basis_biquadratic(p)
-    entries = []
-    for idx, (pre, report) in enumerate(zip(prescreen_biquadratic(p), decide_biquadratic(p))):
-        gram, _, red = _structure_analysis(p, report.structure, descriptor)
-        entries.append(StructureSummary(report.structure, p.origins[idx], gram,
-                                        red.hnf, red.index, red.order_basis, pre, report))
+    fs = _analyse(p)
+    if fs.family == "cyclic":
+        return fs
     rank = {FIRST_INPUT: 0, SECOND_INPUT: 1, DERIVED: 2}
-    entries.sort(key=lambda entry: rank[entry.origin])
-    return FieldSummary("biquadratic", kind, descriptor, tuple(entries))
+    return replace(fs, structures=tuple(sorted(fs.structures, key=lambda e: rank[e.origin])))

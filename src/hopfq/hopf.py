@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import BiquadraticParams, CyclicQuarticParams
-from .linalg import det, mat_inv, reduce_action_matrix
+from .linalg import det, hnf, mat_inv
 
 FieldParams = Union[CyclicQuarticParams, BiquadraticParams]
 
@@ -58,12 +58,6 @@ def structures_for(field: FieldParams) -> list[StructureId]:
         StructureId(BIQUAD_H2, f"sqrt({field.n})"),
         StructureId(BIQUAD_H3, f"sqrt({field.k})"),
     ]
-
-
-def classical_structure(field: FieldParams) -> StructureId:
-    if isinstance(field, CyclicQuarticParams):
-        return StructureId(CLASSICAL, f"sqrt({field.d})")
-    return StructureId(CLASSICAL, f"sqrt({field.m})")
 
 
 # ---- field arithmetic over the reference basis ----
@@ -264,7 +258,7 @@ class ReductionReport:
 
 
 def reduction_report(action: Sequence[Sequence]) -> ReductionReport:
-    result = reduce_action_matrix(action)
+    result = hnf(action)
     d_matrix = [
         [result.content * Fraction(x) for x in row] for row in result.hnf
     ]
@@ -329,9 +323,3 @@ def parse_gram_text(text: str) -> GramMatrix:
         gram.append(row)
     return gram
 
-
-def format_gram_text(gram: GramMatrix) -> str:
-    """Inverse of parse_gram_text."""
-    return "\n".join(
-        " ".join(",".join(str(x) for x in entry) for entry in row) for row in gram
-    )

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import RankDeficientError, ZeroMatrixError
-
-Rat = Fraction
-
+from .errors import (
+    InternalInconsistencyError,
+    RankDeficientError,
+    ValidationError,
+    ZeroMatrixError,
+)
 
 def mat(rows) -> list[list[Fraction]]:
     """Coerce a nested sequence of numbers into a Fraction matrix."""
@@ -24,31 +26,6 @@ def mat(rows) -> list[list[Fraction]]:
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner, "dimension mismatch"
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def mat_vec(a, v):
-    assert len(a[0]) == len(v), "dimension mismatch"
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 # ---- content / primitive part ----
@@ -132,7 +109,8 @@ def hnf_integer(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
             submul(r, col, w[r][col] // pivot)
 
     h = [w[i][:] for i in range(ncols)]
-    assert all(all(x == 0 for x in w[r]) for r in range(ncols, nrows))
+    if any(x for r in range(ncols, nrows) for x in w[r]):
+        raise InternalInconsistencyError("rows below the Hermite form are not zero")
     return h, u
 
 
@@ -157,17 +135,13 @@ def hnf(m) -> HnfResult:
     return HnfResult(hnf=scaled, content=content, transform=u)
 
 
-def reduce_action_matrix(m) -> HnfResult:
-    """Reduce a stacked action matrix (full column rank) to its HNF."""
-    return hnf(m)
-
-
 # ---- determinants and inverses ----
 
 def det_int(a: list[list[int]]) -> int:
     """Fraction-free Bareiss determinant of a square integer matrix."""
     n = len(a)
-    assert all(len(row) == n for row in a), "matrix must be square"
+    if any(len(row) != n for row in a):
+        raise ValidationError("determinant of a non-square matrix")
     if n == 0:
         return 1
     w = [[int(x) for x in row] for row in a]

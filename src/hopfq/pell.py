@@ -16,6 +16,7 @@ from typing import Iterator, NamedTuple
 from .errors import (
     BadDiscriminantError,
     EvenModulusError,
+    InternalInconsistencyError,
     NotReducedError,
     SquareDiscriminantError,
     ValidationError,
@@ -400,7 +401,7 @@ def reduce_form(f: QuadForm) -> QuadForm:
         if is_reduced(f):
             return f
         f = rho(f)
-    raise AssertionError("reduction did not terminate")
+    raise InternalInconsistencyError(f"reduction of {tuple(f)} did not terminate")
 
 
 def _flip(f: QuadForm) -> QuadForm:
@@ -473,7 +474,8 @@ def representation_of_one(f: QuadForm) -> tuple[int, int] | None:
     for _ in range(1_000_000):
         if g == target:
             u, v = m00, m10
-            assert f.a * u * u + f.b * u * v + f.c * v * v == 1
+            if f.a * u * u + f.b * u * v + f.c * v * v != 1:
+                raise InternalInconsistencyError(f"({u}, {v}) does not represent 1 by {tuple(f)}")
             return u, v
         if cycle_start is None and is_reduced(g):
             cycle_start = g
@@ -484,4 +486,4 @@ def representation_of_one(f: QuadForm) -> tuple[int, int] | None:
         g = nxt
         if cycle_start is not None and g == cycle_start:
             return None
-    raise AssertionError("reduction orbit did not close")
+    raise InternalInconsistencyError(f"reduction orbit of {tuple(f)} did not close")

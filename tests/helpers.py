@@ -1,0 +1,44 @@
+"""Matrix and Gram-matrix helpers used only by the tests."""
+
+from __future__ import annotations
+
+from hopfq.fields import CyclicQuarticParams
+from hopfq.hopf import CLASSICAL, StructureId
+
+
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0])
+    assert len(a[0]) == inner, "dimension mismatch"
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def mat_vec(a, v):
+    assert len(a[0]) == len(v), "dimension mismatch"
+    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+
+
+def mat_eq(a, b) -> bool:
+    return len(a) == len(b) and all(
+        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b)
+    )
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def classical_structure(field) -> StructureId:
+    if isinstance(field, CyclicQuarticParams):
+        return StructureId(CLASSICAL, f"sqrt({field.d})")
+    return StructureId(CLASSICAL, f"sqrt({field.m})")
+
+
+def format_gram_text(gram) -> str:
+    """Inverse of hopfq.hopf.parse_gram_text."""
+    return "\n".join(
+        " ".join(",".join(str(x) for x in entry) for entry in row) for row in gram
+    )

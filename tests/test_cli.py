@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq import cli
+from hopfq import cli, pell
 from hopfq.cli import decode_number, encode_number
 from hopfq.errors import ValidationError
 from hopfq.hopf import action_matrix, parse_gram_text, reduction_report
@@ -222,6 +223,14 @@ def test_form_cycle_reduces_first():
     assert doc["reduced"] != [1, 0, -2]
 
 
+def test_form_cycle_stalled_reduction_exits_3(monkeypatch):
+    monkeypatch.setattr(pell, "rho", lambda f: f)
+    code, doc = invoke_json(["form-cycle", "1", "0", "-2"])
+    assert code == 3
+    assert doc["error"]["type"] == "InternalInconsistencyError"
+    assert doc["error"]["exit_code"] == 3
+
+
 def test_form_cycle_bad_discriminant_exits_2():
     code, doc = invoke_json(["form-cycle", "1", "0", "4"])
     assert code == 2
@@ -355,30 +364,6 @@ def test_corpus_empty_file_exits_0(tmp_path):
     assert text == ""
 
 
-def test_corpus_parallel_matches_serial(tmp_path):
-    path = tmp_path / "corpus.txt"
-    path.write_text(
-        "cyclic 1 9 5\n"
-        "cyclic 1 3 1\n"
-        "biquadratic 5 -2\n"
-        "biquadratic -3 -7\n"
-        "cyclic 3 2 3\n"
-        "cyclic 1 3 3\n",
-        encoding="utf-8",
-    )
-    serial_code, serial_text = invoke(["corpus", str(path)])
-    parallel_code, parallel_text = invoke(["corpus", str(path), "--parallel", "4"])
-    assert serial_code == parallel_code == 2
-    assert serial_text == parallel_text
-
-
-def test_corpus_rejects_bad_worker_count(tmp_path):
-    path = tmp_path / "corpus.txt"
-    path.write_text("cyclic 1 9 5\n", encoding="utf-8")
-    code, doc = invoke_json(["corpus", str(path), "--parallel", "0"])
-    assert code == 2
-
-
 def test_corpus_missing_file_exits_2(tmp_path):
     code, doc = invoke_json(["corpus", str(tmp_path / "absent.txt")])
     assert code == 2
@@ -394,12 +379,6 @@ def test_corpus_wrong_arity_is_per_line_error(tmp_path):
 
 
 # ---- interface plumbing ----
-
-def test_json_flag_is_accepted():
-    code, doc = invoke_json(["pell", "-D", "13", "-N", "3", "--json"])
-    assert code == 0
-    assert doc["kind"] == "indefinite"
-
 
 def test_missing_subcommand_exits_2():
     code, _ = invoke([])
@@ -420,3 +399,27 @@ def test_document_survives_json_round_trip():
     assert code == 0
     doc = json.loads(text)
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_integers_beyond_the_decimal_limit_are_emitted_exactly(monkeypatch, tmp_path):
+    big = 10**5000
+    limit = sys.get_int_max_str_digits()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._print_document({"value": big})
+    assert sys.get_int_max_str_digits() == limit
+
+    monkeypatch.setattr(cli, "_corpus_record",
+                        lambda lineno, line, verify, bound: {"line": lineno, "value": big})
+    path = tmp_path / "corpus.txt"
+    path.write_text("cyclic 1 9 5\n", encoding="utf-8")
+    code, text = invoke(["corpus", str(path)])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out.getvalue()) == {"value": big}
+        assert json.loads(text) == {"line": 1, "value": big}
+    finally:
+        sys.set_int_max_str_digits(limit)

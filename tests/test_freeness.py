@@ -8,13 +8,16 @@ parameterization invariance) are exercised over generated corpora.
 
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfq import cli, freeness
 from hopfq.errors import ValidationError
 from hopfq.fields import (
     BiquadraticParams,
@@ -508,3 +511,30 @@ def test_summary_biquadratic_orders_by_input_labels():
     origins = [e.origin for e in fs.structures]
     assert origins == ["first input", "second input", "derived"]
     assert [e.report.decision for e in fs.structures] == [NOT_FREE, FREE, NOT_FREE]
+
+
+def test_each_structure_is_analysed_once(monkeypatch):
+    calls = {"reduction": 0, "prescreen": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    reduce = counted("reduction", freeness.reduction_report)
+    monkeypatch.setattr(freeness, "reduction_report", reduce)
+    monkeypatch.setattr(cli, "reduction_report", reduce)
+    for name in ("prescreen_cyclic", "prescreen_biquadratic"):
+        monkeypatch.setattr(freeness, name, counted("prescreen", getattr(freeness, name)))
+
+    summary(validate_cyclic(1, 9, 5))
+    assert calls == {"reduction": 1, "prescreen": 1}
+    summary(canonicalize_biquadratic(-3, -7))
+    assert calls == {"reduction": 4, "prescreen": 2}
+
+    for argv in (["cyclic", "-a", "1", "-b", "9", "-c", "5"],
+                 ["biquadratic", "-m", "-3", "-n", "-7"]):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--verify-oracle", "--oracle-bound", "2"]) == 0
+    assert calls == {"reduction": 8, "prescreen": 4}

@@ -32,8 +32,6 @@ from hopfq.hopf import (
     StructureId,
     action_matrix,
     change_basis,
-    classical_structure,
-    format_gram_text,
     generator_determinant,
     gram_classical,
     gram_nonclassical,
@@ -44,7 +42,9 @@ from hopfq.hopf import (
     structures_for,
 )
 from hopfq.hopf import test_generator as generator_passes
-from hopfq.linalg import det, mat, mat_mul
+from hopfq.linalg import det, mat, mat_inv
+
+from helpers import classical_structure, format_gram_text, mat_mul, mat_vec, transpose
 
 F = Fraction
 
@@ -614,8 +614,6 @@ def test_classical_structure_reduction_on_case_one_field():
 
 
 def test_reduction_report_order_basis_inverts_hnf():
-    from hopfq.linalg import mat_vec
-
     p = validate_cyclic(1, 3, 2)
     report = reduction_report(full_action(p, nonclassical(p)))
     for idx, basis_vector in enumerate(report.order_basis):
@@ -654,8 +652,6 @@ def test_index_invariant_under_unimodular_row_operations(p):
 
 @pytest.mark.parametrize("p", ALL_SAMPLES)
 def test_report_invariant_under_integral_basis_change(p):
-    from hopfq.linalg import mat_inv, transpose
-
     rng = random.Random(48103)
     basis = integral_gram(p)
     structure = structures_for(p)[-1]

@@ -19,11 +19,10 @@ from hopfq.linalg import (
     hnf_integer,
     identity,
     mat,
-    mat_eq,
     mat_inv,
-    mat_mul,
-    reduce_action_matrix,
 )
+
+from helpers import mat_eq, mat_mul
 
 F = Fraction
 
@@ -154,11 +153,6 @@ def test_hnf_determinant_is_gcd_of_maximal_minors(rows):
     ]
     expected = gcd(*(abs(v) for v in minors))
     assert det(result.hnf) == expected
-
-
-def test_reduce_action_matrix_delegates_to_hnf():
-    rows = [[1, 1, 2, 0], [0, 2, 2, -10], [0, 0, 4, 0], [0, 0, 0, 18], [0, 0, 0, 20]]
-    assert reduce_action_matrix(rows).hnf == hnf(rows).hnf
 
 
 # ---- determinants ----

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfq import pell
 from hopfq.errors import (
     BadDiscriminantError,
     EvenModulusError,
+    InternalInconsistencyError,
     NotReducedError,
     SquareDiscriminantError,
 )
@@ -253,6 +255,12 @@ def test_reduce_then_cycle_reaches_principal():
     g = reduce_form(QuadForm(1, 0, -2))
     assert is_reduced(g)
     assert principal_form(8) in form_cycle(g)
+
+
+def test_reduce_form_stall_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(pell, "rho", lambda f: f)
+    with pytest.raises(InternalInconsistencyError):
+        reduce_form(QuadForm(1, 0, -2))
 
 
 def test_form_cycle_rejects_unreduced_and_bad_discriminant():
