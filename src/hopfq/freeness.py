@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from .hopf import (
     structures_for,
     test_generator,
 )
-from .linalg import det, mat
+from .linalg import content_primitive, det_int
 from .pell import PellSolution, find_with_divisibility, jacobi, solve_all
 
 FieldParams = CyclicQuarticParams | BiquadraticParams
@@ -84,7 +84,7 @@ class FreenessReport:
     witness: tuple[int, int] | None
     witness_target: int | None
     generator: tuple[int, int, int, int] | None
-    index: Fraction
+    index: int | Fraction
     method: str
 
 
@@ -138,7 +138,7 @@ class _NotDivisible(Exception):
 
 def _first_verified(candidates: Iterator[tuple[int, int, int, int]],
                     report: ReductionReport,
-                    action: Sequence[Sequence[Fraction]]) -> tuple[int, int, int, int] | None:
+                    action: Sequence[Sequence[int]]) -> tuple[int, int, int, int] | None:
     for beta in candidates:
         if test_generator(report, action, beta):
             return beta
@@ -202,7 +202,7 @@ def _cyclic_candidates(case: int, target: int, cross: int,
 
 
 def _decide_cyclic_structure(p: CyclicQuarticParams, case: int, structure: StructureId,
-                             action: Sequence[Sequence[Fraction]], report: ReductionReport,
+                             action: Sequence[Sequence[int]], report: ReductionReport,
                              pre: PrescreenVerdict) -> FreenessReport:
     target, cross = (p.b, p.c) if case <= 2 else (p.c, p.b)
     if pre.outcome == NOT_FREE:
@@ -333,7 +333,7 @@ def _biquad_candidates(kind: str, idx: int, p: BiquadraticParams,
 
 
 def _decide_biquadratic_structure(p: BiquadraticParams, kind: str, idx: int,
-                                  structure: StructureId, action: Sequence[Sequence[Fraction]],
+                                  structure: StructureId, action: Sequence[Sequence[int]],
                                   red: ReductionReport, pre: PrescreenVerdict) -> FreenessReport:
     equation = _equation_table(p, kind)[idx]
     if equation is None:
@@ -442,18 +442,18 @@ def closed_form_determinant(p: FieldParams, structure: StructureId,
 _SIEVE_MODULUS = 32749  # prime; squares fit comfortably in int32
 
 
-def _quartic_coefficients(action: Sequence[Sequence[Fraction]]) -> dict[tuple[int, ...], Fraction]:
-    """Monomial coefficients of det(sum_j beta_j * block_j) as a quartic."""
+def _quartic_coefficients(action: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
+    """Monomial coefficients of det(sum_j beta_j * block_j) for an integer action."""
     blocks = [[action[4 * j + t] for t in range(4)] for j in range(4)]
-    coeffs: dict[tuple[int, ...], Fraction] = {}
+    coeffs: dict[tuple[int, ...], int] = {}
     for js in product(range(4), repeat=4):
-        value = det(mat([blocks[js[t]][t] for t in range(4)]))
+        value = det_int([blocks[js[t]][t] for t in range(4)])
         if value:
             key = [0, 0, 0, 0]
             for j in js:
                 key[j] += 1
             key = tuple(key)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + value
+            coeffs[key] = coeffs.get(key, 0) + value
     return {key: v for key, v in coeffs.items() if v}
 
 
@@ -503,7 +503,7 @@ def _sieve_candidates(coeffs: dict[tuple[int, ...], int], bound: int,
     return hits
 
 
-def brute_force_generator(report: ReductionReport, action: Sequence[Sequence[Fraction]],
+def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
                           bound: int) -> tuple[int, int, int, int] | None:
     """First generator in the box [-bound, bound]^4, or None.
 
@@ -511,20 +511,21 @@ def brute_force_generator(report: ReductionReport, action: Sequence[Sequence[Fra
     determinant test passes.  The scan prefilters the grid with an exact
     congruence of the determinant polynomial modulo a fixed prime, so no
     point is ever missed; survivors are confirmed with exact arithmetic.
+    Both the polynomial and the target are those of the primitive part of
+    the action: its determinants and its index are content^4 times smaller.
     """
     if bound < 0:
         raise ValidationError(f"scan bound must be nonnegative, got {bound}")
-    rational = _quartic_coefficients(action)
-    if not rational:
+    content, primitive = content_primitive(action)
+    coeffs = _quartic_coefficients(primitive)
+    if not coeffs:
         return None
-    scale = lcm(*(v.denominator for v in rational.values()))
-    coeffs = {key: int(v * scale) for key, v in rational.items()}
     common = gcd(*coeffs.values())
-    target = report.index * scale
-    if target % common or target.denominator != 1:
+    target = report.index // content**4
+    if target % common:
         return None
     coeffs = {key: c // common for key, c in coeffs.items()}
-    target = int(target) // common
+    target //= common
     for i1, i2, i3, i4 in _sieve_candidates(coeffs, bound, target, _SIEVE_MODULUS):
         beta = (int(i1) - bound, int(i2) - bound, int(i3) - bound, int(i4) - bound)
         if abs(_evaluate_quartic(coeffs, beta)) != target:

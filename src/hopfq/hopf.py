@@ -25,13 +25,14 @@ from .errors import (
     RankDeficientError,
     SingularDescriptorError,
     ValidationError,
+    ZeroMatrixError,
 )
 from .fields import BiquadraticParams, CyclicQuarticParams
-from .linalg import det, hnf, mat_inv
+from .linalg import adjugate, content_primitive, det, det_int, hnf, mat_inv, quotient
 
 FieldParams = Union[CyclicQuarticParams, BiquadraticParams]
 
-Vec = list  # length-4 list of Fraction
+Vec = list  # length-4 list of ints; Fractions only from a rational Gram file or descriptor
 GramMatrix = list  # 4x4 nested list of Vec
 
 CLASSICAL = "classical"
@@ -61,6 +62,10 @@ def structures_for(field: FieldParams) -> list[StructureId]:
 
 
 # ---- field arithmetic over the reference basis ----
+
+def _unit(i: int) -> Vec:
+    return [1 if t == i else 0 for t in range(4)]
+
 
 def mult_table(field: FieldParams) -> list:
     """Structure constants: table[i][j] = coordinates of e_i * e_j.
@@ -94,19 +99,16 @@ def mult_table(field: FieldParams) -> list:
     table = [[None] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(4):
-            if i == 0:
-                vec = [Fraction(1 if t == j else 0) for t in range(4)]
-            elif j == 0:
-                vec = [Fraction(1 if t == i else 0) for t in range(4)]
+            if i == 0 or j == 0:
+                table[i][j] = _unit(i + j)
             else:
-                vec = [Fraction(x) for x in products[(min(i, j), max(i, j))]]
-            table[i][j] = vec
+                table[i][j] = products[(min(i, j), max(i, j))]
     return table
 
 
 def multiply(u: Sequence, v: Sequence, table: list) -> Vec:
     """Product of two field elements given by coordinates over the reference basis."""
-    out = [Fraction(0)] * 4
+    out = [0] * 4
     for i in range(4):
         if not u[i]:
             continue
@@ -121,10 +123,6 @@ def multiply(u: Sequence, v: Sequence, table: list) -> Vec:
 
 
 # ---- Gram matrices ----
-
-def _unit(i: int) -> Vec:
-    return [Fraction(1 if t == i else 0) for t in range(4)]
-
 
 def gram_classical(field: FieldParams) -> GramMatrix:
     """Gram matrix of the Galois group action over the reference basis.
@@ -142,7 +140,7 @@ def gram_classical(field: FieldParams) -> GramMatrix:
         ]
         rows = []
         for sig in signatures:
-            rows.append([[Fraction(s if t == pos else 0) for t in range(4)] for pos, s in sig])
+            rows.append([[s if t == pos else 0 for t in range(4)] for pos, s in sig])
         return rows
     sign_rows = [
         [1, 1, 1, 1],
@@ -151,7 +149,7 @@ def gram_classical(field: FieldParams) -> GramMatrix:
         [1, -1, -1, 1],
     ]
     return [
-        [[Fraction(signs[j] if t == j else 0) for t in range(4)] for j in range(4)]
+        [[signs[j] if t == j else 0 for t in range(4)] for j in range(4)]
         for signs in sign_rows
     ]
 
@@ -205,26 +203,25 @@ def change_basis(gram: GramMatrix, descriptor: Sequence[Sequence]) -> GramMatrix
     The descriptor rows are the integral basis elements in reference-basis
     coordinates.  New column j is the action on gamma_j (a combination of old
     columns), and every resulting element is rewritten in integral-basis
-    coordinates.
+    coordinates.  For descriptor = content * P the content cancels: each
+    combination u of old columns by a row of P maps to u * adjugate(P) / det P.
     """
-    desc = [[Fraction(x) for x in row] for row in descriptor]
     try:
-        to_integral = mat_inv([[desc[j][t] for j in range(4)] for t in range(4)])
-    except RankDeficientError as exc:
+        _, primitive = content_primitive(descriptor)
+    except ZeroMatrixError as exc:
         raise SingularDescriptorError("basis descriptor is singular") from exc
+    denominator = det_int(primitive)
+    if denominator == 0:
+        raise SingularDescriptorError("basis descriptor is singular")
+    adj = adjugate(primitive)
     out = []
     for i in range(4):
         new_row = []
         for j in range(4):
-            combined = [Fraction(0)] * 4
-            for l in range(4):
-                coef = desc[j][l]
-                if not coef:
-                    continue
-                for t in range(4):
-                    combined[t] += coef * gram[i][l][t]
+            combined = [sum(primitive[j][l] * gram[i][l][t] for l in range(4)) for t in range(4)]
             new_row.append([
-                sum(to_integral[t][s] * combined[s] for s in range(4)) for t in range(4)
+                quotient(sum(combined[s] * adj[s][t] for s in range(4)), denominator)
+                for t in range(4)
             ])
         out.append(new_row)
     return out
@@ -246,33 +243,32 @@ class ReductionReport:
     """Associated-order data extracted from an action matrix.
 
     `hnf` is the invertible 4x4 Hermite form D of the action matrix; `index`
-    is |det D|, the module index of the span of W inside the associated
-    order; `order_basis` holds the columns of D^{-1}: the W-coordinates of a
-    basis of the associated order (membership x is equivalent to D*x being
-    integral, so the order is the preimage of the integer lattice under D).
+    is |det D|, the product of D's diagonal and the module index of the span
+    of W inside the associated order; `order_basis` holds the columns of
+    D^{-1}: the W-coordinates of a basis of the associated order (membership
+    x is equivalent to D*x being integral, so the order is the preimage of
+    the integer lattice under D).
     """
 
     hnf: list
-    index: Fraction
+    index: int | Fraction
     order_basis: list
 
 
 def reduction_report(action: Sequence[Sequence]) -> ReductionReport:
     result = hnf(action)
-    d_matrix = [
-        [result.content * Fraction(x) for x in row] for row in result.hnf
-    ]
+    d_matrix = result.hnf
     if len(d_matrix) != 4:
         raise RankDeficientError("action matrix does not have full column rank")
-    index = abs(det(d_matrix))
+    index = d_matrix[0][0] * d_matrix[1][1] * d_matrix[2][2] * d_matrix[3][3]
     inverse = mat_inv(d_matrix)
     basis_columns = [[inverse[t][i] for t in range(4)] for i in range(4)]
     return ReductionReport(hnf=d_matrix, index=index, order_basis=basis_columns)
 
 
-def generator_determinant(action: Sequence[Sequence], beta: Sequence[int]) -> Fraction:
+def generator_determinant(action: Sequence[Sequence], beta: Sequence[int]) -> int | Fraction:
     """Exact determinant of sum_j beta_j * (block j of the action matrix)."""
-    combined = [[Fraction(0)] * 4 for _ in range(4)]
+    combined = [[0] * 4 for _ in range(4)]
     for j in range(4):
         if not beta[j]:
             continue

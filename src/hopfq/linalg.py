@@ -1,9 +1,11 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra: integers inside, rationals only at the edges.
 
 Dense matrices are plain row-major lists of lists; entries are Python ints or
-fractions.Fraction.  No floats appear anywhere.  The two workhorses are the
-content/primitive splitting of a rational matrix and the row Hermite normal
-form of an integer matrix with its unimodular transform.
+fractions.Fraction.  No floats appear anywhere.  `det`, `mat_inv` and `hnf`
+split a rational matrix once into content * primitive integer matrix
+(`content_primitive`), work on the primitive part with Python ints (Bareiss,
+adjugate, row Hermite normal form) and put the content back at the end; an
+integer matrix has integer content, so integer input never meets a Fraction.
 """
 
 from __future__ import annotations
@@ -28,26 +30,29 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def quotient(num, den) -> int | Fraction:
+    """num / den exactly: an int when den divides num, else a Fraction."""
+    q, r = divmod(num, den)
+    return q if r == 0 else Fraction(num, den)
+
+
 # ---- content / primitive part ----
 
-def content_primitive(m) -> tuple[Fraction, list[list[int]]]:
+def content_primitive(m) -> tuple[int | Fraction, list[list[int]]]:
     """Split m = content * primitive.
 
-    content is a positive rational; primitive is an integer matrix whose
-    entries have gcd 1.  Raises ZeroMatrixError for an all-zero (or empty)
-    matrix, which has no such splitting.
+    content is a positive rational, an int exactly when every entry of m is
+    an integer; primitive is an integer matrix of the same shape whose entries
+    have gcd 1.  Entries are ints or Fractions.  Raises ZeroMatrixError for
+    an all-zero (or empty) matrix, which has no such splitting.
     """
-    entries = [Fraction(x) for row in m for x in row]
-    if not entries or all(e == 0 for e in entries):
+    if not any(x for row in m for x in row):
         raise ZeroMatrixError("content/primitive split of a zero matrix")
-    scale = lcm(*(e.denominator for e in entries))
-    scaled = [e.numerator * (scale // e.denominator) for e in entries]
-    g = gcd(*(abs(v) for v in scaled))
-    content = Fraction(g, scale)
-    cols = len(m[0])
-    prim_flat = [v // g for v in scaled]
-    primitive = [prim_flat[i : i + cols] for i in range(0, len(prim_flat), cols)]
-    return content, primitive
+    scale = lcm(*(x.denominator for row in m for x in row))
+    scaled = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+    g = gcd(*(v for row in scaled for v in row))
+    content = g if scale == 1 else Fraction(g, scale)
+    return content, [[v // g for v in row] for row in scaled]
 
 
 # ---- Hermite normal form ----
@@ -120,10 +125,11 @@ class HnfResult:
 
     hnf equals content times the integer HNF of the primitive part; transform
     is a unimodular integer matrix with transform*input = [hnf; zero rows].
+    Both hnf and content are ints for an integer input.
     """
 
-    hnf: list[list[Fraction]]
-    content: Fraction
+    hnf: list[list[int | Fraction]]
+    content: int | Fraction
     transform: list[list[int]]
 
 
@@ -164,34 +170,29 @@ def det_int(a: list[list[int]]) -> int:
     return sign * w[n - 1][n - 1]
 
 
-def det(m) -> Fraction:
-    """Exact determinant of a square rational matrix (Bareiss on a scaling)."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in m]
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    scaled = [[int(x * scale) for x in row] for row in rows]
-    return Fraction(det_int(scaled), scale**n)
+def adjugate(a: list[list[int]]) -> list[list[int]]:
+    """Adjugate of a square integer matrix: adjugate(a) * a = det_int(a) * I."""
+    n = len(a)
+    return [
+        [(-1) ** (i + j) * det_int([row[:i] + row[i + 1:] for k, row in enumerate(a) if k != j])
+         for j in range(n)]
+        for i in range(n)
+    ]
 
 
-def mat_inv(m) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
-    n = len(m)
-    w = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if w[r][col] != 0), None)
-        if pivot_row is None:
-            raise RankDeficientError("matrix is singular")
-        w[col], w[pivot_row] = w[pivot_row], w[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        p = w[col][col]
-        w[col] = [x / p for x in w[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and w[r][col]:
-                f = w[r][col]
-                w[r] = [x - f * y for x, y in zip(w[r], w[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+def det(m) -> int | Fraction:
+    """Exact determinant of a square rational matrix: content^n * det_int(primitive)."""
+    if not any(x for row in m for x in row):
+        return det_int(m)
+    content, primitive = content_primitive(m)
+    return content ** len(m) * det_int(primitive)
+
+
+def mat_inv(m) -> list[list[int | Fraction]]:
+    """Inverse of a square rational matrix m = content * P: adjugate(P) / (content * det P)."""
+    content, primitive = content_primitive(m)
+    d = det_int(primitive)
+    if d == 0:
+        raise RankDeficientError("matrix is singular")
+    den = content * d
+    return [[quotient(x, den) for x in row] for row in adjugate(primitive)]

@@ -22,6 +22,8 @@ from hopfq.cli import decode_number, encode_number
 from hopfq.errors import ValidationError
 from hopfq.hopf import action_matrix, parse_gram_text, reduction_report
 
+from helpers import format_gram_text
+
 DATA_DIR = Path(__file__).parent / "data"
 POWER_GRAM_PATH = DATA_DIR / "power_basis_gram.txt"
 
@@ -268,6 +270,18 @@ def test_gram_file_payload_matches_library():
     decoded = [[decode_number(entry) for entry in vec] for vec in doc["order_basis"]]
     assert decoded == [[F(value) for value in vec] for vec in report.order_basis]
     assert decode_number(doc["index"]) == report.index
+
+
+@pytest.mark.parametrize("factor, index", [(2, 256), (F(1, 2), 1)])
+def test_gram_file_scaled_gram_scales_index_by_fourth_power(tmp_path, factor, index):
+    gram = parse_gram_text(POWER_GRAM_PATH.read_text(encoding="utf-8"))
+    path = tmp_path / "scaled.txt"
+    path.write_text(format_gram_text([[[factor * x for x in vec] for vec in row] for row in gram]),
+                    encoding="utf-8")
+    code, doc = invoke_json(["gram-file", "--gram", str(path), "--beta", "1,1,1,0"])
+    assert code == 0
+    assert decode_number(doc["index"]) == index
+    assert decode_number(doc["beta"]["determinant"]) == factor**4 * -176
 
 
 def test_gram_file_bad_beta_exits_2():

@@ -460,6 +460,13 @@ def test_brute_force_examples():
     assert brute_force_generator(red, action, 15) is None
 
 
+@pytest.mark.parametrize("factor", [2, Fraction(1, 2)])
+def test_brute_force_on_a_scaled_action(factor):
+    _, _, action, _ = _cyclic_setup(validate_cyclic(3, 2, 1))
+    scaled = [[factor * x for x in row] for row in action]
+    assert brute_force_generator(reduction_report(scaled), scaled, 1) == (-1, 1, 0, 1)
+
+
 def test_brute_force_rejects_negative_bound():
     p = validate_cyclic(3, 2, 1)
     _, _, action, red = _cyclic_setup(p)

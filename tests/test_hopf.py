@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopfq.errors import (
@@ -305,6 +305,27 @@ def test_change_basis_biquadratic_first_type_pinned_entries():
         combo({}),
         combo({1: F(-n, d)}),
     ]
+
+
+small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+square4 = st.lists(st.lists(small_rational, min_size=4, max_size=4), min_size=4, max_size=4)
+gram4 = st.lists(
+    st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=4, max_size=4),
+    min_size=4, max_size=4)
+
+
+@given(square4, gram4)
+@example(mat([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+         [[[1, 0, 0, 0]] * 4] * 4)  # output 1/2: an entry that is not an integer
+@settings(max_examples=60, deadline=None)
+def test_change_basis_rational_descriptor_expands_back(descriptor, gram):
+    assume(det(descriptor) != 0)
+    out = change_basis(gram, descriptor)
+    for i in range(4):
+        for j in range(4):
+            expanded = [sum(out[i][j][t] * descriptor[t][s] for t in range(4)) for s in range(4)]
+            direct = [sum(descriptor[j][l] * gram[i][l][s] for l in range(4)) for s in range(4)]
+            assert expanded == direct
 
 
 # ---- full Gram displays in the integral basis ----
@@ -625,6 +646,30 @@ def test_reduction_report_rejects_rank_deficient_action():
     rows = [[F(1), F(0), F(0), F(0)]] * 16
     with pytest.raises(RankDeficientError):
         reduction_report(rows)
+
+
+@pytest.mark.parametrize("factor", [2, F(1, 2)])
+def test_reduction_of_a_scaled_action_applies_the_content_once(factor):
+    p = validate_cyclic(1, 9, 5)
+    action = full_action(p, nonclassical(p))
+    base = reduction_report(action)
+    scaled = [[factor * x for x in row] for row in action]
+    report = reduction_report(scaled)
+    assert report.index == factor**4 * base.index
+    assert report.hnf == [[factor * x for x in row] for row in base.hnf]
+    assert report.order_basis == [[x / factor for x in col] for col in base.order_basis]
+    assert generator_passes(report, scaled, [1, 1, -17, 10]) is True
+
+
+@pytest.mark.parametrize("p", ALL_SAMPLES)
+def test_field_built_pipeline_stays_in_integers(p):
+    entries = [x for row in mult_table(p) for vec in row for x in vec]
+    for structure in structures_for(p):
+        action = full_action(p, structure)
+        report = reduction_report(action)
+        entries += [x for row in action + report.hnf for x in row]
+        entries += [report.index, generator_determinant(action, [1, -2, 3, 5])]
+    assert all(type(x) is int for x in entries)
 
 
 def random_unimodular(rng: random.Random, size: int) -> list:
