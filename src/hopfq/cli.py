@@ -27,6 +27,7 @@ from .errors import InternalInconsistencyError, ValidationError
 from .fields import canonicalize_biquadratic, validate_cyclic
 from .freeness import (
     FREE,
+    ORACLE_BOUND_LIMIT,
     FieldSummary,
     StructureSummary,
     brute_force_generator,
@@ -36,6 +37,7 @@ from .hopf import (
     action_matrix,
     generator_determinant,
     parse_gram_text,
+    parse_rational,
     reduction_report,
     test_generator,
 )
@@ -50,10 +52,14 @@ log = logging.getLogger(__name__)
 # ---- exact JSON number encoding ----
 
 def encode_number(value: Any) -> int | str:
-    """Encode an exact rational for JSON: int when integral, else ``"p/q"``."""
-    f = value if isinstance(value, Fraction) else Fraction(value)
+    """Encode an exact rational for JSON: int when integral, else ``"p/q"``.
+
+    Documents carry ints and Fractions as computed; ``json`` writes the ints
+    itself and hands every Fraction here as its ``default``.
+    """
+    f = Fraction(value)
     if f.denominator == 1:
-        return int(f)
+        return f.numerator
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -64,22 +70,11 @@ def decode_number(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        num, sep, den = value.partition("/")
         try:
-            if sep:
-                return Fraction(int(num), int(den))
-            return Fraction(int(num))
+            return parse_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational value: {value!r}") from exc
     raise ValidationError(f"not a rational value: {value!r}")
-
-
-def _encode_matrix(rows: Sequence[Sequence[Any]]) -> list:
-    return [[encode_number(entry) for entry in row] for row in rows]
-
-
-def _encode_gram(gram: Sequence[Sequence[Sequence[Any]]]) -> list:
-    return [[[encode_number(c) for c in vec] for vec in row] for row in gram]
 
 
 @contextmanager
@@ -101,30 +96,30 @@ def _exact_integers() -> Iterator[None]:
 
 def _print_document(doc: dict) -> None:
     with _exact_integers():
-        json.dump(doc, sys.stdout, indent=2)
+        json.dump(doc, sys.stdout, indent=2, default=encode_number)
     sys.stdout.write("\n")
 
 
 # ---- report documents ----
 
 def _structure_payload(entry: StructureSummary) -> dict:
-    report = entry.report
+    report, reduction = entry.report, entry.reduction
     return {
         "family": entry.structure.family,
         "subfield": entry.structure.subfield_tag,
         "origin": entry.origin,
-        "gram": _encode_gram(entry.gram),
-        "hermite_form": _encode_matrix(entry.hnf),
-        "index": encode_number(entry.index),
-        "order_basis": _encode_matrix(entry.order_basis),
+        "gram": entry.gram,
+        "hermite_form": reduction.hnf,
+        "index": reduction.index,
+        "order_basis": reduction.order_basis,
         "prescreen": {"outcome": entry.prescreen.outcome, "reason": entry.prescreen.reason},
         "freeness": {
             "decision": report.decision,
             "method": report.method,
-            "witness": list(report.witness) if report.witness is not None else None,
+            "witness": report.witness,
             "witness_target": report.witness_target,
-            "generator": list(report.generator) if report.generator is not None else None,
-            "index": encode_number(report.index),
+            "generator": report.generator,
+            "index": report.index,
         },
     }
 
@@ -137,7 +132,7 @@ def _field_document(input_payload: dict, parameters: dict, field_summary: FieldS
             "family": field_summary.family,
             "classification": field_summary.classification,
             "parameters": parameters,
-            "integral_basis": _encode_matrix(field_summary.descriptor),
+            "integral_basis": field_summary.descriptor,
         },
         "structures": [_structure_payload(entry) for entry in field_summary.structures],
     }
@@ -153,10 +148,7 @@ def _attach_oracle(doc: dict, field_summary: FieldSummary, bound: int) -> None:
     """
     for entry, payload in zip(field_summary.structures, doc["structures"]):
         found = brute_force_generator(entry.reduction, entry.action, bound)
-        payload["oracle"] = {
-            "bound": bound,
-            "generator": list(found) if found is not None else None,
-        }
+        payload["oracle"] = {"bound": bound, "generator": found}
         if found is not None and entry.report.decision != FREE:
             raise InternalInconsistencyError(
                 f"exhaustive search found generator {found} for {entry.structure.subfield_tag} "
@@ -194,8 +186,8 @@ def _run_pell(args: argparse.Namespace) -> int:
         "schema_version": SCHEMA_VERSION,
         "input": {"command": "pell", "D": args.D, "N": args.N},
         "kind": solutions.kind,
-        "solutions": [[s.x, s.y] for s in solutions.solutions],
-        "fundamental_unit": list(solutions.unit) if solutions.unit is not None else None,
+        "solutions": solutions.solutions,
+        "fundamental_unit": solutions.unit,
     }
     if args.cross is not None:
         divisor = args.divisor if args.divisor is not None else args.N
@@ -203,7 +195,7 @@ def _run_pell(args: argparse.Namespace) -> int:
         doc["divisibility"] = {
             "target": divisor,
             "cross": args.cross,
-            "witness": [witness.x, witness.y] if witness is not None else None,
+            "witness": witness,
         }
     _print_document(doc)
     return 0
@@ -244,16 +236,16 @@ def _run_gram_file(args: argparse.Namespace) -> int:
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "input": {"command": "gram-file", "path": args.gram},
-        "hermite_form": _encode_matrix(report.hnf),
-        "index": encode_number(report.index),
-        "order_basis": _encode_matrix(report.order_basis),
+        "hermite_form": report.hnf,
+        "index": report.index,
+        "order_basis": report.order_basis,
     }
     if args.beta is not None:
         beta = _parse_beta(args.beta)
         determinant = generator_determinant(action, beta)
         doc["beta"] = {
-            "coordinates": list(beta),
-            "determinant": encode_number(determinant),
+            "coordinates": beta,
+            "determinant": determinant,
             "is_generator": test_generator(report, action, beta),
         }
     _print_document(doc)
@@ -302,7 +294,7 @@ def _run_corpus(args: argparse.Namespace) -> int:
             records.append(_corpus_record(lineno, line, args.verify_oracle, args.oracle_bound))
     with _exact_integers():
         for record in records:
-            print(json.dumps(record))
+            print(json.dumps(record, default=encode_number))
     return 2 if any("error" in record for record in records) else 0
 
 
@@ -323,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle.add_argument(
         "--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND, metavar="K",
-        help="coordinate box half-width for --verify-oracle (default %(default)s)",
+        help="coordinate box half-width for --verify-oracle, "
+        f"at most {ORACLE_BOUND_LIMIT} (default %(default)s)",
     )
 
     cyclic = subparsers.add_parser(

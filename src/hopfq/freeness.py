@@ -226,14 +226,14 @@ def _decide_cyclic_structure(p: CyclicQuarticParams, case: int, structure: Struc
                           report.index, method)
 
 
-def decide_cyclic(p: CyclicQuarticParams, use_prescreen: bool = True) -> FreenessReport:
+def decide_cyclic(p: CyclicQuarticParams) -> FreenessReport:
     """Freeness decision for the unique non-classical cyclic structure.
 
     Cases 1-2 solve x^2 - d*y^2 = b with b | x - c*y; cases 3-5 swap the
     roles of b and c.  A found solution is turned into a generator by the
     per-case formula and verified by the determinant test.
     """
-    return _analyse(p, use_prescreen).structures[0].report
+    return _analyse(p).structures[0].report
 
 
 # ---- biquadratic decision procedure ----
@@ -368,8 +368,7 @@ def _decide_biquadratic_structure(p: BiquadraticParams, kind: str, idx: int,
 
 
 def decide_biquadratic(
-        p: BiquadraticParams,
-        use_prescreen: bool = True) -> tuple[FreenessReport, FreenessReport, FreenessReport]:
+        p: BiquadraticParams) -> tuple[FreenessReport, FreenessReport, FreenessReport]:
     """Freeness decisions for the three non-classical biquadratic structures.
 
     Each structure has a norm-form equation x^2 + a*y^2 = +-target; any
@@ -378,7 +377,7 @@ def decide_biquadratic(
     structures two and three are never free: their generator determinants
     are multiples of four while the index is two.
     """
-    return tuple(entry.report for entry in _analyse(p, use_prescreen).structures)
+    return tuple(entry.report for entry in _analyse(p).structures)
 
 
 # ---- closed-form generator determinants ----
@@ -441,6 +440,10 @@ def closed_form_determinant(p: FieldParams, structure: StructureId,
 
 _SIEVE_MODULUS = 32749  # prime; squares fit comfortably in int32
 
+# Largest box half-width the oracle accepts.  The sieve holds about six int32
+# arrays of (2 * bound + 1)^3 entries, near 200 MB at this limit.
+ORACLE_BOUND_LIMIT = 100
+
 
 def _quartic_coefficients(action: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     """Monomial coefficients of det(sum_j beta_j * block_j) for an integer action."""
@@ -464,12 +467,14 @@ def _evaluate_quartic(coeffs: dict[tuple[int, ...], int], beta: Sequence[int]) -
     return total
 
 
-def _sieve_candidates(coeffs: dict[tuple[int, ...], int], bound: int,
-                      target: int, modulus: int) -> list[tuple[int, int, int, int]]:
-    """Grid indexes where the quartic is congruent to +-target, in C order.
+def _sieve_candidates(coeffs: dict[tuple[int, ...], int], bound: int, target: int,
+                      modulus: int) -> Iterator[tuple[int, int, int, int]]:
+    """Grid indexes where the quartic is congruent to +-target, in lexicographic order.
 
-    Works in int32: residues stay below the modulus p, so every product in
-    the Horner recursion is below 2p^2 < 2^31.
+    beta_1 is the outer Horner variable, so each of its values yields the hits
+    of one (beta_2, beta_3, beta_4) slab in C order and a caller can stop at
+    its answer.  Works in int32: residues stay below the modulus p, so every
+    product in the Horner recursion is below 2p^2 < 2^31.
     """
     size = 2 * bound + 1
     pows = np.ones((5, size), dtype=np.int32)
@@ -480,27 +485,24 @@ def _sieve_candidates(coeffs: dict[tuple[int, ...], int], bound: int,
     for degree in range(5):
         layer = np.zeros((size, size, size), dtype=np.int32)
         for (e1, e2, e3, e4), c in coeffs.items():
-            if e4 != degree:
+            if e1 != degree:
                 continue
-            term = (c % modulus) * pows[e1].astype(np.int64) % modulus
-            term = term.astype(np.int32)[:, None] * pows[e2][None, :] % modulus
-            layer += term[:, :, None] * pows[e3][None, None, :] % modulus
+            term = (c % modulus) * pows[e2].astype(np.int64) % modulus
+            term = term.astype(np.int32)[:, None] * pows[e3][None, :] % modulus
+            layer += term[:, :, None] * pows[e4][None, None, :] % modulus
         layers.append(layer % modulus)
     tpos, tneg = target % modulus, -target % modulus
-    hits: list[tuple[int, int, int, int]] = []
     acc = np.empty_like(layers[0])
-    for i4 in range(size):
-        b4 = int(pows[1][i4])
+    for i1 in range(size):
+        b1 = int(pows[1][i1])
         np.copyto(acc, layers[4])
         for degree in (3, 2, 1, 0):
-            acc *= b4
+            acc *= b1
             acc %= modulus
             acc += layers[degree]
         acc %= modulus
-        for i1, i2, i3 in np.argwhere((acc == tpos) | (acc == tneg)):
-            hits.append((int(i1), int(i2), int(i3), i4))
-    hits.sort()
-    return hits
+        for i2, i3, i4 in np.argwhere((acc == tpos) | (acc == tneg)):
+            yield (i1, int(i2), int(i3), int(i4))
 
 
 def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
@@ -513,9 +515,11 @@ def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
     point is ever missed; survivors are confirmed with exact arithmetic.
     Both the polynomial and the target are those of the primitive part of
     the action: its determinants and its index are content^4 times smaller.
+    The bound must lie in [0, ORACLE_BOUND_LIMIT].
     """
-    if bound < 0:
-        raise ValidationError(f"scan bound must be nonnegative, got {bound}")
+    if not 0 <= bound <= ORACLE_BOUND_LIMIT:
+        raise ValidationError(
+            f"scan bound must lie in [0, {ORACLE_BOUND_LIMIT}], got {bound}")
     content, primitive = content_primitive(action)
     coeffs = _quartic_coefficients(primitive)
     if not coeffs:
@@ -526,8 +530,8 @@ def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
         return None
     coeffs = {key: c // common for key, c in coeffs.items()}
     target //= common
-    for i1, i2, i3, i4 in _sieve_candidates(coeffs, bound, target, _SIEVE_MODULUS):
-        beta = (int(i1) - bound, int(i2) - bound, int(i3) - bound, int(i4) - bound)
+    for indexes in _sieve_candidates(coeffs, bound, target, _SIEVE_MODULUS):
+        beta = tuple(i - bound for i in indexes)
         if abs(_evaluate_quartic(coeffs, beta)) != target:
             continue
         if not test_generator(report, action, beta):
@@ -556,10 +560,6 @@ class StructureSummary:
     prescreen: PrescreenVerdict
     report: FreenessReport
 
-    hnf = property(lambda self: self.reduction.hnf)
-    index = property(lambda self: self.reduction.index)
-    order_basis = property(lambda self: self.reduction.order_basis)
-
 
 @dataclass(frozen=True)
 class FieldSummary:
@@ -571,24 +571,22 @@ class FieldSummary:
     structures: tuple[StructureSummary, ...]
 
 
-def _analyse(p: FieldParams, use_prescreen: bool = True) -> FieldSummary:
+def _analyse(p: FieldParams) -> FieldSummary:
     """One record per non-classical structure, in canonical order.
 
     The classification, integral basis and prescreen run once per field; the
     Gram matrix, action matrix, reduction and decision once per structure.
-    Without `use_prescreen` every verdict is UNDECIDED and every decision
-    goes through the Pell criterion.
     """
     if isinstance(p, CyclicQuarticParams):
         case = classify_cyclic_case(p)
         family, classification, origins = "cyclic", f"case {case}", (None,)
         descriptor = integral_basis_cyclic(p, case)
-        verdicts = (prescreen_cyclic(p),) if use_prescreen else (UNDECIDED,)
+        verdicts = (prescreen_cyclic(p),)
     else:
         kind = classify_biquadratic_type(p)
         family, classification, origins = "biquadratic", kind, p.origins
         descriptor = integral_basis_biquadratic(p)
-        verdicts = prescreen_biquadratic(p) if use_prescreen else (UNDECIDED,) * 3
+        verdicts = prescreen_biquadratic(p)
     entries = []
     for idx, structure in enumerate(structures_for(p)):
         gram = change_basis(gram_nonclassical(p, structure), descriptor)

@@ -286,12 +286,23 @@ def test_generator(report: ReductionReport, action: Sequence[Sequence], beta: Se
 
 # ---- custom Gram ingestion ----
 
+def parse_rational(text: str) -> Fraction:
+    """Exact rational from an integer ``p`` or a quotient ``p/q`` of integers.
+
+    Raises ValueError on any other text (decimals and exponents included) and
+    ZeroDivisionError on a zero denominator.
+    """
+    num, sep, den = text.partition("/")
+    return Fraction(int(num), int(den)) if sep else Fraction(int(num))
+
+
 def parse_gram_text(text: str) -> GramMatrix:
     """Parse a Gram matrix from plain text.
 
     Four non-empty lines, each with four whitespace-separated entries; every
-    entry is a comma-separated 4-tuple of exact rationals like 3/4 or -2.
-    Lines starting with '#' are ignored.
+    entry is a comma-separated 4-tuple of exact rationals, each an integer
+    like -2 or a quotient of integers like 3/4.  Lines starting with '#' are
+    ignored.
     """
     lines = [
         line.strip()
@@ -313,7 +324,7 @@ def parse_gram_text(text: str) -> GramMatrix:
                     f"line {line_no}: entry {entry!r} is not a 4-tuple"
                 )
             try:
-                row.append([Fraction(p) for p in parts])
+                row.append([parse_rational(p) for p in parts])
             except (ValueError, ZeroDivisionError) as exc:
                 raise GramFormatError(f"line {line_no}: bad rational in {entry!r}") from exc
         gram.append(row)

@@ -21,14 +21,6 @@ from .errors import (
     ZeroMatrixError,
 )
 
-def mat(rows) -> list[list[Fraction]]:
-    """Coerce a nested sequence of numbers into a Fraction matrix."""
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
 
 def quotient(num, den) -> int | Fraction:
     """num / den exactly: an int when den divides num, else a Fraction."""
@@ -57,35 +49,22 @@ def content_primitive(m) -> tuple[int | Fraction, list[list[int]]]:
 
 # ---- Hermite normal form ----
 
-def hnf_integer(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+def hnf_integer(a: list[list[int]]) -> list[list[int]]:
     """Row Hermite normal form of an integer matrix with full column rank.
 
-    Returns (h, u) where u is unimodular, u*a equals h stacked over zero rows,
-    and h is upper triangular with positive diagonal and above-pivot entries
-    reduced into [0, pivot).  Raises RankDeficientError otherwise.
+    Returns h, the square basis of the row lattice of a: upper triangular
+    with positive diagonal and above-pivot entries reduced into [0, pivot).
+    Raises RankDeficientError when a does not have full column rank.
     """
     nrows = len(a)
     ncols = len(a[0])
     w = [[int(x) for x in row] for row in a]
-    u = identity(nrows)
 
     def submul(dst: int, src: int, q: int) -> None:
         if q:
             wd, ws = w[dst], w[src]
             for j in range(ncols):
                 wd[j] -= q * ws[j]
-            ud, us = u[dst], u[src]
-            for j in range(nrows):
-                ud[j] -= q * us[j]
-
-    def swap(i: int, j: int) -> None:
-        if i != j:
-            w[i], w[j] = w[j], w[i]
-            u[i], u[j] = u[j], u[i]
-
-    def negate(i: int) -> None:
-        w[i] = [-x for x in w[i]]
-        u[i] = [-x for x in u[i]]
 
     for col in range(ncols):
         if col >= nrows:
@@ -96,9 +75,9 @@ def hnf_integer(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
             if not support:
                 raise RankDeficientError(f"no pivot available in column {col}")
             r0 = min(support, key=lambda r: (abs(w[r][col]), r))
-            swap(col, r0)
+            w[col], w[r0] = w[r0], w[col]
             if w[col][col] < 0:
-                negate(col)
+                w[col] = [-x for x in w[col]]
             pivot = w[col][col]
             done = True
             for r in range(col + 1, nrows):
@@ -113,32 +92,29 @@ def hnf_integer(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
         for r in range(col):
             submul(r, col, w[r][col] // pivot)
 
-    h = [w[i][:] for i in range(ncols)]
     if any(x for r in range(ncols, nrows) for x in w[r]):
         raise InternalInconsistencyError("rows below the Hermite form are not zero")
-    return h, u
+    return w[:ncols]
 
 
 @dataclass(frozen=True)
 class HnfResult:
     """Hermite normal form of a rational matrix.
 
-    hnf equals content times the integer HNF of the primitive part; transform
-    is a unimodular integer matrix with transform*input = [hnf; zero rows].
-    Both hnf and content are ints for an integer input.
+    hnf equals content times the integer HNF of the primitive part, so its
+    rows span the same lattice as the input rows.  Both hnf and content are
+    ints for an integer input.
     """
 
     hnf: list[list[int | Fraction]]
     content: int | Fraction
-    transform: list[list[int]]
 
 
 def hnf(m) -> HnfResult:
     """Hermite normal form of a rational matrix with full column rank."""
     content, primitive = content_primitive(m)
-    h, u = hnf_integer(primitive)
-    scaled = [[content * x for x in row] for row in h]
-    return HnfResult(hnf=scaled, content=content, transform=u)
+    h = hnf_integer(primitive)
+    return HnfResult(hnf=[[content * x for x in row] for row in h], content=content)
 
 
 # ---- determinants and inverses ----

@@ -2,8 +2,19 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hopfq.fields import CyclicQuarticParams
 from hopfq.hopf import CLASSICAL, StructureId
+
+
+def mat(rows) -> list[list[Fraction]]:
+    """Coerce a nested sequence of numbers into a Fraction matrix."""
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):

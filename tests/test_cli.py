@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hopfq import cli, pell
 from hopfq.cli import decode_number, encode_number
 from hopfq.errors import ValidationError
+from hopfq.freeness import ORACLE_BOUND_LIMIT
 from hopfq.hopf import action_matrix, parse_gram_text, reduction_report
 
 from helpers import format_gram_text
@@ -305,6 +306,16 @@ def test_gram_file_malformed_exits_2(tmp_path):
     assert doc["error"]["type"] == "GramFormatError"
 
 
+@pytest.mark.parametrize("literal", ["1e3", "0.5"])
+def test_gram_file_rejects_decimal_and_exponent_literals(tmp_path, literal):
+    text = POWER_GRAM_PATH.read_text(encoding="utf-8").replace("1,0,0,0", f"{literal},0,0,0", 1)
+    path = tmp_path / "literal.txt"
+    path.write_text(text, encoding="utf-8")
+    code, doc = invoke_json(["gram-file", "--gram", str(path)])
+    assert code == 2
+    assert doc["error"]["type"] == "GramFormatError"
+
+
 # ---- oracle flag ----
 
 def test_verify_oracle_free_field():
@@ -326,6 +337,15 @@ def test_verify_oracle_not_free_field():
     (structure,) = doc["structures"]
     assert structure["freeness"]["decision"] == "not_free"
     assert structure["oracle"]["generator"] is None
+
+
+def test_oracle_bound_above_the_limit_exits_2():
+    code, doc = invoke_json([
+        "cyclic", "-a", "3", "-b", "2", "-c", "1",
+        "--verify-oracle", "--oracle-bound", str(ORACLE_BOUND_LIMIT + 1),
+    ])
+    assert code == 2
+    assert doc["error"]["type"] == "ValidationError"
 
 
 # ---- corpus command ----

@@ -65,12 +65,12 @@ def test_hnf_integer_matches_sympy_hermite_normal_form(rows):
     row form of the reversed rows is H transposed with both axes reversed.
     """
     n = len(rows[0])
-    h, _ = hnf_integer(rows)
+    h = hnf_integer(rows)
     reference = hermite_normal_form(sympy.Matrix(rows).T).tolist()
     lattice_det = 1
     for i in range(n):
         lattice_det *= h[i][i]
     assert lattice_det == abs(sympy.Matrix(reference).det())
-    reversed_form, _ = hnf_integer([row[::-1] for row in rows])
+    reversed_form = hnf_integer([row[::-1] for row in rows])
     assert reversed_form == [[int(reference[n - 1 - j][n - 1 - i]) for j in range(n)]
                              for i in range(n)]

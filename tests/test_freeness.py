@@ -9,6 +9,7 @@ parameterization invariance) are exercised over generated corpora.
 from __future__ import annotations
 
 import io
+import itertools
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -32,6 +33,8 @@ from hopfq.fields import (
 from hopfq.freeness import (
     FREE,
     NOT_FREE,
+    ORACLE_BOUND_LIMIT,
+    UNDECIDED,
     UNKNOWN,
     FreenessReport,
     brute_force_generator,
@@ -43,6 +46,8 @@ from hopfq.freeness import (
     summary,
     _biquad_candidates,
     _cyclic_candidates,
+    _decide_biquadratic_structure,
+    _decide_cyclic_structure,
     _viable_targets,
 )
 from hopfq.hopf import (
@@ -71,6 +76,19 @@ def _biquad_setup(p: BiquadraticParams, idx: int):
     gram = change_basis(gram_nonclassical(p, structure), descriptor)
     action = action_matrix(gram)
     return structure, action, reduction_report(action)
+
+
+def _pell_only_cyclic(p: CyclicQuarticParams) -> FreenessReport:
+    """The cyclic decision with the prescreen left out: Pell criterion only."""
+    case, structure, action, red = _cyclic_setup(p)
+    return _decide_cyclic_structure(p, case, structure, action, red, UNDECIDED)
+
+
+def _pell_only_biquadratic(p: BiquadraticParams) -> list[FreenessReport]:
+    """The three biquadratic decisions with the prescreen left out."""
+    kind = classify_biquadratic_type(p)
+    return [_decide_biquadratic_structure(p, kind, idx, *_biquad_setup(p, idx), UNDECIDED)
+            for idx in range(3)]
 
 
 def _make_cyclic(a: int, b: int, c: int) -> CyclicQuarticParams | None:
@@ -127,7 +145,7 @@ def test_case1_not_free_by_residue_prescreen():
     assert r.decision == NOT_FREE
     assert r.witness is None and r.generator is None
     assert r.method.startswith("prescreen:")
-    assert decide_cyclic(p, use_prescreen=False).decision == NOT_FREE
+    assert _pell_only_cyclic(p).decision == NOT_FREE
 
 
 def test_case1_not_free_beyond_prescreen():
@@ -311,14 +329,14 @@ def test_prescreen_biquadratic_rules():
 def test_prescreen_cyclic_never_contradicts_decision(p):
     verdict = prescreen_cyclic(p)
     if verdict.outcome != UNKNOWN:
-        assert decide_cyclic(p, use_prescreen=False).decision == verdict.outcome
+        assert _pell_only_cyclic(p).decision == verdict.outcome
 
 
 @given(st.sampled_from(BIQUAD_FIELDS))
 @settings(max_examples=120, deadline=None)
 def test_prescreen_biquadratic_never_contradicts_decision(p):
     verdicts = prescreen_biquadratic(p)
-    reports = decide_biquadratic(p, use_prescreen=False)
+    reports = _pell_only_biquadratic(p)
     for verdict, report in zip(verdicts, reports):
         if verdict.outcome != UNKNOWN:
             assert report.decision == verdict.outcome
@@ -395,7 +413,7 @@ def test_second_type_determinant_multiple_of_four(p, beta):
 def test_cyclic_decision_matches_form_representation(p):
     case = classify_cyclic_case(p)
     target, cross = (p.b, p.c) if case <= 2 else (p.c, p.b)
-    report = decide_cyclic(p, use_prescreen=False)
+    report = _pell_only_cyclic(p)
     expected = represents_one(QuadForm(target, 2 * cross, -target))
     assert (report.decision == FREE) == expected
 
@@ -467,11 +485,33 @@ def test_brute_force_on_a_scaled_action(factor):
     assert brute_force_generator(reduction_report(scaled), scaled, 1) == (-1, 1, 0, 1)
 
 
-def test_brute_force_rejects_negative_bound():
+@pytest.mark.parametrize("bound", [-1, ORACLE_BOUND_LIMIT + 1])
+def test_brute_force_rejects_bound_outside_the_limit(bound):
     p = validate_cyclic(3, 2, 1)
     _, _, action, red = _cyclic_setup(p)
     with pytest.raises(ValidationError):
-        brute_force_generator(red, action, -1)
+        brute_force_generator(red, action, bound)
+
+
+def _first_in_box(red, action, bound):
+    """Reference for the oracle: a plain lexicographic scan of the box."""
+    for beta in itertools.product(range(-bound, bound + 1), repeat=4):
+        if generator_passes(red, action, beta):
+            return beta
+    return None
+
+
+def test_brute_force_returns_the_first_generator_in_the_box():
+    rng = random.Random(11)
+    setups = [_cyclic_setup(p)[2:] for p in rng.sample(CYCLIC_FIELDS, 10)]
+    setups += [_biquad_setup(p, idx)[1:] for p in rng.sample(BIQUAD_FIELDS, 4)
+               for idx in range(3)]
+    found = 0
+    for action, red in setups:
+        want = _first_in_box(red, action, 2)
+        assert brute_force_generator(red, action, 2) == want
+        found += want is not None
+    assert found >= 3
 
 
 def test_brute_force_agrees_with_decision_on_sample():
@@ -502,7 +542,7 @@ def test_summary_cyclic_shape():
     (entry,) = fs.structures
     assert entry.origin is None
     assert entry.report.decision == FREE
-    assert entry.index == Fraction(16)
+    assert entry.reduction.index == 16
     assert entry.prescreen.outcome == UNKNOWN
 
 

@@ -42,9 +42,9 @@ from hopfq.hopf import (
     structures_for,
 )
 from hopfq.hopf import test_generator as generator_passes
-from hopfq.linalg import det, mat, mat_inv
+from hopfq.linalg import det, mat_inv
 
-from helpers import classical_structure, format_gram_text, mat_mul, mat_vec, transpose
+from helpers import classical_structure, format_gram_text, mat, mat_mul, mat_vec, transpose
 
 F = Fraction
 

@@ -1,4 +1,4 @@
-"""Unit tests for exact rational linear algebra."""
+"""Unit tests for exact linear algebra."""
 
 from __future__ import annotations
 
@@ -17,12 +17,10 @@ from hopfq.linalg import (
     det_int,
     hnf,
     hnf_integer,
-    identity,
-    mat,
     mat_inv,
 )
 
-from helpers import mat_eq, mat_mul
+from helpers import identity, mat, mat_eq, mat_mul
 
 F = Fraction
 
@@ -99,27 +97,43 @@ small_int_matrix = st.integers(min_value=2, max_value=5).flatmap(
 )
 
 
+def row_coordinates(h, row):
+    """Coordinates x with x * h == row, h upper triangular (exact solve)."""
+    x = []
+    for i in range(len(h)):
+        residual = row[i] - sum(x[k] * h[k][i] for k in range(i))
+        x.append(F(residual, h[i][i]))
+    return x
+
+
 @given(small_int_matrix)
 @settings(max_examples=80)
-def test_hnf_transform_and_shape(rows):
+def test_hnf_spans_the_row_lattice_and_has_hermite_shape(rows):
     try:
-        result = hnf(rows)
+        _, primitive = content_primitive(rows)
+        h = hnf_integer(primitive)
     except (ZeroMatrixError, RankDeficientError):
         return
     ncols = len(rows[0])
-    h = result.hnf
-    # transform * input == [hnf; 0] and the transform is unimodular
-    product = mat_mul(result.transform, mat(rows))
-    stacked = h + [[F(0)] * ncols for _ in range(len(rows) - ncols)]
-    assert mat_eq(product, stacked)
-    assert abs(det(mat(result.transform))) == 1
+    # every input row is an integer combination of the rows of h ...
+    for row in primitive:
+        assert all(x.denominator == 1 for x in row_coordinates(h, row))
+    # ... and h's lattice is no larger: its determinant is the gcd of the
+    # maximal minors of the input, so the two lattices are equal
+    minors = [det_int([primitive[i] for i in combo])
+              for combo in itertools.combinations(range(len(rows)), ncols)]
+    diagonal = 1
+    for i in range(ncols):
+        diagonal *= h[i][i]
+    assert diagonal == gcd(*minors)
     # upper triangular, positive diagonal, above-pivot entries in [0, pivot)
+    assert len(h) == ncols
     for i in range(ncols):
         assert h[i][i] > 0
         for j in range(i):
             assert h[i][j] == 0
         for r in range(i):
-            assert 0 <= h[r][i] / result.content < h[i][i] / result.content
+            assert 0 <= h[r][i] < h[i][i]
 
 
 @given(small_int_matrix)
