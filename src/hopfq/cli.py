@@ -31,6 +31,7 @@ from .freeness import (
     FieldSummary,
     StructureSummary,
     brute_force_generator,
+    check_oracle_bound,
     summary,
 )
 from .hopf import (
@@ -175,6 +176,8 @@ def _field_report(verb: str, params: Sequence[int], verify_oracle: bool,
 # ---- command handlers ----
 
 def _run_field(args: argparse.Namespace) -> int:
+    if args.verify_oracle:
+        check_oracle_bound(args.oracle_bound)
     params = (args.a, args.b, args.c) if args.command == "cyclic" else (args.m, args.n)
     _print_document(_field_report(args.command, params, args.verify_oracle, args.oracle_bound))
     return 0
@@ -285,7 +288,10 @@ def _corpus_record(lineno: int, line: str, verify_oracle: bool, oracle_bound: in
 
 def _run_corpus(args: argparse.Namespace) -> int:
     # Records are printed once every line is processed, so an internal
-    # inconsistency aborts with the error document alone.
+    # inconsistency aborts with the error document alone.  A bad oracle bound
+    # is rejected the same way, before any line is read.
+    if args.verify_oracle:
+        check_oracle_bound(args.oracle_bound)
     text = Path(args.path).read_text(encoding="utf-8")
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .errors import InternalInconsistencyError, ValidationError
 from .fields import (
@@ -438,11 +436,16 @@ def closed_form_determinant(p: FieldParams, structure: StructureId,
 
 # ---- exhaustive oracle ----
 
-_SIEVE_MODULUS = 32749  # prime; squares fit comfortably in int32
-
-# Largest box half-width the oracle accepts.  The sieve holds about six int32
-# arrays of (2 * bound + 1)^3 entries, near 200 MB at this limit.
+# Largest box half-width the oracle accepts.  The scan visits (2 * bound + 1)^3
+# points, about 8 million at this limit, which takes seconds per structure.
 ORACLE_BOUND_LIMIT = 100
+
+
+def check_oracle_bound(bound: int) -> None:
+    """Reject a box half-width outside [0, ORACLE_BOUND_LIMIT]."""
+    if not 0 <= bound <= ORACLE_BOUND_LIMIT:
+        raise ValidationError(
+            f"scan bound must lie in [0, {ORACLE_BOUND_LIMIT}], got {bound}")
 
 
 def _quartic_coefficients(action: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
@@ -460,66 +463,80 @@ def _quartic_coefficients(action: Sequence[Sequence[int]]) -> dict[tuple[int, ..
     return {key: v for key, v in coeffs.items() if v}
 
 
-def _evaluate_quartic(coeffs: dict[tuple[int, ...], int], beta: Sequence[int]) -> int:
-    total = 0
-    for (e1, e2, e3, e4), c in coeffs.items():
-        total += c * beta[0]**e1 * beta[1]**e2 * beta[2]**e3 * beta[3]**e4
-    return total
+def _least_root(slope: int, value: int, target: int, bound: int) -> int | None:
+    """Least b1 in [-bound, bound] with slope * b1 + value = +-target, if any."""
+    if not slope:
+        return -bound if abs(value) == target else None
+    roots = [q for q, r in (divmod(t - value, slope) for t in (target, -target))
+             if not r and -bound <= q <= bound]
+    return min(roots, default=None)
 
 
-def _sieve_candidates(coeffs: dict[tuple[int, ...], int], bound: int, target: int,
-                      modulus: int) -> Iterator[tuple[int, int, int, int]]:
-    """Grid indexes where the quartic is congruent to +-target, in lexicographic order.
+def _first_point(coeffs: dict[tuple[int, ...], int], bound: int,
+                 target: int) -> tuple[int, int, int, int] | None:
+    """Lexicographically first beta in [-bound, bound]^4 with |q(beta)| = target.
 
-    beta_1 is the outer Horner variable, so each of its values yields the hits
-    of one (beta_2, beta_3, beta_4) slab in C order and a caller can stop at
-    its answer.  Works in int32: residues stay below the modulus p, so every
-    product in the Horner recursion is below 2p^2 < 2^31.
+    The quartic q must be linear in beta_1: q = A * beta_1 + B, with A a cubic
+    and B a quartic form in (beta_2, beta_3, beta_4).  Their coefficients are
+    expanded for each beta_3, then for each beta_4, and A and B are evaluated
+    in beta_2 by Horner's rule, so the scan takes (2 * bound + 1)^3 steps.  At
+    each point the beta_1 with A * beta_1 + B = +-target is solved for exactly;
+    when A = 0 and |B| = target every beta_1 qualifies and -bound is the first.
     """
-    size = 2 * bound + 1
-    pows = np.ones((5, size), dtype=np.int32)
-    pows[1] = np.arange(-bound, bound + 1, dtype=np.int64) % modulus
-    for e in range(2, 5):
-        pows[e] = pows[e - 1] * pows[1] % modulus
-    layers = []
-    for degree in range(5):
-        layer = np.zeros((size, size, size), dtype=np.int32)
-        for (e1, e2, e3, e4), c in coeffs.items():
-            if e1 != degree:
-                continue
-            term = (c % modulus) * pows[e2].astype(np.int64) % modulus
-            term = term.astype(np.int32)[:, None] * pows[e3][None, :] % modulus
-            layer += term[:, :, None] * pows[e4][None, None, :] % modulus
-        layers.append(layer % modulus)
-    tpos, tneg = target % modulus, -target % modulus
-    acc = np.empty_like(layers[0])
-    for i1 in range(size):
-        b1 = int(pows[1][i1])
-        np.copyto(acc, layers[4])
-        for degree in (3, 2, 1, 0):
-            acc *= b1
-            acc %= modulus
-            acc += layers[degree]
-        acc %= modulus
-        for i2, i3, i4 in np.argwhere((acc == tpos) | (acc == tneg)):
-            yield (i1, int(i2), int(i3), int(i4))
+    # lin[e2][e4] and const[e2][e4]: coefficients of beta_2^e2 * beta_3^e3 *
+    # beta_4^e4 in A and in B, where e3 makes the degree 3 in A and 4 in B.
+    const, lin = ([[0] * (5 - e1 - e2) for e2 in range(5 - e1)] for e1 in range(2))
+    for (e1, e2, _, e4), c in coeffs.items():
+        if e1 > 1:
+            raise InternalInconsistencyError(
+                f"determinant polynomial has degree {e1} in beta_1")
+        (lin if e1 else const)[e2][e4] = c
+    span = range(-bound, bound + 1)
+    squared = target * target
+    best = None
+    for b3 in span:
+        powers = (1, b3, b3 * b3, b3**3, b3**4)
+        # Coefficients of beta_2^e2 * beta_4^j once beta_3 is fixed.
+        ((a00, a01, a02, a03), (a10, a11, a12), (a20, a21), (a3,),
+         (c00, c01, c02, c03, c04), (c10, c11, c12, c13), (c20, c21, c22), (c30, c31),
+         (c4,)) = ([c * powers[len(form) - 1 - j] for j, c in enumerate(form)]
+                   for form in lin + const)
+        for b4 in span:
+            # Coefficients of beta_2^e2 once beta_4 is fixed as well.
+            a0 = ((a03 * b4 + a02) * b4 + a01) * b4 + a00
+            a1 = (a12 * b4 + a11) * b4 + a10
+            a2 = a21 * b4 + a20
+            c0 = (((c04 * b4 + c03) * b4 + c02) * b4 + c01) * b4 + c00
+            c1 = ((c13 * b4 + c12) * b4 + c11) * b4 + c10
+            c2 = (c22 * b4 + c21) * b4 + c20
+            c3 = c31 * b4 + c30
+            for b2 in span:
+                slope = ((a3 * b2 + a2) * b2 + a1) * b2 + a0
+                value = (((c4 * b2 + c3) * b2 + c2) * b2 + c1) * b2 + c0
+                # slope divides target - value or -target - value only if it
+                # divides their product: one division rules out most points.
+                if slope:
+                    if (value * value - squared) % slope:
+                        continue
+                elif value * value != squared:
+                    continue
+                b1 = _least_root(slope, value, target, bound)
+                if b1 is not None and (best is None or (b1, b2, b3, b4) < best):
+                    best = (b1, b2, b3, b4)
+    return best
 
 
 def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
                           bound: int) -> tuple[int, int, int, int] | None:
     """First generator in the box [-bound, bound]^4, or None.
 
-    Scans in ascending lexicographic order and returns the first beta whose
-    determinant test passes.  The scan prefilters the grid with an exact
-    congruence of the determinant polynomial modulo a fixed prime, so no
-    point is ever missed; survivors are confirmed with exact arithmetic.
-    Both the polynomial and the target are those of the primitive part of
+    The lexicographically smallest beta whose determinant test passes, found
+    by an exact scan of the determinant polynomial and confirmed by the matrix
+    test.  The polynomial and the target are those of the primitive part of
     the action: its determinants and its index are content^4 times smaller.
     The bound must lie in [0, ORACLE_BOUND_LIMIT].
     """
-    if not 0 <= bound <= ORACLE_BOUND_LIMIT:
-        raise ValidationError(
-            f"scan bound must lie in [0, {ORACLE_BOUND_LIMIT}], got {bound}")
+    check_oracle_bound(bound)
     content, primitive = content_primitive(action)
     coeffs = _quartic_coefficients(primitive)
     if not coeffs:
@@ -529,16 +546,11 @@ def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
     if target % common:
         return None
     coeffs = {key: c // common for key, c in coeffs.items()}
-    target //= common
-    for indexes in _sieve_candidates(coeffs, bound, target, _SIEVE_MODULUS):
-        beta = tuple(i - bound for i in indexes)
-        if abs(_evaluate_quartic(coeffs, beta)) != target:
-            continue
-        if not test_generator(report, action, beta):
-            raise InternalInconsistencyError(
-                f"polynomial and matrix determinants disagree at {beta}")
-        return beta
-    return None
+    beta = _first_point(coeffs, bound, target // common)
+    if beta is not None and not test_generator(report, action, beta):
+        raise InternalInconsistencyError(
+            f"polynomial and matrix determinants disagree at {beta}")
+    return beta
 
 
 # ---- aggregated field summary ----

@@ -76,18 +76,22 @@ def _minimal_unit_pm(d: int) -> tuple[int, int, int]:
         k_prev, k = k, a * k + k_prev
 
 
-def fundamental_unit(d: int) -> tuple[int, int]:
-    """Minimal (t, u) with t, u >= 1 and t^2 - d*u^2 = 1."""
+def _unit_and_negative(d: int) -> tuple[tuple[int, int], tuple[int, int] | None]:
+    """The fundamental unit and the minimal -1 solution, from one expansion."""
     x, y, s = _minimal_unit_pm(d)
     if s == 1:
-        return x, y
-    return x * x + d * y * y, 2 * x * y
+        return (x, y), None
+    return (x * x + d * y * y, 2 * x * y), (x, y)
+
+
+def fundamental_unit(d: int) -> tuple[int, int]:
+    """Minimal (t, u) with t, u >= 1 and t^2 - d*u^2 = 1."""
+    return _unit_and_negative(d)[0]
 
 
 def minimal_negative_solution(d: int) -> tuple[int, int] | None:
     """Minimal positive solution of x^2 - d*y^2 = -1, if one exists."""
-    x, y, s = _minimal_unit_pm(d)
-    return (x, y) if s == -1 else None
+    return _unit_and_negative(d)[1]
 
 
 # ---- solution class sets ----
@@ -150,8 +154,7 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
         ordered = tuple(PellSolution(*v) for v in sorted(sols, key=lambda v: _size_key(PellSolution(*v))))
         return SolutionClassSet("finite" if ordered else "empty", ordered)
 
-    t, u = fundamental_unit(d)
-    neg = minimal_negative_solution(d)
+    (t, u), neg = _unit_and_negative(d)
     found: set[PellSolution] = set()
     f = 1
     while f * f <= abs(n):
@@ -253,32 +256,6 @@ def _unit_power(t: int, u: int, d: int, rep: PellSolution, k: int) -> PellSoluti
     return PellSolution(a * rep.x + b * rep.y, c * rep.x + e * rep.y)
 
 
-def solutions_within(d: int, n: int, bound: int) -> list[PellSolution]:
-    """All solutions of x^2 - d*y^2 = n with |x| <= bound and |y| <= bound."""
-    scs = solve_all(d, n)
-    if scs.kind == "empty":
-        return []
-    if scs.kind == "finite":
-        inside = {s for s in scs.solutions if abs(s.x) <= bound and abs(s.y) <= bound}
-        return sorted(inside, key=_size_key)
-    t, u = scs.unit
-    # Once a coordinate exceeds this, no later step re-enters the box.
-    stop = bound * (t + abs(d) * u + 1)
-    inside: set[PellSolution] = set()
-    for rep in scs.solutions:
-        for step in (1, -1):
-            x, y = rep
-            while max(abs(x), abs(y)) <= stop:
-                if abs(x) <= bound and abs(y) <= bound:
-                    inside.add(PellSolution(x, y))
-                    inside.add(PellSolution(-x, -y))
-                if step == 1:
-                    x, y = t * x + d * u * y, u * x + t * y
-                else:
-                    x, y = t * x - d * u * y, -u * x + t * y
-    return sorted(inside, key=_size_key)
-
-
 def _normalize_sign(s: PellSolution) -> PellSolution:
     """Canonical sign: y > 0, or y == 0 and x > 0 (global flip only)."""
     if s.y < 0 or (s.y == 0 and s.x < 0):
@@ -313,6 +290,8 @@ def divisible_solutions(d: int, b: int, c: int) -> Iterator[PellSolution]:
         return
 
     t, u = scs.unit
+    # The walk only needs residues, so the unit's coefficients are reduced once.
+    tb, ub, dub = t % bb, u % bb, d * u % bb
     found: list[tuple[tuple, int, int]] = []
     for idx, rep in enumerate(scs.solutions):
         x0, y0 = rep.x % bb, rep.y % bb
@@ -322,7 +301,7 @@ def divisible_solutions(d: int, b: int, c: int) -> Iterator[PellSolution]:
         while True:
             if hit(x, y):
                 ks.append(k)
-            x, y = (t * x + d * u * y) % bb, (u * x + t * y) % bb
+            x, y = (tb * x + dub * y) % bb, (ub * x + tb * y) % bb
             k += 1
             if (x, y) == (x0, y0):
                 break

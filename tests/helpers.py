@@ -1,4 +1,4 @@
-"""Matrix and Gram-matrix helpers used only by the tests."""
+"""Matrix, Gram-matrix and Pell helpers used only by the tests."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from hopfq.fields import CyclicQuarticParams
 from hopfq.hopf import CLASSICAL, StructureId
+from hopfq.pell import PellSolution, _size_key, solve_all
 
 
 def mat(rows) -> list[list[Fraction]]:
@@ -53,3 +54,29 @@ def format_gram_text(gram) -> str:
     return "\n".join(
         " ".join(",".join(str(x) for x in entry) for entry in row) for row in gram
     )
+
+
+def solutions_within(d: int, n: int, bound: int) -> list[PellSolution]:
+    """All solutions of x^2 - d*y^2 = n with |x| <= bound and |y| <= bound."""
+    scs = solve_all(d, n)
+    if scs.kind == "empty":
+        return []
+    if scs.kind == "finite":
+        inside = {s for s in scs.solutions if abs(s.x) <= bound and abs(s.y) <= bound}
+        return sorted(inside, key=_size_key)
+    t, u = scs.unit
+    # Once a coordinate exceeds this, no later step re-enters the box.
+    stop = bound * (t + abs(d) * u + 1)
+    inside: set[PellSolution] = set()
+    for rep in scs.solutions:
+        for step in (1, -1):
+            x, y = rep
+            while max(abs(x), abs(y)) <= stop:
+                if abs(x) <= bound and abs(y) <= bound:
+                    inside.add(PellSolution(x, y))
+                    inside.add(PellSolution(-x, -y))
+                if step == 1:
+                    x, y = t * x + d * u * y, u * x + t * y
+                else:
+                    x, y = t * x - d * u * y, -u * x + t * y
+    return sorted(inside, key=_size_key)

@@ -52,7 +52,7 @@ from hopfq.hopf import (
     structures_for,
 )
 from hopfq.hopf import test_generator as generator_passes
-from hopfq.pell import solutions_within
+from helpers import solutions_within
 from test_cli import POWER_GRAM_PATH, invoke_json
 
 pytestmark = pytest.mark.acceptance

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -346,6 +348,35 @@ def test_oracle_bound_above_the_limit_exits_2():
     ])
     assert code == 2
     assert doc["error"]["type"] == "ValidationError"
+
+
+def test_corpus_rejects_a_bad_oracle_bound_once_before_any_line(monkeypatch, tmp_path):
+    def unreachable(p):
+        raise AssertionError(f"analysed {p} despite the bad bound")
+
+    monkeypatch.setattr(cli, "summary", unreachable)
+    path = tmp_path / "corpus.txt"
+    path.write_text("cyclic 1 9 5\nbiquadratic -3 -7\n", encoding="utf-8")
+    code, doc = invoke_json([
+        "corpus", str(path), "--verify-oracle", "--oracle-bound", str(ORACLE_BOUND_LIMIT + 1),
+    ])
+    assert code == 2
+    assert doc["error"]["type"] == "ValidationError"
+    assert doc["error"]["exit_code"] == 2
+
+
+def test_verify_oracle_runs_without_numpy():
+    script = (
+        "import sys\n"
+        "from hopfq.cli import main\n"
+        "assert main(['cyclic', '-a', '1', '-b', '9', '-c', '5', '--verify-oracle']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["structures"][0]["oracle"]["bound"] == 12
 
 
 # ---- corpus command ----

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfq import cli, freeness
-from hopfq.errors import ValidationError
+from hopfq.errors import InternalInconsistencyError, ValidationError
 from hopfq.fields import (
     BiquadraticParams,
     CyclicQuarticParams,
@@ -60,6 +60,8 @@ from hopfq.hopf import (
 )
 from hopfq.hopf import test_generator as generator_passes
 from hopfq.pell import QuadForm, divisible_solutions, represents_one, solve_all
+
+from helpers import identity
 
 
 def _cyclic_setup(p: CyclicQuarticParams):
@@ -493,12 +495,30 @@ def test_brute_force_rejects_bound_outside_the_limit(bound):
         brute_force_generator(red, action, bound)
 
 
+def test_brute_force_rejects_a_polynomial_of_degree_two_in_beta_1():
+    # block_1 = diag(1, 1, 0, 0) and block_2 = diag(0, 0, 1, 1), so the
+    # determinant is beta_1^2 * beta_2^2, which the scan cannot solve for beta_1.
+    unit, zero = identity(4), [[0] * 4 for _ in range(4)]
+    action = unit[:2] + zero[:2] + zero[:2] + unit[2:] + zero + zero
+    with pytest.raises(InternalInconsistencyError, match="degree 2 in beta_1"):
+        brute_force_generator(reduction_report(action), action, 1)
+
+
 def _first_in_box(red, action, bound):
     """Reference for the oracle: a plain lexicographic scan of the box."""
     for beta in itertools.product(range(-bound, bound + 1), repeat=4):
         if generator_passes(red, action, beta):
             return beta
     return None
+
+
+def test_brute_force_when_the_determinant_does_not_involve_beta_1():
+    # block_2 is the identity and the other blocks vanish, so the determinant
+    # is beta_2^4: every beta_1 qualifies wherever beta_2 = +-1.
+    zero = [[0] * 4 for _ in range(4)]
+    action = zero + identity(4) + zero + zero
+    red = reduction_report(action)
+    assert brute_force_generator(red, action, 1) == _first_in_box(red, action, 1) == (-1, -1, -1, -1)
 
 
 def test_brute_force_returns_the_first_generator_in_the_box():

@@ -33,9 +33,10 @@ from hopfq.pell import (
     representation_of_one,
     represents_one,
     rho,
-    solutions_within,
     solve_all,
 )
+
+from helpers import solutions_within
 
 
 def brute_solutions(d: int, n: int, bound: int) -> set[tuple[int, int]]:
