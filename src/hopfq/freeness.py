@@ -40,7 +40,7 @@ from .hopf import (
     test_generator,
 )
 from .linalg import content_primitive, det_int
-from .pell import PellSolution, find_with_divisibility, jacobi, solve_all
+from .pell import SolutionClassSet, _divisible_solutions_from, jacobi, solve_all
 
 FieldParams = CyclicQuarticParams | BiquadraticParams
 
@@ -148,14 +148,26 @@ _SIGN_VARIANTS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 # ---- cyclic decision procedure ----
 
+def _cyclic_equation(p: CyclicQuarticParams, case: int) -> tuple[int, int]:
+    """(target, cross) of the criterion x^2 - d*y^2 = target, target | x - cross*y."""
+    return (p.b, p.c) if case <= 2 else (p.c, p.b)
+
+
 def prescreen_cyclic(p: CyclicQuarticParams) -> PrescreenVerdict:
     """Fast rules for the cyclic criterion x^2 - d*y^2 = t, t | x - s*y.
 
     The target t is the odd one of {b, c}.  Sound but incomplete: "unknown"
     sends the caller to the full decision procedure.
     """
-    case = classify_cyclic_case(p)
-    target = p.b if case <= 2 else p.c
+    target = _cyclic_equation(p, classify_cyclic_case(p))[0]
+    verdict = _residue_rules_cyclic(p, target)
+    if verdict is UNDECIDED and _is_prime(target):
+        verdict = _prime_target_rule(target, solve_all(p.d, target))
+    return verdict
+
+
+def _residue_rules_cyclic(p: CyclicQuarticParams, target: int) -> PrescreenVerdict:
+    """The cyclic prescreen rules that need no solution of the norm equation."""
     if target == 1:
         return PrescreenVerdict(FREE, "target equals one")
     modulus = p.d if p.d % 2 else p.d // 2
@@ -169,7 +181,12 @@ def prescreen_cyclic(p: CyclicQuarticParams) -> PrescreenVerdict:
             if q != 2 and target % (q * q) and jacobi(p.d % q, q) == -1:
                 return PrescreenVerdict(
                     NOT_FREE, "prime d is a non-residue modulo an odd prime factor of the target")
-    if _is_prime(target) and solve_all(p.d, target).kind != "empty":
+    return UNDECIDED
+
+
+def _prime_target_rule(target: int, classes: SolutionClassSet) -> PrescreenVerdict:
+    """The last cyclic prescreen rule, on the solved norm equation x^2 - d*y^2 = target."""
+    if _is_prime(target) and classes.kind != "empty":
         return PrescreenVerdict(FREE, "prime target with solvable norm equation")
     return UNDECIDED
 
@@ -201,13 +218,15 @@ def _cyclic_candidates(case: int, target: int, cross: int,
 
 def _decide_cyclic_structure(p: CyclicQuarticParams, case: int, structure: StructureId,
                              action: Sequence[Sequence[int]], report: ReductionReport,
-                             pre: PrescreenVerdict) -> FreenessReport:
-    target, cross = (p.b, p.c) if case <= 2 else (p.c, p.b)
+                             pre: PrescreenVerdict,
+                             classes: SolutionClassSet | None) -> FreenessReport:
+    """`classes` solve x^2 - d*y^2 = target; None only when the prescreen says not free."""
+    target, cross = _cyclic_equation(p, case)
     if pre.outcome == NOT_FREE:
         return FreenessReport(structure, NOT_FREE, None, None, None,
                               report.index, f"prescreen:{pre.reason}")
 
-    hit = find_with_divisibility(p.d, target, cross)
+    hit = next(_divisible_solutions_from(classes, p.d, target, cross), None)
     if hit is None:
         if pre.outcome == FREE:
             raise InternalInconsistencyError(
@@ -593,7 +612,13 @@ def _analyse(p: FieldParams) -> FieldSummary:
         case = classify_cyclic_case(p)
         family, classification, origins = "cyclic", f"case {case}", (None,)
         descriptor = integral_basis_cyclic(p, case)
-        verdicts = (prescreen_cyclic(p),)
+        # One solution of the norm equation serves the prescreen and the decision.
+        target = _cyclic_equation(p, case)[0]
+        pre = _residue_rules_cyclic(p, target)
+        classes = None if pre.outcome == NOT_FREE else solve_all(p.d, target)
+        if pre is UNDECIDED:
+            pre = _prime_target_rule(target, classes)
+        verdicts = (pre,)
     else:
         kind = classify_biquadratic_type(p)
         family, classification, origins = "biquadratic", kind, p.origins
@@ -606,7 +631,7 @@ def _analyse(p: FieldParams) -> FieldSummary:
         red = reduction_report(action)
         pre = verdicts[idx]
         if family == "cyclic":
-            report = _decide_cyclic_structure(p, case, structure, action, red, pre)
+            report = _decide_cyclic_structure(p, case, structure, action, red, pre, classes)
         else:
             report = _decide_biquadratic_structure(p, kind, idx, structure, action, red, pre)
         entries.append(StructureSummary(structure, origins[idx], gram, action, red, pre, report))

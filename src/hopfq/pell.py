@@ -5,6 +5,12 @@ finitely many solutions when D < 0 or D is a perfect square, otherwise
 finitely many solution classes closed under multiplication by the fundamental
 unit.  Also provides the divisibility-constrained search used by the freeness
 criteria, reduction cycles of indefinite forms, and the Jacobi symbol.
+
+The continued-fraction walks behind the unit and the class search (after
+K. Matthews, "The Diophantine equation x^2 - Dy^2 = N, D > 0", Expo. Math.
+18, 2000) keep only the small state of each step and its partial quotient.
+A convergent, which can run to hundreds of thousands of bits, is built once
+from the quotients by a balanced product tree (`_quotient_product`).
 """
 
 from __future__ import annotations
@@ -49,31 +55,55 @@ def jacobi(a: int, n: int) -> int:
 
 # ---- fundamental units ----
 
+# Runs of at most this many quotients are multiplied out one by one.
+_PRODUCT_LEAF = 16
+
+
+def _quotient_product(quotients: list[int], lo: int, hi: int) -> tuple[int, int, int, int]:
+    """Entries (h, h', k, k') of the product of [[a, 1], [1, 0]] over quotients[lo:hi].
+
+    The first column (h, k) is the last convergent of [a_lo; ..., a_(hi-1)] and
+    the second column the one before it.  Halves are multiplied recursively
+    (binary splitting), so the big products come last and are balanced; short
+    runs are multiplied one quotient at a time.
+    """
+    if hi - lo <= _PRODUCT_LEAF:
+        h, h1, k, k1 = 1, 0, 0, 1
+        for a in quotients[lo:hi]:
+            h, h1 = a * h + h1, h
+            k, k1 = a * k + k1, k
+        return h, h1, k, k1
+    mid = (lo + hi) // 2
+    a, b, c, e = _quotient_product(quotients, lo, mid)
+    f, g, i, j = _quotient_product(quotients, mid, hi)
+    return a * f + b * i, a * g + b * j, c * f + e * i, c * g + e * j
+
+
 def _minimal_unit_pm(d: int) -> tuple[int, int, int]:
     """Smallest (x, y, s) with x, y >= 1 and x^2 - d*y^2 = s, s in {1, -1}.
 
     Continued-fraction expansion of sqrt(d); the convergent just before the
-    period closes gives the minimal solution, with s = (-1)^period.
+    period closes gives the minimal solution, with s = (-1)^period.  The walk
+    keeps only small integers and records the partial quotients; the
+    convergent is built from them once, by `_quotient_product`.
     """
     if d <= 0:
         raise SquareDiscriminantError(f"fundamental unit needs d > 1, got {d}")
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise SquareDiscriminantError(f"{d} is a perfect square")
-    h_prev, k_prev = 1, 0
-    h, k = a0, 1
-    m, den = 0, 1
-    a = a0
-    steps = 0
+    quotients = [a0]
+    append = quotients.append
+    m, den, a = 0, 1, a0
     while True:
         m = den * a - m
         den = (d - m * m) // den
-        a = (a0 + m) // den
-        steps += 1
         if den == 1:
-            return h, k, (-1) ** steps
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
+            break
+        a = (a0 + m) // den
+        append(a)
+    h, _, k, _ = _quotient_product(quotients, 0, len(quotients))
+    return h, k, (-1) ** len(quotients)
 
 
 def _unit_and_negative(d: int) -> tuple[tuple[int, int], tuple[int, int] | None]:
@@ -167,20 +197,14 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
     return SolutionClassSet("indefinite", tuple(sorted(found, key=_size_key)), (t, u))
 
 
-def _cf_floor(p: int, q: int, root: int) -> int:
-    """floor((p + sqrt(d)) / q) with root = isqrt(d), d not a square."""
-    quo, rem = divmod(p + root, q)
-    if rem == 0 and q < 0:
-        return quo - 1
-    return quo
-
-
 def _primitive_class_reps(d: int, m: int, neg: tuple[int, int] | None) -> Iterator[tuple[int, int]]:
     """One fundamental solution per class of primitive solutions of x^2 - d*y^2 = m.
 
     Classes correspond to the square roots z of d modulo |m|; the continued
     fraction of (z + sqrt(d))/|m| reaches a convergent of value +-m, and a
-    value of -m converts to m through a solution of x^2 - d*y^2 = -1.
+    value of -m converts to m through a solution of x^2 - d*y^2 = -1.  Each
+    walk keeps only the small state (p, q) of (p + sqrt(d))/q and its partial
+    quotients; the convergent is built once, when q = +-1 is reached.
     """
     if m == 1:
         yield (1, 0)
@@ -194,45 +218,97 @@ def _primitive_class_reps(d: int, m: int, neg: tuple[int, int] | None) -> Iterat
     for z in range(-((am - 1) // 2), am // 2 + 1):
         if (z * z - d) % am:
             continue
-        p, q = z, am
-        g_prev, g = -z, am
-        b_prev, b = 1, 0
-        seen = set()
-        while (p, q) not in seen:
-            seen.add((p, q))
-            a = _cf_floor(p, q, root)
-            g_prev, g = g, a * g + g_prev
-            b_prev, b = b, a * b + b_prev
-            p = a * q - p
-            q = (d - p * p) // q
-            if q in (1, -1):
-                value = g * g - d * b * b
-                if value == m:
-                    yield (g, b)
-                elif value == -m and neg is not None:
-                    yield (g * neg[0] + d * b * neg[1], g * neg[1] + b * neg[0])
-                break
+        quotients = _walk_to_unit_denominator(d, root, z, am)
+        if quotients is None:
+            continue
+        h, _, k, _ = _quotient_product(quotients, 0, len(quotients))
+        # [[g, .], [b, .]] = [[|m|, -z], [0, 1]] times the quotient product.
+        g, b = am * h - z * k, k
+        value = g * g - d * b * b
+        if value == m:
+            yield (g, b)
+        elif value == -m and neg is not None:
+            yield (g * neg[0] + d * b * neg[1], g * neg[1] + b * neg[0])
+
+
+def _walk_to_unit_denominator(d: int, root: int, p: int, q: int) -> list[int] | None:
+    """Partial quotients of (p + sqrt(d))/q up to the first later state with q = +-1.
+
+    None when the expansion closes its period first.  Once (p + sqrt(d))/q is
+    reduced (greater than 1, conjugate in (-1, 0)) the expansion is purely
+    periodic, so that state anchors the stop.  States before it cannot repeat;
+    a set over them alone makes sure that a wrong anchor test cannot loop.
+    """
+    quotients: list[int] = []
+    append = quotients.append
+    before: set[tuple[int, int]] = set()
+    while not (0 < q <= p + root and p <= root < p + q):
+        if (p, q) in before:
+            raise InternalInconsistencyError(
+                f"continued fraction of ({p} + sqrt({d}))/{q} repeated before its period")
+        before.add((p, q))
+        # floor((p + sqrt(d))/q); for q < 0 it is floor((p + root + 1)/q), since
+        # p + root < p + sqrt(d) < p + root + 1 and no multiple of q lies between.
+        a = (p + root) // q if q > 0 else (p + root + 1) // q
+        append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+        if q == 1 or q == -1:
+            return quotients
+    # Reduced from here on: q stays positive, and q = 1 only at p = root.
+    p0, q0 = p, q
+    while True:
+        a = (p + root) // q
+        append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+        if q == 1:
+            return quotients
+        if p == p0 and q == q0:
+            return None
 
 
 def _canonical_in_class(sol: PellSolution, d: int, t: int, u: int) -> PellSolution:
-    """Smallest element (by _size_key) of the class {+-U^k * sol}."""
-    best: PellSolution | None = None
-    steppers = (
-        lambda v: PellSolution(t * v.x - d * u * v.y, -u * v.x + t * v.y),
-        lambda v: PellSolution(t * v.x + d * u * v.y, u * v.x + t * v.y),
-    )
-    for start in (sol, PellSolution(-sol.x, -sol.y)):
-        for step in steppers:
-            v = start
-            while True:
-                w = step(v)
-                if _size_key(w) < _size_key(v):
-                    v = w
-                else:
-                    break
-            if best is None or _size_key(v) < _size_key(best):
-                best = v
-    return best
+    """Smallest element (by _size_key) of the class {+-U^k * sol}.
+
+    From sol and from -sol, walk down (by U^-1) and up (by U) while the key
+    falls; the smallest end point wins.  Each step compares |y| first, so it
+    computes x only when y does not grow.  The unit acts linearly, so the
+    walks from -sol are the negated walks from sol until the first tie in |y|,
+    where the sign of y decides; only from there do they need their own steps.
+    """
+    ends = []
+    for sign in (-1, 1):
+        end, tie = _descend(sol, d, t, sign * u)
+        ends.append(end)
+        if tie is None:
+            ends.append(PellSolution(-end.x, -end.y))
+        else:
+            ends.append(_descend(PellSolution(-tie.x, -tie.y), d, t, sign * u)[0])
+    return min(ends, key=_size_key)
+
+
+def _descend(v: PellSolution, d: int, t: int, u: int) -> tuple[PellSolution, PellSolution | None]:
+    """Apply (x, y) -> (t*x + d*u*y, u*x + t*y) while _size_key falls.
+
+    Returns the end point and the first point at which a step kept |y|, or None.
+    """
+    tie = None
+    while True:
+        # When u*x and t*y do not have opposite signs, |u*x + t*y| >= t*|y| > |y|,
+        # or u*|x| > 0 = |y|: the step grows |y| and needs no product.
+        if v.x == 0 or v.y == 0 or ((u > 0) == (v.x > 0)) == (v.y > 0):
+            return v, tie
+        wy = u * v.x + t * v.y
+        if abs(wy) > abs(v.y):
+            return v, tie
+        w = PellSolution(t * v.x + d * u * v.y, wy)
+        if abs(wy) == abs(v.y):
+            if tie is None:
+                tie = v
+            if _size_key(w) >= _size_key(v):
+                return v, tie
+        v = w
 
 
 def _unit_power(t: int, u: int, d: int, rep: PellSolution, k: int) -> PellSolution:
@@ -272,19 +348,22 @@ def divisible_solutions(d: int, b: int, c: int) -> Iterator[PellSolution]:
     """
     if b == 0:
         raise ValidationError("divisor target must be nonzero")
-    scs = solve_all(d, b)
+    return _divisible_solutions_from(solve_all(d, b), d, b, c)
+
+
+def _divisible_solutions_from(scs: SolutionClassSet, d: int, b: int,
+                              c: int) -> Iterator[PellSolution]:
+    """divisible_solutions over the already solved classes scs of x^2 - d*y^2 = b."""
     if scs.kind == "empty":
         return
     bb = abs(b)
-
-    def hit(x: int, y: int) -> bool:
-        return (x - c * y) % bb == 0
+    cb = c % bb
 
     seen: set[PellSolution] = set()
     if scs.kind == "finite":
         for s in sorted(scs.solutions, key=_size_key):
             v = _normalize_sign(s)
-            if v not in seen and hit(*v):
+            if v not in seen and (v.x - cb * v.y) % bb == 0:
                 seen.add(v)
                 yield v
         return
@@ -299,11 +378,11 @@ def divisible_solutions(d: int, b: int, c: int) -> Iterator[PellSolution]:
         ks = []
         k = 0
         while True:
-            if hit(x, y):
+            if (x - cb * y) % bb == 0:
                 ks.append(k)
             x, y = (tb * x + dub * y) % bb, (ub * x + tb * y) % bb
             k += 1
-            if (x, y) == (x0, y0):
+            if x == x0 and y == y0:
                 break
         period = k
         for k0 in ks:

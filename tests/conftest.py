@@ -1,4 +1,4 @@
-"""Shared pytest hooks.
+"""Shared pytest hooks and fixtures.
 
 Aggregates the end-to-end checks in test_acceptance.py (tests named
 ``test_criterion_<n>_*``) and prints one PASS/FAIL line per criterion
@@ -8,7 +8,10 @@ number after the regular summary.
 from __future__ import annotations
 
 import re
+import sys
 from collections import defaultdict
+
+import pytest
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 
@@ -54,3 +57,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(
                 f"ACCEPTANCE {number} {label}: PASS ({len(reports)} check{plural})"
             )
+
+
+@pytest.fixture
+def unlimited_int_digits():
+    """Lift the int-to-decimal digit limit (Python 3.11+) for one test only."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
+from typing import Iterator
 
 from hopfq.fields import CyclicQuarticParams
 from hopfq.hopf import CLASSICAL, StructureId
+from hopfq.errors import SquareDiscriminantError
 from hopfq.pell import PellSolution, _size_key, solve_all
 
 
@@ -80,3 +83,104 @@ def solutions_within(d: int, n: int, bound: int) -> list[PellSolution]:
                 else:
                     x, y = t * x - d * u * y, -u * x + t * y
     return sorted(inside, key=_size_key)
+
+
+# ---- step-by-step references for the continued-fraction walks in hopfq.pell ----
+#
+# These are the walks as they were before hopfq.pell kept only partial
+# quotients: every step updates the full convergents.  The tests require the
+# library's walks to return exactly what these return.
+
+def stepwise_minimal_unit_pm(d: int) -> tuple[int, int, int]:
+    """Smallest (x, y, s) with x, y >= 1 and x^2 - d*y^2 = s, s in {1, -1}.
+
+    Continued-fraction expansion of sqrt(d); the convergent just before the
+    period closes gives the minimal solution, with s = (-1)^period.
+    """
+    if d <= 0:
+        raise SquareDiscriminantError(f"fundamental unit needs d > 1, got {d}")
+    a0 = isqrt(d)
+    if a0 * a0 == d:
+        raise SquareDiscriminantError(f"{d} is a perfect square")
+    h_prev, k_prev = 1, 0
+    h, k = a0, 1
+    m, den = 0, 1
+    a = a0
+    steps = 0
+    while True:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        steps += 1
+        if den == 1:
+            return h, k, (-1) ** steps
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+
+
+def _cf_floor(p: int, q: int, root: int) -> int:
+    """floor((p + sqrt(d)) / q) with root = isqrt(d), d not a square."""
+    quo, rem = divmod(p + root, q)
+    if rem == 0 and q < 0:
+        return quo - 1
+    return quo
+
+
+def stepwise_primitive_class_reps(d: int, m: int, neg: tuple[int, int] | None) -> Iterator[tuple[int, int]]:
+    """One fundamental solution per class of primitive solutions of x^2 - d*y^2 = m.
+
+    Classes correspond to the square roots z of d modulo |m|; the continued
+    fraction of (z + sqrt(d))/|m| reaches a convergent of value +-m, and a
+    value of -m converts to m through a solution of x^2 - d*y^2 = -1.
+    """
+    if m == 1:
+        yield (1, 0)
+        return
+    if m == -1:
+        if neg is not None:
+            yield neg
+        return
+    root = isqrt(d)
+    am = abs(m)
+    for z in range(-((am - 1) // 2), am // 2 + 1):
+        if (z * z - d) % am:
+            continue
+        p, q = z, am
+        g_prev, g = -z, am
+        b_prev, b = 1, 0
+        seen = set()
+        while (p, q) not in seen:
+            seen.add((p, q))
+            a = _cf_floor(p, q, root)
+            g_prev, g = g, a * g + g_prev
+            b_prev, b = b, a * b + b_prev
+            p = a * q - p
+            q = (d - p * p) // q
+            if q in (1, -1):
+                value = g * g - d * b * b
+                if value == m:
+                    yield (g, b)
+                elif value == -m and neg is not None:
+                    yield (g * neg[0] + d * b * neg[1], g * neg[1] + b * neg[0])
+                break
+
+
+def stepwise_canonical_in_class(sol: PellSolution, d: int, t: int, u: int) -> PellSolution:
+    """Smallest element (by _size_key) of the class {+-U^k * sol}."""
+    best: PellSolution | None = None
+    steppers = (
+        lambda v: PellSolution(t * v.x - d * u * v.y, -u * v.x + t * v.y),
+        lambda v: PellSolution(t * v.x + d * u * v.y, u * v.x + t * v.y),
+    )
+    for start in (sol, PellSolution(-sol.x, -sol.y)):
+        for step in steppers:
+            v = start
+            while True:
+                w = step(v)
+                if _size_key(w) < _size_key(v):
+                    v = w
+                else:
+                    break
+            if best is None or _size_key(v) < _size_key(best):
+                best = v
+    return best

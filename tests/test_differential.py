@@ -1,11 +1,13 @@
-"""Differential tests of hopfq.linalg against sympy's exact linear algebra.
+"""Differential tests of hopfq.linalg and hopfq.pell against sympy.
 
 sympy is an optional test dependency; without it the module is skipped.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 
 from hopfq.errors import RankDeficientError, ZeroMatrixError
 from hopfq.linalg import det, hnf_integer, mat_inv
+from hopfq.pell import solve_all
 
 sympy = pytest.importorskip("sympy")
 hermite_normal_form = pytest.importorskip("sympy.matrices.normalforms").hermite_normal_form
+diop_DN = pytest.importorskip("sympy.solvers.diophantine.diophantine").diop_DN
 
 
 def to_fraction(value) -> Fraction:
@@ -74,3 +78,49 @@ def test_hnf_integer_matches_sympy_hermite_normal_form(rows):
     reversed_form = hnf_integer([row[::-1] for row in rows])
     assert reversed_form == [[int(reference[n - 1 - j][n - 1 - i]) for j in range(n)]
                              for i in range(n)]
+
+
+def _pell_cases(count: int, seed: int) -> list[tuple[int, int]]:
+    """Nonsquare d <= 5000 and 1 <= |N| <= 3000.  Every other N is drawn
+    uniformly; the rest are values x^2 - d*y^2 near zero, which are solvable."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        d = rng.randint(2, 5000)
+        if isqrt(d) ** 2 == d:
+            continue
+        if len(cases) % 2:
+            y = rng.randint(1, 4)
+            x = isqrt(d * y * y) + rng.randint(-3, 4)
+            n = x * x - d * y * y
+            if not 1 <= abs(n) <= 3000:
+                continue
+        else:
+            n = rng.choice((1, -1)) * rng.randint(1, 3000)
+        cases.append((d, n))
+    return cases
+
+
+def test_solve_all_classes_match_sympy_diop_DN():
+    """Every fundamental solution from diop_DN lies in a class of solve_all, and
+    every class of solve_all holds one of them.
+
+    Solutions (x1, y1), (x2, y2) of x^2 - d*y^2 = N lie in the same class
+    {+-U^k * rep} exactly when x1*x2 - d*y1*y2 and x1*y2 - x2*y1 are both
+    divisible by |N| (Nagell).
+    """
+    def same_class(s, r, d, n):
+        return (s[0] * r[0] - d * s[1] * r[1]) % n == 0 and (s[0] * r[1] - r[0] * s[1]) % n == 0
+
+    solved = 0
+    for d, n in _pell_cases(60, seed=2021):
+        theirs = [(int(x), int(y)) for x, y in diop_DN(d, n)]
+        ours = solve_all(d, n)
+        assert ours.kind == ("indefinite" if theirs else "empty"), (d, n)
+        reps = [tuple(s) for s in ours.solutions]
+        for s in theirs:
+            assert any(same_class(s, r, d, abs(n)) for r in reps), (d, n, s)
+        for r in reps:
+            assert any(same_class(s, r, d, abs(n)) for s in theirs), (d, n, r)
+        solved += bool(reps)
+    assert solved >= 30

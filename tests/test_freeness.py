@@ -8,6 +8,7 @@ parameterization invariance) are exercised over generated corpora.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import random
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq import cli, freeness
+from hopfq import cli, freeness, pell
 from hopfq.errors import InternalInconsistencyError, ValidationError
 from hopfq.fields import (
     BiquadraticParams,
@@ -59,7 +60,13 @@ from hopfq.hopf import (
     structures_for,
 )
 from hopfq.hopf import test_generator as generator_passes
-from hopfq.pell import QuadForm, divisible_solutions, represents_one, solve_all
+from hopfq.pell import (
+    QuadForm,
+    divisible_solutions,
+    find_with_divisibility,
+    represents_one,
+    solve_all,
+)
 
 from helpers import identity
 
@@ -83,7 +90,9 @@ def _biquad_setup(p: BiquadraticParams, idx: int):
 def _pell_only_cyclic(p: CyclicQuarticParams) -> FreenessReport:
     """The cyclic decision with the prescreen left out: Pell criterion only."""
     case, structure, action, red = _cyclic_setup(p)
-    return _decide_cyclic_structure(p, case, structure, action, red, UNDECIDED)
+    target = p.b if case <= 2 else p.c
+    return _decide_cyclic_structure(p, case, structure, action, red, UNDECIDED,
+                                    solve_all(p.d, target))
 
 
 def _pell_only_biquadratic(p: BiquadraticParams) -> list[FreenessReport]:
@@ -592,7 +601,7 @@ def test_each_structure_is_analysed_once(monkeypatch):
     reduce = counted("reduction", freeness.reduction_report)
     monkeypatch.setattr(freeness, "reduction_report", reduce)
     monkeypatch.setattr(cli, "reduction_report", reduce)
-    for name in ("prescreen_cyclic", "prescreen_biquadratic"):
+    for name in ("_residue_rules_cyclic", "prescreen_biquadratic"):
         monkeypatch.setattr(freeness, name, counted("prescreen", getattr(freeness, name)))
 
     summary(validate_cyclic(1, 9, 5))
@@ -605,3 +614,39 @@ def test_each_structure_is_analysed_once(monkeypatch):
         with redirect_stdout(io.StringIO()):
             assert cli.main(argv + ["--verify-oracle", "--oracle-bound", "2"]) == 0
     assert calls == {"reduction": 8, "prescreen": 4}
+
+
+def test_the_norm_equation_is_solved_once_per_cyclic_field(monkeypatch):
+    """The prime-target prescreen and the divisibility search share one solution."""
+    p = validate_cyclic(1, 2, 3)
+    want_verdict = prescreen_cyclic(p)
+    target, cross = (p.b, p.c) if classify_cyclic_case(p) <= 2 else (p.c, p.b)
+    want_witness = find_with_divisibility(p.d, target, cross)
+    calls = []
+
+    def counted(d, n):
+        calls.append((d, n))
+        return solve_all(d, n)
+
+    monkeypatch.setattr(pell, "solve_all", counted)
+    monkeypatch.setattr(freeness, "solve_all", counted)
+    entry = summary(p).structures[0]
+    assert entry.report.method == "prescreen:prime target with solvable norm equation"
+    assert calls == [(p.d, target)]
+    assert entry.prescreen == want_verdict
+    assert entry.report.witness == tuple(want_witness)
+
+
+@pytest.mark.parametrize("abc, method, digest", [
+    ((1, 56724, 79619), "pell_criterion",
+     "39b7639b50cf11ce8b59e48c2c20abd6eb18c5e5bac1a94e95c0ae59d6d73698"),
+    ((1, 49757, 27520), "prescreen:prime target with solvable norm equation",
+     "6d3b83a42c4ad2f3cc1fa8feaefe5ad03e61b4e755b8d573089f2a6515cd9d7b"),
+], ids=["1-56724-79619", "1-49757-27520"])
+def test_large_cyclic_decisions_are_pinned(abc, method, digest, unlimited_int_digits):
+    """SHA-256 of repr((decision, method, index, witness, generator)); the
+    generators run to tens of thousands of digits."""
+    report = summary(validate_cyclic(*abc)).structures[0].report
+    assert (report.decision, report.method) == (FREE, method)
+    key = repr((report.decision, report.method, report.index, report.witness, report.generator))
+    assert hashlib.sha256(key.encode()).hexdigest() == digest

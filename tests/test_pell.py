@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from math import isqrt
 
@@ -36,7 +37,12 @@ from hopfq.pell import (
     solve_all,
 )
 
-from helpers import solutions_within
+from helpers import (
+    solutions_within,
+    stepwise_canonical_in_class,
+    stepwise_minimal_unit_pm,
+    stepwise_primitive_class_reps,
+)
 
 
 def brute_solutions(d: int, n: int, bound: int) -> set[tuple[int, int]]:
@@ -185,6 +191,66 @@ def test_solve_all_classes_satisfy_equation(d, n):
     assert t * t - d * u * u == 1
     for x, y in s.solutions:
         assert x * x - d * y * y == n
+
+
+# ---- continued-fraction walks against their step-by-step references ----
+
+nonsquare_d = st.one_of(st.integers(2, 100), st.integers(2, 10**7)).filter(
+    lambda d: isqrt(d) ** 2 != d)
+
+
+@given(nonsquare_d, st.integers(-200, 200).filter(lambda m: m != 0))
+@settings(max_examples=300, deadline=None)
+def test_walks_match_the_stepwise_references(d, m):
+    assert pell._minimal_unit_pm(d) == stepwise_minimal_unit_pm(d)
+    (t, u), neg = pell._unit_and_negative(d)
+    reps = list(pell._primitive_class_reps(d, m, neg))
+    assert reps == list(stepwise_primitive_class_reps(d, m, neg))
+    for x, y in reps:
+        for k in (-2, -1, 0, 1, 2):
+            for sign in (1, -1):
+                start = pell._unit_power(t, u, d, PellSolution(sign * x, sign * y), k)
+                assert (pell._canonical_in_class(start, d, t, u)
+                        == stepwise_canonical_in_class(start, d, t, u))
+
+
+def test_canonical_step_breaks_a_tie_in_y_by_sign():
+    """From (1, 1) for d = 2 the step down keeps |y| = 1 and is refused, while
+    from (-1, -1) the same step reaches (1, -1) and is taken."""
+    assert pell._descend(PellSolution(1, 1), 2, 3, -2) == ((1, 1), (1, 1))
+    assert pell._descend(PellSolution(-1, -1), 2, 3, -2) == ((1, -1), (-1, -1))
+    for start in ((1, 1), (-1, -1), (1, -1), (-1, 1), (7, 5), (-7, 5)):
+        sol = PellSolution(*start)
+        assert pell._canonical_in_class(sol, 2, 3, 2) == stepwise_canonical_in_class(sol, 2, 3, 2)
+
+
+def test_quotient_product_matches_the_stepwise_convergents():
+    rng = random.Random(11)
+    quotients = [rng.choice((1, 1, 2, 3, 7, 40)) for _ in range(200)]
+    h1, h, k1, k = 0, 1, 1, 0
+    for n in range(len(quotients) + 1):
+        assert pell._quotient_product(quotients, 0, n) == (h, h1, k, k1)
+        if n < len(quotients):
+            a = quotients[n]
+            h1, h = h, a * h + h1
+            k1, k = k, a * k + k1
+
+
+def test_large_unit_is_pinned(unlimited_int_digits):
+    x, y, s = pell._minimal_unit_pm(9_556_797_337)
+    assert x.bit_length() == 184_216 and s == -1
+    assert hashlib.sha256(repr((x, y, s)).encode()).hexdigest() == (
+        "740dc5c99e9e759104b65af623de9dd887449f7118e529975fa559896cbb69d8")
+
+
+@pytest.mark.parametrize("n", [3, -3])
+def test_square_roots_without_a_solution_close_their_period(n):
+    """1 is a square root of 10 modulo 3, yet x^2 - 10*y^2 = +-3 has no solution:
+    both walks return to their anchor without meeting q = +-1."""
+    assert (1 - 10) % 3 == 0
+    neg = pell._unit_and_negative(10)[1]
+    assert list(pell._primitive_class_reps(10, n, neg)) == []
+    assert solve_all(10, n).kind == "empty"
 
 
 # ---- divisibility-constrained search ----
