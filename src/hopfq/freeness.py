@@ -11,9 +11,10 @@ independent check for tests.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -35,11 +36,12 @@ from .hopf import (
     action_matrix,
     change_basis,
     gram_nonclassical,
+    invert_descriptor,
     reduction_report,
     structures_for,
     test_generator,
 )
-from .linalg import content_primitive, det_int
+from .linalg import content_primitive
 from .pell import SolutionClassSet, _divisible_solutions_from, jacobi, solve_all
 
 FieldParams = CyclicQuarticParams | BiquadraticParams
@@ -468,18 +470,30 @@ def check_oracle_bound(bound: int) -> None:
 
 
 def _quartic_coefficients(action: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
-    """Monomial coefficients of det(sum_j beta_j * block_j) for an integer action."""
+    """Monomial coefficients of det(sum_j beta_j * block_j) for an integer action.
+
+    Laplace expansion: the signed sum of six products of a 2x2 minor of rows
+    0, 1 and the complementary minor of rows 2, 3, each a quadratic form in beta
+    keyed by its exponents as base-5 digits, so multiplying monomials adds keys.
+    """
     blocks = [[action[4 * j + t] for t in range(4)] for j in range(4)]
-    coeffs: dict[tuple[int, ...], int] = {}
-    for js in product(range(4), repeat=4):
-        value = det_int([blocks[js[t]][t] for t in range(4)])
-        if value:
-            key = [0, 0, 0, 0]
-            for j in js:
-                key[j] += 1
-            key = tuple(key)
-            coeffs[key] = coeffs.get(key, 0) + value
-    return {key: v for key, v in coeffs.items() if v}
+
+    def minor_form(r: int, s: int, p: int, q: int) -> dict[int, int]:
+        form: dict[int, int] = defaultdict(int)
+        for j, k in product(range(4), repeat=2):
+            c = blocks[j][r][p] * blocks[k][s][q] - blocks[j][r][q] * blocks[k][s][p]
+            if c:
+                form[5**j + 5**k] += c
+        return form
+
+    coeffs: dict[int, int] = defaultdict(int)
+    for p, q in combinations(range(4), 2):
+        sign = 1 if (p + q) % 2 else -1
+        lower = minor_form(2, 3, *(c for c in range(4) if c not in (p, q)))
+        for a, u in minor_form(0, 1, p, q).items():
+            for b, v in lower.items():
+                coeffs[a + b] += sign * u * v
+    return {tuple(key // 5**i % 5 for i in range(4)): c for key, c in coeffs.items() if c}
 
 
 def _least_root(slope: int, value: int, target: int, bound: int) -> int | None:
@@ -624,9 +638,10 @@ def _analyse(p: FieldParams) -> FieldSummary:
         family, classification, origins = "biquadratic", kind, p.origins
         descriptor = integral_basis_biquadratic(p)
         verdicts = prescreen_biquadratic(p)
+    inverse = invert_descriptor(descriptor)
     entries = []
     for idx, structure in enumerate(structures_for(p)):
-        gram = change_basis(gram_nonclassical(p, structure), descriptor)
+        gram = change_basis(gram_nonclassical(p, structure), descriptor, inverse=inverse)
         action = action_matrix(gram)
         red = reduction_report(action)
         pre = verdicts[idx]

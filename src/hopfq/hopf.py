@@ -6,6 +6,8 @@ j-th basis element of the field, where W = {w_1..w_4} is the algebra basis.
 Stacking the per-column blocks gives the 16x4 action matrix; its Hermite
 reduction yields the associated order, the index, and the determinant test
 deciding whether a candidate element generates the ring of integers freely.
+The integral-basis descriptor is inverted once per field from its 2x2 minors,
+and the triangular Hermite form by back substitution.
 
 The non-classical structures all share one shape of basis,
 (Id, mu, eta + mu*eta, z*(eta - mu*eta)), so their Gram matrices are built
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import (
@@ -28,7 +32,7 @@ from .errors import (
     ZeroMatrixError,
 )
 from .fields import BiquadraticParams, CyclicQuarticParams
-from .linalg import adjugate, content_primitive, det, det_int, hnf, mat_inv, quotient
+from .linalg import content_primitive, det, det_adjugate_4x4, hnf, quotient
 
 FieldParams = Union[CyclicQuarticParams, BiquadraticParams]
 
@@ -109,16 +113,9 @@ def mult_table(field: FieldParams) -> list:
 def multiply(u: Sequence, v: Sequence, table: list) -> Vec:
     """Product of two field elements given by coordinates over the reference basis."""
     out = [0] * 4
-    for i in range(4):
-        if not u[i]:
-            continue
-        for j in range(4):
-            coef = u[i] * v[j]
-            if not coef:
-                continue
-            cell = table[i][j]
-            for t in range(4):
-                out[t] += coef * cell[t]
+    for i, j in product(range(4), repeat=2):
+        if u[i] and v[j]:
+            out = [x + u[i] * v[j] * c for x, c in zip(out, table[i][j])]
     return out
 
 
@@ -197,7 +194,20 @@ def gram_nonclassical(field: FieldParams, structure: StructureId) -> GramMatrix:
     return [row1, row2, row3, row4]
 
 
-def change_basis(gram: GramMatrix, descriptor: Sequence[Sequence]) -> GramMatrix:
+def invert_descriptor(descriptor: Sequence[Sequence]) -> tuple[list, int, list]:
+    """(P, det P, adjugate(P)) for the primitive part P of a basis descriptor."""
+    try:
+        _, primitive = content_primitive(descriptor)
+    except ZeroMatrixError as exc:
+        raise SingularDescriptorError("basis descriptor is singular") from exc
+    denominator, adj = det_adjugate_4x4(primitive)
+    if denominator == 0:
+        raise SingularDescriptorError("basis descriptor is singular")
+    return primitive, denominator, adj
+
+
+def change_basis(gram: GramMatrix, descriptor: Sequence[Sequence], *,
+                 inverse: tuple[list, int, list] | None = None) -> GramMatrix:
     """Re-express a Gram matrix in the integral basis given by the descriptor.
 
     The descriptor rows are the integral basis elements in reference-basis
@@ -205,25 +215,17 @@ def change_basis(gram: GramMatrix, descriptor: Sequence[Sequence]) -> GramMatrix
     columns), and every resulting element is rewritten in integral-basis
     coordinates.  For descriptor = content * P the content cancels: each
     combination u of old columns by a row of P maps to u * adjugate(P) / det P.
+    A field's structures share one descriptor: pass `invert_descriptor(descriptor)`
+    as `inverse` to compute it once.
     """
-    try:
-        _, primitive = content_primitive(descriptor)
-    except ZeroMatrixError as exc:
-        raise SingularDescriptorError("basis descriptor is singular") from exc
-    denominator = det_int(primitive)
-    if denominator == 0:
-        raise SingularDescriptorError("basis descriptor is singular")
-    adj = adjugate(primitive)
+    primitive, denominator, adj = inverse or invert_descriptor(descriptor)
+    adj_columns = list(zip(*adj))
     out = []
-    for i in range(4):
-        new_row = []
-        for j in range(4):
-            combined = [sum(primitive[j][l] * gram[i][l][t] for l in range(4)) for t in range(4)]
-            new_row.append([
-                quotient(sum(combined[s] * adj[s][t] for s in range(4)), denominator)
-                for t in range(4)
-            ])
-        out.append(new_row)
+    for row in gram:
+        # Columns of (old entries of the row) * adjugate(P), then combined by the rows of P.
+        columns = list(zip(*([sum(map(mul, entry, a)) for a in adj_columns] for entry in row)))
+        out.append([[quotient(sum(map(mul, coefficients, column)), denominator)
+                     for column in columns] for coefficients in primitive])
     return out
 
 
@@ -231,11 +233,7 @@ def change_basis(gram: GramMatrix, descriptor: Sequence[Sequence]) -> GramMatrix
 
 def action_matrix(gram: GramMatrix) -> list:
     """16x4 matrix: block j holds columns (w_i . gamma_j) for i = 1..4."""
-    rows = []
-    for j in range(4):
-        for t in range(4):
-            rows.append([gram[i][j][t] for i in range(4)])
-    return rows
+    return [[gram[i][j][t] for i in range(4)] for j in range(4) for t in range(4)]
 
 
 @dataclass(frozen=True)
@@ -256,27 +254,32 @@ class ReductionReport:
 
 
 def reduction_report(action: Sequence[Sequence]) -> ReductionReport:
+    """Hermite form, index and order basis of a 16x4 action matrix.
+
+    D = content * H, H the integer Hermite form.  Column i of adjugate(H) solves
+    H x = det(H) * e_i by exact back substitution; D^{-1} e_i = x / (content * det H).
+    """
     result = hnf(action)
-    d_matrix = result.hnf
+    d_matrix, h = result.hnf, result.primitive
     if len(d_matrix) != 4:
         raise RankDeficientError("action matrix does not have full column rank")
     index = d_matrix[0][0] * d_matrix[1][1] * d_matrix[2][2] * d_matrix[3][3]
-    inverse = mat_inv(d_matrix)
-    basis_columns = [[inverse[t][i] for t in range(4)] for i in range(4)]
+    det_h = h[0][0] * h[1][1] * h[2][2] * h[3][3]
+    den = result.content * det_h
+    basis_columns = []
+    for i in range(4):
+        x = [0, 0, 0, 0]
+        x[i] = det_h // h[i][i]
+        for k in range(i - 1, -1, -1):
+            x[k] = -sum(map(mul, h[k][k + 1:i + 1], x[k + 1:i + 1])) // h[k][k]
+        basis_columns.append([quotient(v, den) for v in x])
     return ReductionReport(hnf=d_matrix, index=index, order_basis=basis_columns)
 
 
 def generator_determinant(action: Sequence[Sequence], beta: Sequence[int]) -> int | Fraction:
     """Exact determinant of sum_j beta_j * (block j of the action matrix)."""
-    combined = [[0] * 4 for _ in range(4)]
-    for j in range(4):
-        if not beta[j]:
-            continue
-        for t in range(4):
-            row = action[4 * j + t]
-            for i in range(4):
-                combined[t][i] += beta[j] * row[i]
-    return det(combined)
+    terms = [(b, action[4 * j:4 * j + 4]) for j, b in enumerate(beta) if b]
+    return det([[sum(b * block[t][i] for b, block in terms) for i in range(4)] for t in range(4)])
 
 
 def test_generator(report: ReductionReport, action: Sequence[Sequence], beta: Sequence[int]) -> bool:

@@ -3,9 +3,11 @@
 Dense matrices are plain row-major lists of lists; entries are Python ints or
 fractions.Fraction.  No floats appear anywhere.  `det`, `mat_inv` and `hnf`
 split a rational matrix once into content * primitive integer matrix
-(`content_primitive`), work on the primitive part with Python ints (Bareiss,
-adjugate, row Hermite normal form) and put the content back at the end; an
-integer matrix has integer content, so integer input never meets a Fraction.
+(`content_primitive`), work on the primitive part with Python ints (Bareiss
+determinant and cofactor adjugate for any size, row Hermite normal form) and
+put the content back at the end; an integer matrix has integer content, so
+integer input never meets a Fraction.  The 4x4 determinant and adjugate that
+the Hopf pipeline needs come from 2x2 minors (`det_adjugate_4x4`).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     InternalInconsistencyError,
@@ -101,20 +104,21 @@ def hnf_integer(a: list[list[int]]) -> list[list[int]]:
 class HnfResult:
     """Hermite normal form of a rational matrix.
 
-    hnf equals content times the integer HNF of the primitive part, so its
-    rows span the same lattice as the input rows.  Both hnf and content are
-    ints for an integer input.
+    hnf equals content times `primitive`, the integer HNF of the primitive
+    part, so its rows span the same lattice as the input rows.  Both hnf and
+    content are ints for an integer input.
     """
 
     hnf: list[list[int | Fraction]]
     content: int | Fraction
+    primitive: list[list[int]]
 
 
 def hnf(m) -> HnfResult:
     """Hermite normal form of a rational matrix with full column rank."""
     content, primitive = content_primitive(m)
     h = hnf_integer(primitive)
-    return HnfResult(hnf=[[content * x for x in row] for row in h], content=content)
+    return HnfResult(hnf=[[content * x for x in row] for row in h], content=content, primitive=h)
 
 
 # ---- determinants and inverses ----
@@ -154,6 +158,24 @@ def adjugate(a: list[list[int]]) -> list[list[int]]:
          for j in range(n)]
         for i in range(n)
     ]
+
+
+def det_adjugate_4x4(a: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det_int(a), adjugate(a)) of a 4x4 integer matrix from its twelve 2x2 minors.
+
+    A cofactor of row 0 sums entries of row 1 times minors of rows 2, 3 (Laplace
+    expansion); the other rows follow by symmetry, and det is row 0 times its cofactors.
+    """
+    def cofactors(r, m, sign):
+        (r0, r1, r2, r3), (m01, m02, m03, m12, m13, m23) = r, m
+        return [sign * (r1 * m23 - r2 * m13 + r3 * m12), sign * (r2 * m03 - r0 * m23 - r3 * m02),
+                sign * (r0 * m13 - r1 * m03 + r3 * m01), sign * (r1 * m02 - r0 * m12 - r2 * m01)]
+
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    top, bottom = ([r[j] * s[k] - r[k] * s[j] for j, k in pairs] for r, s in (a[:2], a[2:]))
+    rows = [cofactors(a[1], bottom, 1), cofactors(a[0], bottom, -1),
+            cofactors(a[3], top, 1), cofactors(a[2], top, -1)]
+    return sum(map(mul, a[0], rows[0])), [list(column) for column in zip(*rows)]
 
 
 def det(m) -> int | Fraction:

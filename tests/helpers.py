@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from typing import Iterator
 
 from hopfq.fields import CyclicQuarticParams
 from hopfq.hopf import CLASSICAL, StructureId
 from hopfq.errors import SquareDiscriminantError
+from hopfq.linalg import det_int
 from hopfq.pell import PellSolution, _size_key, solve_all
 
 
@@ -184,3 +186,22 @@ def stepwise_canonical_in_class(sol: PellSolution, d: int, t: int, u: int) -> Pe
             if best is None or _size_key(v) < _size_key(best):
                 best = v
     return best
+
+
+# ---- reference for the determinant polynomial of the oracle in hopfq.freeness ----
+
+def expanded_quartic_coefficients(action) -> dict[tuple[int, ...], int]:
+    """Monomial coefficients of det(sum_j beta_j * block_j) for an integer action.
+
+    The multilinear expansion over rows: row t of the combined matrix is
+    sum_j beta_j * (row t of block j), so the polynomial is the sum of the 256
+    determinants that take each row from one block.
+    """
+    blocks = [[action[4 * j + t] for t in range(4)] for j in range(4)]
+    coeffs: dict[tuple[int, ...], int] = {}
+    for js in product(range(4), repeat=4):
+        value = det_int([blocks[js[t]][t] for t in range(4)])
+        if value:
+            key = tuple(js.count(j) for j in range(4))
+            coeffs[key] = coeffs.get(key, 0) + value
+    return {key: v for key, v in coeffs.items() if v}

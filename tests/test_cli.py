@@ -29,6 +29,7 @@ from helpers import format_gram_text
 
 DATA_DIR = Path(__file__).parent / "data"
 POWER_GRAM_PATH = DATA_DIR / "power_basis_gram.txt"
+GOLDEN_CORPUS_PATH = DATA_DIR / "golden_corpus.txt"
 
 
 def invoke(argv: list[str]) -> tuple[int, str]:
@@ -488,3 +489,20 @@ def test_integers_beyond_the_decimal_limit_are_emitted_exactly(monkeypatch, tmp_
         assert json.loads(text) == {"line": 1, "value": big}
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# ---- pinned corpus output ----
+
+def test_corpus_output_matches_the_golden_file_byte_for_byte():
+    """golden_corpus.jsonl pins the output over golden_corpus.txt: cyclic
+    cases 1-5, the three biquadratic types, invalid lines and integers beyond
+    the default decimal limit.  A difference is a change of output; mend the
+    code, never the file."""
+    code, text = invoke(["corpus", str(GOLDEN_CORPUS_PATH)])
+    assert code == 2  # the corpus holds invalid lines on purpose
+    want = (DATA_DIR / "golden_corpus.jsonl").read_bytes()
+    got = text.encode("utf-8")
+    if got != want:
+        pairs = zip(got.splitlines(), want.splitlines())
+        first = next((n for n, (a, b) in enumerate(pairs, start=1) if a != b), None)
+        pytest.fail(f"corpus output differs from the golden file (first differing record: {first})")

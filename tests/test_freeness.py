@@ -49,6 +49,7 @@ from hopfq.freeness import (
     _cyclic_candidates,
     _decide_biquadratic_structure,
     _decide_cyclic_structure,
+    _quartic_coefficients,
     _viable_targets,
 )
 from hopfq.hopf import (
@@ -68,7 +69,9 @@ from hopfq.pell import (
     solve_all,
 )
 
-from helpers import identity
+from hopfq.linalg import content_primitive
+
+from helpers import expanded_quartic_coefficients, identity
 
 
 def _cyclic_setup(p: CyclicQuarticParams):
@@ -502,6 +505,16 @@ def test_brute_force_rejects_bound_outside_the_limit(bound):
     _, _, action, red = _cyclic_setup(p)
     with pytest.raises(ValidationError):
         brute_force_generator(red, action, bound)
+
+
+def test_quartic_coefficients_match_the_256_determinant_expansion():
+    count = 0
+    for p in CYCLIC_FIELDS + BIQUAD_FIELDS:
+        for entry in summary(p).structures:
+            _, primitive = content_primitive(entry.action)
+            assert _quartic_coefficients(primitive) == expanded_quartic_coefficients(primitive)
+            count += 1
+    assert count == len(CYCLIC_FIELDS) + 3 * len(BIQUAD_FIELDS)
 
 
 def test_brute_force_rejects_a_polynomial_of_degree_two_in_beta_1():

@@ -797,6 +797,38 @@ POWER_GRAM_TEXT = """\
 """
 
 
+def rational_power_gram() -> list:
+    """The power-basis Gram file with its algebra basis rescaled by 1, 1/2, 3/4, 2/3."""
+    gram = parse_gram_text(POWER_GRAM_TEXT)
+    scales = (1, F(1, 2), F(3, 4), F(2, 3))
+    return [[[s * x for x in entry] for entry in row] for s, row in zip(scales, gram)]
+
+
+def order_basis_actions() -> list:
+    actions = [full_action(p, s) for p in ALL_SAMPLES for s in structures_for(p)]
+    return actions + [action_matrix(parse_gram_text(POWER_GRAM_TEXT)),
+                      action_matrix(rational_power_gram())]
+
+
+@pytest.mark.parametrize("action", order_basis_actions())
+def test_order_basis_solves_the_hermite_form_exactly(action):
+    report = reduction_report(action)
+    for idx, x in enumerate(report.order_basis):
+        assert all(type(v) in (int, F) for v in x)
+        assert mat_vec(report.hnf, x) == unit(idx)
+
+
+@pytest.mark.parametrize("action", order_basis_actions())
+def test_order_basis_is_the_sympy_inverse_of_the_hermite_form(action):
+    sympy = pytest.importorskip("sympy")
+    report = reduction_report(action)
+    d_matrix = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in report.hnf])
+    inverse = d_matrix.inv()
+    assert report.order_basis == [[F(int(inverse[t, i].p), int(inverse[t, i].q))
+                                   for t in range(4)] for i in range(4)]
+
+
 def test_parse_gram_text_power_basis_round_trip():
     gram = parse_gram_text(POWER_GRAM_TEXT)
     p = validate_cyclic(1, 3, 1)

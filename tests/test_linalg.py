@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from hopfq.errors import RankDeficientError, ZeroMatrixError
 from hopfq.linalg import (
+    adjugate,
     content_primitive,
     det,
+    det_adjugate_4x4,
     det_int,
     hnf,
     hnf_integer,
@@ -202,6 +204,39 @@ def test_det_rational_scaling():
 
 def test_det_zero_matrix_is_zero():
     assert det([[0, 0], [0, 0]]) == 0
+
+
+BIG = 2**64
+big_or_small = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG),
+                         st.integers(BIG, BIG**2), st.integers(-(BIG**2), -BIG))
+
+
+@st.composite
+def four_by_four(draw):
+    """A 4x4 integer matrix, singular about half the time, entries up to 2^128."""
+    rows = draw(st.lists(st.lists(big_or_small, min_size=4, max_size=4),
+                         min_size=4, max_size=4))
+    if draw(st.booleans()):
+        i, j, k, _ = draw(st.permutations(range(4)))
+        s, t = draw(big_or_small), draw(big_or_small)
+        rows[k] = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@given(four_by_four())
+@settings(max_examples=300, deadline=None)
+def test_det_adjugate_4x4_matches_bareiss(rows):
+    value, adj = det_adjugate_4x4(rows)
+    assert value == det_int(rows)
+    assert adj == adjugate(rows)
+    assert mat_mul(adj, rows) == [[value if i == j else 0 for j in range(4)] for i in range(4)]
+
+
+def test_det_adjugate_4x4_of_a_singular_matrix():
+    rows = [[1, 2, 3, 4], [2, 4, 6, 8], [BIG, 0, 1, -1], [0, 5, BIG**2, 7]]
+    value, adj = det_adjugate_4x4(rows)
+    assert value == 0
+    assert adj == adjugate(rows)
 
 
 def test_mat_inv_roundtrip():
