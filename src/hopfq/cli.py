@@ -42,7 +42,9 @@ from .hopf import (
     reduction_report,
     test_generator,
 )
-from .pell import QuadForm, find_with_divisibility, form_cycle, reduce_form, represents_one, solve_all
+from .pell import (
+    QuadForm, _divisible_solutions_from, form_cycle, reduce_form, represents_one, solve_all,
+)
 
 SCHEMA_VERSION = 1
 DEFAULT_ORACLE_BOUND = 12
@@ -193,13 +195,8 @@ def _run_pell(args: argparse.Namespace) -> int:
         "fundamental_unit": solutions.unit,
     }
     if args.cross is not None:
-        divisor = args.divisor if args.divisor is not None else args.N
-        witness = find_with_divisibility(args.D, divisor, args.cross)
-        doc["divisibility"] = {
-            "target": divisor,
-            "cross": args.cross,
-            "witness": witness,
-        }
+        witness = next(_divisible_solutions_from(solutions, args.D, args.N, args.cross), None)
+        doc["divisibility"] = {"target": args.N, "cross": args.cross, "witness": witness}
     _print_document(doc)
     return 0
 
@@ -348,10 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     pell.add_argument(
         "-c", dest="cross", type=int, default=None,
         help="also report the first solution with target | x - c*y",
-    )
-    pell.add_argument(
-        "-b", dest="divisor", type=int, default=None,
-        help="divisibility target for -c (defaults to N)",
     )
     pell.set_defaults(handler=_run_pell)
 

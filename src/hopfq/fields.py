@@ -96,10 +96,8 @@ def classify_cyclic_case(p: CyclicQuarticParams) -> int:
     return 5
 
 
-def integral_basis_cyclic(p: CyclicQuarticParams, case: int | None = None) -> list[list[Fraction]]:
+def integral_basis_cyclic(p: CyclicQuarticParams) -> list[list[Fraction]]:
     """Integral basis rows gamma_1..gamma_4 over {1, sqrt(d), z, w}."""
-    if case is None:
-        case = classify_cyclic_case(p)
     h = Fraction(1, 2)
     q = Fraction(1, 4)
     rows = {
@@ -108,7 +106,7 @@ def integral_basis_cyclic(p: CyclicQuarticParams, case: int | None = None) -> li
         3: [[1, 0, 0, 0], [h, h, 0, 0], [0, 0, h, h], [0, 0, h, -h]],
         4: [[1, 0, 0, 0], [h, h, 0, 0], [q, q, q, q], [q, -q, q, -q]],
         5: [[1, 0, 0, 0], [h, h, 0, 0], [q, q, q, -q], [q, -q, q, q]],
-    }[case]
+    }[classify_cyclic_case(p)]
     return [[Fraction(x) for x in row] for row in rows]
 
 

@@ -1,12 +1,15 @@
 """Freeness of the ring of integers over its associated orders.
 
 For each non-classical structure of a quartic field this module decides
-whether the ring of integers is a free module over the associated order,
-using the Pell-type solvability criteria together with explicit generator
-formulas.  Every generator is re-verified through the determinant test
-before it is reported.  Fast prescreens settle many inputs without touching
-the Pell machinery, and an exhaustive box-scan oracle provides an
-independent check for tests.
+whether the ring of integers is a free module over the associated order.
+Every structure reduces to one question, the solvability of a generalized
+Pell equation: x^2 - d*y^2 = t with t | x - s*y for the cyclic structure,
+x^2 + a*y^2 = +-t for the three biquadratic ones.  Each family supplies a
+prescreen verdict, a witness solution and its generator formula, and one
+routine, `_decide`, turns them into a decision; every generator is
+re-verified through the determinant test before it is reported.  Fast
+prescreens settle many inputs without touching the Pell machinery, and an
+exhaustive box-scan oracle provides an independent check for tests.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
 from .fields import (
@@ -90,38 +94,19 @@ class FreenessReport:
 
 # ---- small arithmetic helpers ----
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of |n| in increasing order."""
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of |n| by trial division; {} for |n| <= 1."""
     n = abs(n)
-    out = []
+    out: dict[int, int] = {}
     f = 2
     while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
         f += 1 if f == 2 else 2
     if n > 1:
-        out.append(n)
+        out[n] = out.get(n, 0) + 1
     return out
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and _prime_factors(n) == [n]
-
-
-def _squarefree_kernel(n: int) -> int:
-    """The squarefree part of |n| (product of primes with odd exponent)."""
-    n = abs(n)
-    kernel = 1
-    for p in _prime_factors(n):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e % 2:
-            kernel *= p
-    return kernel
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -134,21 +119,41 @@ class _NotDivisible(Exception):
     pass
 
 
-# ---- shared pipeline pieces ----
-
-def _first_verified(candidates: Iterator[tuple[int, int, int, int]],
-                    report: ReductionReport,
-                    action: Sequence[Sequence[int]]) -> tuple[int, int, int, int] | None:
-    for beta in candidates:
-        if test_generator(report, action, beta):
-            return beta
-    return None
-
+# ---- the decision every structure shares ----
 
 _SIGN_VARIANTS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
-# ---- cyclic decision procedure ----
+def _decide(structure: StructureId, action: Sequence[Sequence[int]], reduction: ReductionReport,
+            verdict: PrescreenVerdict, witness: tuple[int, int, int] | None,
+            candidates: Callable[[int, int], Iterator[tuple[int, ...]]]) -> FreenessReport:
+    """Decide one structure from its prescreen verdict and norm-equation witness.
+
+    `witness` is (x, y, target), a solution of the structure's norm equation
+    (with its side condition), or None when there is none; `candidates(x, y)`
+    yields the generator formula over sign variants.  The first candidate that
+    passes the determinant test is the generator.
+    """
+    index = reduction.index
+    if verdict.outcome == NOT_FREE:
+        return FreenessReport(structure, NOT_FREE, None, None, None, index,
+                              f"prescreen:{verdict.reason}")
+    if witness is None:
+        if verdict.outcome == FREE:
+            raise InternalInconsistencyError(
+                f"prescreen says free but the norm equation of {structure} has no solution")
+        return FreenessReport(structure, NOT_FREE, None, None, None, index, "pell_criterion")
+    x, y, target = witness
+    beta = next((beta for beta in candidates(x, y)
+                 if test_generator(reduction, action, beta)), None)
+    if beta is None:
+        raise InternalInconsistencyError(
+            f"no sign variant of the formula verifies for {structure}, witness {(x, y)}")
+    method = f"prescreen:{verdict.reason}" if verdict.outcome == FREE else "pell_criterion"
+    return FreenessReport(structure, FREE, (x, y), target, beta, index, method)
+
+
+# ---- cyclic structure ----
 
 def _cyclic_equation(p: CyclicQuarticParams, case: int) -> tuple[int, int]:
     """(target, cross) of the criterion x^2 - d*y^2 = target, target | x - cross*y."""
@@ -161,36 +166,29 @@ def prescreen_cyclic(p: CyclicQuarticParams) -> PrescreenVerdict:
     The target t is the odd one of {b, c}.  Sound but incomplete: "unknown"
     sends the caller to the full decision procedure.
     """
-    target = _cyclic_equation(p, classify_cyclic_case(p))[0]
-    verdict = _residue_rules_cyclic(p, target)
-    if verdict is UNDECIDED and _is_prime(target):
-        verdict = _prime_target_rule(target, solve_all(p.d, target))
-    return verdict
+    return _cyclic_prescreen(p, _cyclic_equation(p, classify_cyclic_case(p))[0])[0]
 
 
-def _residue_rules_cyclic(p: CyclicQuarticParams, target: int) -> PrescreenVerdict:
-    """The cyclic prescreen rules that need no solution of the norm equation."""
+def _cyclic_prescreen(p: CyclicQuarticParams,
+                      target: int) -> tuple[PrescreenVerdict, SolutionClassSet | None]:
+    """The cyclic prescreen verdict and the solved classes of x^2 - d*y^2 = target.
+
+    The classes are None when the residue rule rules the field out: that rule
+    needs no solution.  It is checked modulo d/2 only: for odd d the target t
+    is odd, d = 1 mod 4 and d = s^2 mod t, so by reciprocity (t/d) = (d/t) = 1.
+    Rules on a prime d are left out because they cannot fire either:
+    d = b^2 + c^2 is never 3 mod 4, and it is a nonzero square modulo every
+    prime factor of b or c (d is squarefree, so no prime divides both).
+    """
     if target == 1:
-        return PrescreenVerdict(FREE, "target equals one")
-    modulus = p.d if p.d % 2 else p.d // 2
-    if jacobi(target % modulus, modulus) == -1:
-        which = "d" if p.d % 2 else "d/2"
-        return PrescreenVerdict(NOT_FREE, f"target is a quadratic non-residue modulo {which}")
-    if _is_prime(p.d):
-        if p.d % 4 == 3 and _squarefree_kernel(target) % 4 == 3:
-            return PrescreenVerdict(NOT_FREE, "prime d and the target kernel are both 3 mod 4")
-        for q in _prime_factors(target):
-            if q != 2 and target % (q * q) and jacobi(p.d % q, q) == -1:
-                return PrescreenVerdict(
-                    NOT_FREE, "prime d is a non-residue modulo an odd prime factor of the target")
-    return UNDECIDED
-
-
-def _prime_target_rule(target: int, classes: SolutionClassSet) -> PrescreenVerdict:
-    """The last cyclic prescreen rule, on the solved norm equation x^2 - d*y^2 = target."""
-    if _is_prime(target) and classes.kind != "empty":
-        return PrescreenVerdict(FREE, "prime target with solvable norm equation")
-    return UNDECIDED
+        return PrescreenVerdict(FREE, "target equals one"), solve_all(p.d, target)
+    half = p.d // 2
+    if p.d % 2 == 0 and jacobi(target % half, half) == -1:
+        return PrescreenVerdict(NOT_FREE, "target is a quadratic non-residue modulo d/2"), None
+    classes = solve_all(p.d, target)
+    if _factor(target) == {target: 1} and classes.kind != "empty":
+        return PrescreenVerdict(FREE, "prime target with solvable norm equation"), classes
+    return UNDECIDED, classes
 
 
 def _cyclic_candidates(case: int, target: int, cross: int,
@@ -203,46 +201,14 @@ def _cyclic_candidates(case: int, target: int, cross: int,
         q = (u - cross * v) // target
         if case == 1:
             yield (1, 1, q, v)
-        elif case == 2:
+        elif case <= 3:
             yield (0, 1, q, v)
-        elif case == 3:
-            yield (0, 1, q, v)
-        elif case == 4:
-            if (v - q + 1) % 2:
-                continue
-            yield (-(v + (v % 2)) // 2, (v - q + 1) // 2, q, v)
-        else:
-            if (v - q + 1) % 2:
-                continue
+        elif (v - q + 1) % 2 == 0:
             half = (v - q + 1) // 2
-            yield (-(v + (v % 2)) // 2 + half, -half, v, q)
-
-
-def _decide_cyclic_structure(p: CyclicQuarticParams, case: int, structure: StructureId,
-                             action: Sequence[Sequence[int]], report: ReductionReport,
-                             pre: PrescreenVerdict,
-                             classes: SolutionClassSet | None) -> FreenessReport:
-    """`classes` solve x^2 - d*y^2 = target; None only when the prescreen says not free."""
-    target, cross = _cyclic_equation(p, case)
-    if pre.outcome == NOT_FREE:
-        return FreenessReport(structure, NOT_FREE, None, None, None,
-                              report.index, f"prescreen:{pre.reason}")
-
-    hit = next(_divisible_solutions_from(classes, p.d, target, cross), None)
-    if hit is None:
-        if pre.outcome == FREE:
-            raise InternalInconsistencyError(
-                f"prescreen says free but the divisibility search failed for {p}")
-        return FreenessReport(structure, NOT_FREE, None, None, None,
-                              report.index, "pell_criterion")
-    beta = _first_verified(_cyclic_candidates(case, target, cross, hit.x, hit.y),
-                           report, action)
-    if beta is None:
-        raise InternalInconsistencyError(
-            f"no sign variant of the case-{case} formula verifies for {p}, witness {hit}")
-    method = f"prescreen:{pre.reason}" if pre.outcome == FREE else "pell_criterion"
-    return FreenessReport(structure, FREE, (hit.x, hit.y), target, beta,
-                          report.index, method)
+            if case == 4:
+                yield (-(v + (v % 2)) // 2, half, q, v)
+            else:
+                yield (-(v + (v % 2)) // 2 + half, -half, v, q)
 
 
 def decide_cyclic(p: CyclicQuarticParams) -> FreenessReport:
@@ -255,7 +221,7 @@ def decide_cyclic(p: CyclicQuarticParams) -> FreenessReport:
     return _analyse(p).structures[0].report
 
 
-# ---- biquadratic decision procedure ----
+# ---- biquadratic structures ----
 
 def _equation_table(p: BiquadraticParams, kind: str):
     """Per-structure (radicand, target) of x^2 + a*y^2 = +-target, or None."""
@@ -351,39 +317,21 @@ def _biquad_candidates(kind: str, idx: int, p: BiquadraticParams,
             continue
 
 
-def _decide_biquadratic_structure(p: BiquadraticParams, kind: str, idx: int,
-                                  structure: StructureId, action: Sequence[Sequence[int]],
-                                  red: ReductionReport, pre: PrescreenVerdict) -> FreenessReport:
-    equation = _equation_table(p, kind)[idx]
+def _biquadratic_witness(equation: tuple[int, int] | None) -> tuple[int, int, int] | None:
+    """First class representative of the first viable target that has a solution.
+
+    Any solution of x^2 + a*y^2 = +-target yields a generator, so the first
+    one decides.
+    """
     if equation is None:
-        return FreenessReport(structure, NOT_FREE, None, None, None,
-                              red.index, f"prescreen:{STRUCTURAL_RULE}")
-    if pre.outcome == NOT_FREE:
-        return FreenessReport(structure, NOT_FREE, None, None, None,
-                              red.index, f"prescreen:{pre.reason}")
+        return None
     a, base = equation
-    solved = None
     for target in _viable_targets(a, base):
         classes = solve_all(-a, target)
         if classes.kind != "empty":
-            solved = (classes, target)
-            break
-    if solved is None:
-        if pre.outcome == FREE:
-            raise InternalInconsistencyError(
-                f"prescreen says free but x^2 + {a}y^2 = +-{base} has no solutions")
-        return FreenessReport(structure, NOT_FREE, None, None, None,
-                              red.index, "pell_criterion")
-    classes, target = solved
-    for rep in classes.solutions:
-        beta = _first_verified(_biquad_candidates(kind, idx, p, rep.x, rep.y), red, action)
-        if beta is not None:
-            method = f"prescreen:{pre.reason}" if pre.outcome == FREE else "pell_criterion"
-            return FreenessReport(structure, FREE, (rep.x, rep.y), target, beta,
-                                  red.index, method)
-    raise InternalInconsistencyError(
-        f"no sign variant of the {kind}-type formula verifies for {p}, "
-        f"structure {idx + 1}, target {target}")
+            rep = classes.solutions[0]
+            return rep.x, rep.y, target
+    return None
 
 
 def decide_biquadratic(
@@ -621,35 +569,36 @@ def _analyse(p: FieldParams) -> FieldSummary:
 
     The classification, integral basis and prescreen run once per field; the
     Gram matrix, action matrix, reduction and decision once per structure.
+    Each family supplies per structure a prescreen verdict, a witness and the
+    generator formula; `_decide` does the rest.
     """
     if isinstance(p, CyclicQuarticParams):
         case = classify_cyclic_case(p)
         family, classification, origins = "cyclic", f"case {case}", (None,)
-        descriptor = integral_basis_cyclic(p, case)
+        descriptor = integral_basis_cyclic(p)
         # One solution of the norm equation serves the prescreen and the decision.
-        target = _cyclic_equation(p, case)[0]
-        pre = _residue_rules_cyclic(p, target)
-        classes = None if pre.outcome == NOT_FREE else solve_all(p.d, target)
-        if pre is UNDECIDED:
-            pre = _prime_target_rule(target, classes)
-        verdicts = (pre,)
+        target, cross = _cyclic_equation(p, case)
+        pre, classes = _cyclic_prescreen(p, target)
+        hit = None if classes is None else next(
+            _divisible_solutions_from(classes, p.d, target, cross), None)
+        plans = [(pre, None if hit is None else (hit.x, hit.y, target),
+                  partial(_cyclic_candidates, case, target, cross))]
     else:
         kind = classify_biquadratic_type(p)
         family, classification, origins = "biquadratic", kind, p.origins
         descriptor = integral_basis_biquadratic(p)
-        verdicts = prescreen_biquadratic(p)
+        plans = [(pre, None if pre.outcome == NOT_FREE else _biquadratic_witness(equation),
+                  partial(_biquad_candidates, kind, idx, p))
+                 for idx, (pre, equation)
+                 in enumerate(zip(prescreen_biquadratic(p), _equation_table(p, kind)))]
     inverse = invert_descriptor(descriptor)
     entries = []
-    for idx, structure in enumerate(structures_for(p)):
+    for structure, origin, (pre, witness, formula) in zip(structures_for(p), origins, plans):
         gram = change_basis(gram_nonclassical(p, structure), descriptor, inverse=inverse)
         action = action_matrix(gram)
         red = reduction_report(action)
-        pre = verdicts[idx]
-        if family == "cyclic":
-            report = _decide_cyclic_structure(p, case, structure, action, red, pre, classes)
-        else:
-            report = _decide_biquadratic_structure(p, kind, idx, structure, action, red, pre)
-        entries.append(StructureSummary(structure, origins[idx], gram, action, red, pre, report))
+        report = _decide(structure, action, red, pre, witness, formula)
+        entries.append(StructureSummary(structure, origin, gram, action, red, pre, report))
     return FieldSummary(family, classification, descriptor, tuple(entries))
 
 

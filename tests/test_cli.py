@@ -30,6 +30,7 @@ from helpers import format_gram_text
 DATA_DIR = Path(__file__).parent / "data"
 POWER_GRAM_PATH = DATA_DIR / "power_basis_gram.txt"
 GOLDEN_CORPUS_PATH = DATA_DIR / "golden_corpus.txt"
+REPO_ROOT = Path(__file__).parent.parent
 
 
 def invoke(argv: list[str]) -> tuple[int, str]:
@@ -192,14 +193,16 @@ def test_pell_divisibility_search():
     code, doc = invoke_json(["pell", "-D", "106", "-N", "9", "-c", "5"])
     assert code == 0
     assert doc["divisibility"] == {"target": 9, "cross": 5, "witness": [-103, 10]}
+    # x^2 - 10*y^2 = 3 has no solution at all
+    code, doc = invoke_json(["pell", "-D", "10", "-N", "3", "-c", "1"])
+    assert code == 0
+    assert doc["divisibility"] == {"target": 3, "cross": 1, "witness": None}
 
 
 def test_pell_divisor_override():
-    # N = -1 is solvable over D = 10, but the explicit divisor 3 is not
-    code, doc = invoke_json(["pell", "-D", "10", "-N", "-1", "-c", "1", "-b", "3"])
-    assert code == 0
-    assert doc["solutions"] == [[3, 1]]
-    assert doc["divisibility"] == {"target": 3, "cross": 1, "witness": None}
+    # the -b override is gone: -N b gives the same divisibility search
+    code, _ = invoke(["pell", "-D", "10", "-N", "-1", "-c", "1", "-b", "3"])
+    assert code == 2
 
 
 def test_pell_zero_input_exits_2():
@@ -506,3 +509,24 @@ def test_corpus_output_matches_the_golden_file_byte_for_byte():
         pairs = zip(got.splitlines(), want.splitlines())
         first = next((n for n, (a, b) in enumerate(pairs, start=1) if a != b), None)
         pytest.fail(f"corpus output differs from the golden file (first differing record: {first})")
+
+
+# Single-document commands, run from the repository root, and the files in
+# tests/data/golden_commands that pin their output.
+GOLDEN_COMMANDS = {
+    "cyclic_1_9_5_oracle.json": "cyclic -a 1 -b 9 -c 5 --verify-oracle",
+    "biquadratic_-3_-7_oracle.json": "biquadratic -m -3 -n -7 --verify-oracle",
+    "pell_106_9_5.json": "pell -D 106 -N 9 -c 5",
+    "form_cycle_15_14_-15.json": "form-cycle 15 14 -15",
+    "gram_file_power_basis.json":
+        "gram-file --gram tests/data/power_basis_gram.txt --beta 1,1,1,0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_command_output_matches_its_golden_file_byte_for_byte(name, monkeypatch):
+    """A difference is a change of output; mend the code, never the file."""
+    monkeypatch.chdir(REPO_ROOT)
+    code, text = invoke(GOLDEN_COMMANDS[name].split())
+    assert code == 0
+    assert text.encode("utf-8") == (DATA_DIR / "golden_commands" / name).read_bytes()

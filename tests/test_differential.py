@@ -1,4 +1,5 @@
-"""Differential tests of hopfq.linalg and hopfq.pell against sympy.
+"""Differential tests of hopfq.linalg, hopfq.pell and the factorisation in
+hopfq.freeness against sympy.
 
 sympy is an optional test dependency; without it the module is skipped.
 """
@@ -14,10 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfq.errors import RankDeficientError, ZeroMatrixError
+from hopfq.freeness import _factor
 from hopfq.linalg import det, hnf_integer, mat_inv
 from hopfq.pell import solve_all
 
 sympy = pytest.importorskip("sympy")
+factorint = pytest.importorskip("sympy.ntheory").factorint
 hermite_normal_form = pytest.importorskip("sympy.matrices.normalforms").hermite_normal_form
 diop_DN = pytest.importorskip("sympy.solvers.diophantine.diophantine").diop_DN
 
@@ -124,3 +127,20 @@ def test_solve_all_classes_match_sympy_diop_DN():
             assert any(same_class(s, r, d, abs(n)) for s in theirs), (d, n, r)
         solved += bool(reps)
     assert solved >= 30
+
+
+def test_factor_matches_sympy_factorint():
+    """Seeded values: small and signed ones, primes and prime squares near the
+    largest d = b^2 + c^2 of the benchmark (b, c up to 10^5), products of two
+    primes near its square root, and sums of two squares."""
+    rng = random.Random(2021)
+    top = 2 * 10**10
+    values = list(range(-40, 41)) + [2**33, 3**20, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
+    values += [int(sympy.prevprime(top)), int(sympy.nextprime(top)), int(sympy.prevprime(top // 3))]
+    values += [int(sympy.prevprime(isqrt(top))) ** 2,
+               int(sympy.prevprime(isqrt(top))) * int(sympy.nextprime(isqrt(top)))]
+    values += [rng.randint(1, 10**5) ** 2 + rng.randint(1, 10**5) ** 2 for _ in range(40)]
+    values += [rng.randint(-top, top) for _ in range(20)]
+    for n in values:
+        want = {} if abs(n) <= 1 else {int(p): e for p, e in factorint(abs(n)).items()}
+        assert _factor(n) == want, n

@@ -122,22 +122,31 @@ def test_classify_cyclic_case_total_and_single_valued(a, b, c):
 
 # ---- cyclic integral bases ----
 
+# One field of each case: the basis depends on the case alone.
+CASE_FIELDS = {1: (1, 3, 1), 2: (1, 3, 2), 3: (1, 2, 1), 4: (3, 2, 3), 5: (3, 2, 1)}
+
+
+def _basis_of_case(case: int):
+    p = validate_cyclic(*CASE_FIELDS[case])
+    assert classify_cyclic_case(p) == case
+    return integral_basis_cyclic(p)
+
+
 def test_integral_basis_cyclic_pinned_rows():
-    p1 = validate_cyclic(1, 3, 1)
-    assert integral_basis_cyclic(p1, 1) == [
+    assert _basis_of_case(1) == [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
         [0, 0, 1, 0],
         [0, 0, 0, 1],
     ]
     h, q = Fraction(1, 2), Fraction(1, 4)
-    assert integral_basis_cyclic(p1, 2)[1] == [h, h, 0, 0]
-    assert integral_basis_cyclic(p1, 3)[2] == [0, 0, h, h]
-    assert integral_basis_cyclic(p1, 3)[3] == [0, 0, h, -h]
-    assert integral_basis_cyclic(p1, 4)[2] == [q, q, q, q]
-    assert integral_basis_cyclic(p1, 4)[3] == [q, -q, q, -q]
-    assert integral_basis_cyclic(p1, 5)[2] == [q, q, q, -q]
-    assert integral_basis_cyclic(p1, 5)[3] == [q, -q, q, q]
+    assert _basis_of_case(2)[1] == [h, h, 0, 0]
+    assert _basis_of_case(3)[2] == [0, 0, h, h]
+    assert _basis_of_case(3)[3] == [0, 0, h, -h]
+    assert _basis_of_case(4)[2] == [q, q, q, q]
+    assert _basis_of_case(4)[3] == [q, -q, q, -q]
+    assert _basis_of_case(5)[2] == [q, q, q, -q]
+    assert _basis_of_case(5)[3] == [q, -q, q, q]
 
 
 def test_cyclic_descriptor_determinants():
@@ -149,9 +158,8 @@ def test_cyclic_descriptor_determinants():
         4: Fraction(-1, 16),
         5: Fraction(1, 16),
     }
-    p = validate_cyclic(1, 3, 1)
     for case, value in expected.items():
-        assert det(integral_basis_cyclic(p, case)) == value
+        assert det(_basis_of_case(case)) == value
 
 
 # ---- biquadratic canonicalization ----

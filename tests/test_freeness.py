@@ -14,9 +14,10 @@ import itertools
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfq import cli, freeness, pell
@@ -46,9 +47,12 @@ from hopfq.freeness import (
     prescreen_cyclic,
     summary,
     _biquad_candidates,
+    _biquadratic_witness,
     _cyclic_candidates,
-    _decide_biquadratic_structure,
-    _decide_cyclic_structure,
+    _cyclic_equation,
+    _decide,
+    _equation_table,
+    _factor,
     _quartic_coefficients,
     _viable_targets,
 )
@@ -65,6 +69,7 @@ from hopfq.pell import (
     QuadForm,
     divisible_solutions,
     find_with_divisibility,
+    jacobi,
     represents_one,
     solve_all,
 )
@@ -77,7 +82,7 @@ from helpers import expanded_quartic_coefficients, identity
 def _cyclic_setup(p: CyclicQuarticParams):
     case = classify_cyclic_case(p)
     structure = structures_for(p)[0]
-    gram = change_basis(gram_nonclassical(p, structure), integral_basis_cyclic(p, case))
+    gram = change_basis(gram_nonclassical(p, structure), integral_basis_cyclic(p))
     action = action_matrix(gram)
     return case, structure, action, reduction_report(action)
 
@@ -93,16 +98,19 @@ def _biquad_setup(p: BiquadraticParams, idx: int):
 def _pell_only_cyclic(p: CyclicQuarticParams) -> FreenessReport:
     """The cyclic decision with the prescreen left out: Pell criterion only."""
     case, structure, action, red = _cyclic_setup(p)
-    target = p.b if case <= 2 else p.c
-    return _decide_cyclic_structure(p, case, structure, action, red, UNDECIDED,
-                                    solve_all(p.d, target))
+    target, cross = (p.b, p.c) if case <= 2 else (p.c, p.b)
+    hit = find_with_divisibility(p.d, target, cross)
+    witness = None if hit is None else (hit.x, hit.y, target)
+    return _decide(structure, action, red, UNDECIDED, witness,
+                   partial(_cyclic_candidates, case, target, cross))
 
 
 def _pell_only_biquadratic(p: BiquadraticParams) -> list[FreenessReport]:
     """The three biquadratic decisions with the prescreen left out."""
     kind = classify_biquadratic_type(p)
-    return [_decide_biquadratic_structure(p, kind, idx, *_biquad_setup(p, idx), UNDECIDED)
-            for idx in range(3)]
+    return [_decide(*_biquad_setup(p, idx), UNDECIDED, _biquadratic_witness(equation),
+                    partial(_biquad_candidates, kind, idx, p))
+            for idx, equation in enumerate(_equation_table(p, kind))]
 
 
 def _make_cyclic(a: int, b: int, c: int) -> CyclicQuarticParams | None:
@@ -336,6 +344,27 @@ def test_prescreen_biquadratic_rules():
     assert [v.outcome for v in third] == [NOT_FREE, NOT_FREE, NOT_FREE]
     lenient = prescreen_biquadratic(canonicalize_biquadratic(-11, -19))
     assert [v.outcome for v in lenient] == [UNKNOWN, UNKNOWN, NOT_FREE]
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_the_omitted_cyclic_rules_cannot_fire(b, c):
+    """The prescreen checks residues modulo d/2 only and has no rule for a
+    prime d; these are the facts that make the omitted rules dead."""
+    p = _make_cyclic(1, b, c)
+    assume(p is not None)
+    target = _cyclic_equation(p, classify_cyclic_case(p))[0]
+    assert p.d % 4 != 3
+    if p.d % 2:
+        assert jacobi(target % p.d, p.d) == 1
+    for q in _factor(target):
+        if q != 2:
+            assert jacobi(p.d % q, q) == 1
+
+
+def test_prescreen_cyclic_is_the_pipeline_verdict():
+    for p in CYCLIC_FIELDS:
+        assert prescreen_cyclic(p) == summary(p).structures[0].prescreen, p
 
 
 @given(st.sampled_from(CYCLIC_FIELDS))
@@ -614,7 +643,7 @@ def test_each_structure_is_analysed_once(monkeypatch):
     reduce = counted("reduction", freeness.reduction_report)
     monkeypatch.setattr(freeness, "reduction_report", reduce)
     monkeypatch.setattr(cli, "reduction_report", reduce)
-    for name in ("_residue_rules_cyclic", "prescreen_biquadratic"):
+    for name in ("_cyclic_prescreen", "prescreen_biquadratic"):
         monkeypatch.setattr(freeness, name, counted("prescreen", getattr(freeness, name)))
 
     summary(validate_cyclic(1, 9, 5))
