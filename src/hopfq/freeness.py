@@ -46,7 +46,7 @@ from .hopf import (
     test_generator,
 )
 from .linalg import content_primitive
-from .pell import SolutionClassSet, _divisible_solutions_from, jacobi, solve_all
+from .pell import SolutionClassSet, _divisible_solutions_from, _factor, jacobi, solve_all
 
 FieldParams = CyclicQuarticParams | BiquadraticParams
 
@@ -93,21 +93,6 @@ class FreenessReport:
 
 
 # ---- small arithmetic helpers ----
-
-def _factor(n: int) -> dict[int, int]:
-    """Prime factorisation {p: e} of |n| by trial division; {} for |n| <= 1."""
-    n = abs(n)
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
 
 def _exact_div(num: int, den: int) -> int:
     if num % den:

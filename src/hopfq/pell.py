@@ -6,11 +6,17 @@ finitely many solution classes closed under multiplication by the fundamental
 unit.  Also provides the divisibility-constrained search used by the freeness
 criteria, reduction cycles of indefinite forms, and the Jacobi symbol.
 
-The continued-fraction walks behind the unit and the class search (after
-K. Matthews, "The Diophantine equation x^2 - Dy^2 = N, D > 0", Expo. Math.
-18, 2000) keep only the small state of each step and its partial quotient.
-A convergent, which can run to hundreds of thousands of bits, is built once
-from the quotients by a balanced product tree (`_quotient_product`).
+The class search follows K. Matthews, "The Diophantine equation
+x^2 - Dy^2 = N, D > 0", Expo. Math. 18, 2000.  Its square roots of D modulo
+|N| come from the factorisation of N (Tonelli-Shanks, Hensel lifting and the
+Chinese remainder theorem, as in H. Cohen, "A Course in Computational
+Algebraic Number Theory", section 1.5), not from a scan.  Each root walks its
+continued fraction only to its first reduced state; a class has a solution
+exactly when that state lies on the principal cycle, which the unit's own
+walk passes once per D.  The walks keep only the small state of each step and
+its partial quotient.  A convergent, which can run to hundreds of thousands
+of bits, is built once from the quotients by a balanced product tree
+(`_quotient_product`).
 """
 
 from __future__ import annotations
@@ -53,6 +59,125 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+# ---- factorisation and square roots modulo m ----
+
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of |n| by trial division; {} for |n| <= 1."""
+    n = abs(n)
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of a modulo an odd prime p not dividing a, or None (Tonelli-Shanks)."""
+    if jacobi(a, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while jacobi(z, p) != -1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _unit_roots(a: int, p: int, e: int) -> list[int]:
+    """Square roots of a modulo p^e for a prime p not dividing a."""
+    if p == 2:
+        if e == 1:
+            return [1]
+        if e == 2:
+            return [1, 3] if a % 4 == 1 else []
+        if a % 8 != 1:
+            return []
+        # r^2 = a mod 2^k holds for r or for r + 2^(k-1) modulo 2^(k+1).
+        r = 1
+        for k in range(3, e):
+            if (r * r - a) % (1 << (k + 1)):
+                r += 1 << (k - 1)
+        half = 1 << (e - 1)
+        return [r, 2 * half - r, half - r, half + r]
+    r = _sqrt_mod_prime(a % p, p)
+    if r is None:
+        return []
+    pk = p
+    for _ in range(e - 1):  # Hensel: a root modulo p^k lifts to one modulo p^(k+1)
+        pk *= p
+        r = (r - (r * r - a) * pow(2 * r, -1, pk)) % pk
+    return [r, pk - r]
+
+
+def _prime_power_roots(d: int, p: int, e: int) -> list[int]:
+    """Square roots of d modulo p^e, in [0, p^e).
+
+    With v = v_p(d) >= e the roots are the multiples of p^ceil(e/2).  With
+    v < e, v must be even and z = p^(v/2)*w with w^2 = d/p^v modulo p^(e-v),
+    w taken modulo p^(e-v/2).
+    """
+    pe = p ** e
+    a = d % pe
+    if a == 0:
+        return list(range(0, pe, p ** ((e + 1) // 2)))
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    if v % 2:
+        return []
+    h, step = p ** (v // 2), p ** (e - v)
+    return [h * (w + j * step) for w in _unit_roots(a, p, e - v) for j in range(h)]
+
+
+def _square_roots(d: int, m: int, factors: dict[int, int]) -> list[int]:
+    """Every z in (-m/2, m/2] with z^2 = d modulo m >= 2, ascending.
+
+    `factors` is the factorisation of m; the roots modulo each prime power
+    are combined by the Chinese remainder theorem.
+    """
+    roots, mod = [0], 1
+    for p, e in factors.items():
+        local = _prime_power_roots(d, p, e)
+        if not local:
+            return []
+        pe = p ** e
+        inverse = pow(mod, -1, pe)
+        roots = [r + mod * ((s - r) * inverse % pe) for r in roots for s in local]
+        mod *= pe
+    half = m // 2
+    return sorted([z if z <= half else z - m for z in roots])
+
+
+def _square_divisors(factors: dict[int, int]) -> list[tuple[int, dict[int, int]]]:
+    """(f, factorisation of |n|/f^2) for every f >= 1 with f^2 | n, from n's factorisation."""
+    out = [(1, factors)]
+    for p, e in factors.items():
+        if e > 1:
+            out = [(f * p ** k, {q: x - 2 * k if q == p else x
+                                 for q, x in rest.items() if q != p or x > 2 * k})
+                   for f, rest in out for k in range(e // 2 + 1)]
+    return out
+
+
 # ---- fundamental units ----
 
 # Runs of at most this many quotients are multiplied out one by one.
@@ -79,13 +204,14 @@ def _quotient_product(quotients: list[int], lo: int, hi: int) -> tuple[int, int,
     return a * f + b * i, a * g + b * j, c * f + e * i, c * g + e * j
 
 
-def _minimal_unit_pm(d: int) -> tuple[int, int, int]:
-    """Smallest (x, y, s) with x, y >= 1 and x^2 - d*y^2 = s, s in {1, -1}.
+def _principal_walk(d: int, anchors: dict[int, set[int]]
+                    ) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """Partial quotients [a0, ..., a_(L-1)] of sqrt(d) over one period, and where anchors lie.
 
-    Continued-fraction expansion of sqrt(d); the convergent just before the
-    period closes gives the minimal solution, with s = (-1)^period.  The walk
-    keeps only small integers and records the partial quotients; the
-    convergent is built from them once, by `_quotient_product`.
+    The states after the first, (m + sqrt(d))/den, are the reduced states of
+    the principal cycle; the period closes at den = 1.  `anchors` maps a
+    denominator to the numerators of the states sought.  Each one the walk
+    passes comes back with its position: the index of its partial quotient.
     """
     if d <= 0:
         raise SquareDiscriminantError(f"fundamental unit needs d > 1, got {d}")
@@ -94,21 +220,40 @@ def _minimal_unit_pm(d: int) -> tuple[int, int, int]:
         raise SquareDiscriminantError(f"{d} is a perfect square")
     quotients = [a0]
     append = quotients.append
+    positions: dict[tuple[int, int], int] = {}
     m, den, a = 0, 1, a0
     while True:
         m = den * a - m
         den = (d - m * m) // den
         if den == 1:
             break
+        if den in anchors and m in anchors[den]:
+            positions[m, den] = len(quotients)
         a = (a0 + m) // den
         append(a)
+    return quotients, positions
+
+
+def _period_convergent(quotients: list[int]) -> tuple[int, int, int]:
+    """(x, y, s) of the convergent built from one period of sqrt(d): x^2 - d*y^2 = s."""
     h, _, k, _ = _quotient_product(quotients, 0, len(quotients))
     return h, k, (-1) ** len(quotients)
 
 
-def _unit_and_negative(d: int) -> tuple[tuple[int, int], tuple[int, int] | None]:
-    """The fundamental unit and the minimal -1 solution, from one expansion."""
-    x, y, s = _minimal_unit_pm(d)
+def _minimal_unit_pm(d: int) -> tuple[int, int, int]:
+    """Smallest (x, y, s) with x, y >= 1 and x^2 - d*y^2 = s, s in {1, -1}.
+
+    Continued-fraction expansion of sqrt(d); the convergent just before the
+    period closes gives the minimal solution, with s = (-1)^period.  The walk
+    keeps only small integers and records the partial quotients; the
+    convergent is built from them once, by `_quotient_product`.
+    """
+    return _period_convergent(_principal_walk(d, {})[0])
+
+
+def _unit_and_negative(d: int, x: int, y: int,
+                       s: int) -> tuple[tuple[int, int], tuple[int, int] | None]:
+    """The fundamental unit and the minimal -1 solution, from the minimal +-1 solution."""
     if s == 1:
         return (x, y), None
     return (x * x + d * y * y, 2 * x * y), (x, y)
@@ -116,12 +261,12 @@ def _unit_and_negative(d: int) -> tuple[tuple[int, int], tuple[int, int] | None]
 
 def fundamental_unit(d: int) -> tuple[int, int]:
     """Minimal (t, u) with t, u >= 1 and t^2 - d*u^2 = 1."""
-    return _unit_and_negative(d)[0]
+    return _unit_and_negative(d, *_minimal_unit_pm(d))[0]
 
 
 def minimal_negative_solution(d: int) -> tuple[int, int] | None:
     """Minimal positive solution of x^2 - d*y^2 = -1, if one exists."""
-    return _unit_and_negative(d)[1]
+    return _unit_and_negative(d, *_minimal_unit_pm(d))[1]
 
 
 # ---- solution class sets ----
@@ -184,60 +329,74 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
         ordered = tuple(PellSolution(*v) for v in sorted(sols, key=lambda v: _size_key(PellSolution(*v))))
         return SolutionClassSet("finite" if ordered else "empty", ordered)
 
-    (t, u), neg = _unit_and_negative(d)
-    found: set[PellSolution] = set()
-    f = 1
-    while f * f <= abs(n):
-        if n % (f * f) == 0:
-            for r, s in _primitive_class_reps(d, n // (f * f), neg):
-                found.add(_canonical_in_class(PellSolution(f * r, f * s), d, t, u))
-        f += 1
+    factors = _factor(n)
+    divisors = _square_divisors(factors)
+    (t, u), _, reps = _primitive_class_reps(d, [(n // (f * f), rest) for f, rest in divisors])
+    found = {_canonical_in_class(PellSolution(f * r, f * s), d, t, u)
+             for (f, _), class_reps in zip(divisors, reps) for r, s in class_reps}
     if not found:
         return SolutionClassSet("empty", ())
     return SolutionClassSet("indefinite", tuple(sorted(found, key=_size_key)), (t, u))
 
 
-def _primitive_class_reps(d: int, m: int, neg: tuple[int, int] | None) -> Iterator[tuple[int, int]]:
-    """One fundamental solution per class of primitive solutions of x^2 - d*y^2 = m.
+def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> tuple[
+        tuple[int, int], tuple[int, int] | None, list[list[tuple[int, int]]]]:
+    """The fundamental unit, the minimal -1 solution, and per target one
+    fundamental solution per class of primitive solutions of x^2 - d*y^2 = m.
 
-    Classes correspond to the square roots z of d modulo |m|; the continued
-    fraction of (z + sqrt(d))/|m| reaches a convergent of value +-m, and a
-    value of -m converts to m through a solution of x^2 - d*y^2 = -1.  Each
-    walk keeps only the small state (p, q) of (p + sqrt(d))/q and its partial
-    quotients; the convergent is built once, when q = +-1 is reached.
+    Each target is m with the factorisation of |m|.  Classes correspond to the
+    square roots z of d modulo |m|; the continued fraction of
+    (z + sqrt(d))/|m| reaches a convergent of value +-m, and a value of -m
+    converts to m through a solution of x^2 - d*y^2 = -1.  A walk ends at an
+    early q = +-1 or at its first reduced state, its anchor, from which the
+    expansion is purely periodic.  It can reach q = 1 from there only on the
+    principal cycle, as (isqrt(d) + sqrt(d))/1 is the only reduced state with
+    q = 1.  So the unit's walk runs once and places every anchor on that
+    cycle; a class whose anchor is not on it has no solution, and the others
+    take the principal quotients from their anchor on.
     """
-    if m == 1:
-        yield (1, 0)
-        return
-    if m == -1:
-        if neg is not None:
-            yield neg
-        return
     root = isqrt(d)
-    am = abs(m)
-    for z in range(-((am - 1) // 2), am // 2 + 1):
-        if (z * z - d) % am:
+    walks = []
+    anchors: dict[int, set[int]] = {}
+    for i, (m, factors) in enumerate(targets):
+        am = abs(m)
+        if am == 1:
             continue
-        quotients = _walk_to_unit_denominator(d, root, z, am)
-        if quotients is None:
-            continue
+        for z in _square_roots(d, am, factors):
+            quotients, anchor = _walk_to_anchor(d, root, z, am)
+            if anchor is not None:
+                anchors.setdefault(anchor[1], set()).add(anchor[0])
+            walks.append((i, m, z, quotients, anchor))
+    principal, positions = _principal_walk(d, anchors)
+    unit, neg = _unit_and_negative(d, *_period_convergent(principal))
+    reps: list[list[tuple[int, int]]] = [
+        [(1, 0)] if m == 1 else [neg] if m == -1 and neg is not None else []
+        for m, _ in targets]
+    for i, m, z, quotients, anchor in walks:
+        if anchor is not None:
+            if anchor not in positions:
+                continue
+            quotients = quotients + principal[positions[anchor]:]
         h, _, k, _ = _quotient_product(quotients, 0, len(quotients))
         # [[g, .], [b, .]] = [[|m|, -z], [0, 1]] times the quotient product.
-        g, b = am * h - z * k, k
+        g, b = abs(m) * h - z * k, k
         value = g * g - d * b * b
         if value == m:
-            yield (g, b)
+            reps[i].append((g, b))
         elif value == -m and neg is not None:
-            yield (g * neg[0] + d * b * neg[1], g * neg[1] + b * neg[0])
+            reps[i].append((g * neg[0] + d * b * neg[1], g * neg[1] + b * neg[0]))
+    return unit, neg, reps
 
 
-def _walk_to_unit_denominator(d: int, root: int, p: int, q: int) -> list[int] | None:
-    """Partial quotients of (p + sqrt(d))/q up to the first later state with q = +-1.
+def _walk_to_anchor(d: int, root: int, p: int,
+                    q: int) -> tuple[list[int], tuple[int, int] | None]:
+    """Partial quotients of (p + sqrt(d))/q up to its first reduced state (p', q').
 
-    None when the expansion closes its period first.  Once (p + sqrt(d))/q is
-    reduced (greater than 1, conjugate in (-1, 0)) the expansion is purely
-    periodic, so that state anchors the stop.  States before it cannot repeat;
-    a set over them alone makes sure that a wrong anchor test cannot loop.
+    Returns the quotients and (p', q'), or None for the anchor when a state
+    with q = +-1 comes first; the walk then stops there.  A state is reduced
+    when (p + sqrt(d))/q is greater than 1 with conjugate in (-1, 0).  States
+    before it cannot repeat; a set over them makes sure that a wrong test
+    cannot loop.
     """
     quotients: list[int] = []
     append = quotients.append
@@ -254,18 +413,8 @@ def _walk_to_unit_denominator(d: int, root: int, p: int, q: int) -> list[int] | 
         p = a * q - p
         q = (d - p * p) // q
         if q == 1 or q == -1:
-            return quotients
-    # Reduced from here on: q stays positive, and q = 1 only at p = root.
-    p0, q0 = p, q
-    while True:
-        a = (p + root) // q
-        append(a)
-        p = a * q - p
-        q = (d - p * p) // q
-        if q == 1:
-            return quotients
-        if p == p0 and q == q0:
-            return None
+            return quotients, None
+    return quotients, (p, q)
 
 
 def _canonical_in_class(sol: PellSolution, d: int, t: int, u: int) -> PellSolution:
@@ -368,25 +517,32 @@ def _divisible_solutions_from(scs: SolutionClassSet, d: int, b: int,
                 yield v
         return
 
+    # Solutions come by unit power k (nearest to 0 modulo each class's period,
+    # k before -k), then by class.  The k = 0 ones, the representatives, need
+    # no walk: they come first, before any period is walked.
+    for rep in scs.solutions:
+        if (rep.x - cb * rep.y) % bb == 0:
+            v = _normalize_sign(rep)
+            if v not in seen:
+                seen.add(v)
+                yield v
     t, u = scs.unit
     # The walk only needs residues, so the unit's coefficients are reduced once.
     tb, ub, dub = t % bb, u % bb, d * u % bb
     found: list[tuple[tuple, int, int]] = []
     for idx, rep in enumerate(scs.solutions):
         x0, y0 = rep.x % bb, rep.y % bb
-        x, y = x0, y0
+        x, y = (tb * x0 + dub * y0) % bb, (ub * x0 + tb * y0) % bb
         ks = []
-        k = 0
-        while True:
+        k = 1
+        while x != x0 or y != y0:
             if (x - cb * y) % bb == 0:
                 ks.append(k)
             x, y = (tb * x + dub * y) % bb, (ub * x + tb * y) % bb
             k += 1
-            if x == x0 and y == y0:
-                break
         period = k
         for k0 in ks:
-            kk = k0 if abs(k0) <= abs(k0 - period) else k0 - period
+            kk = k0 if k0 <= period - k0 else k0 - period
             found.append(((abs(kk), 0 if kk >= 0 else 1, idx), idx, kk))
     for _, idx, kk in sorted(found):
         v = _normalize_sign(_unit_power(t, u, d, scs.solutions[idx], kk))

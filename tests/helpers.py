@@ -90,7 +90,9 @@ def solutions_within(d: int, n: int, bound: int) -> list[PellSolution]:
 # ---- step-by-step references for the continued-fraction walks in hopfq.pell ----
 #
 # These are the walks as they were before hopfq.pell kept only partial
-# quotients: every step updates the full convergents.  The tests require the
+# quotients: every step updates the full convergents.  The class reference
+# also finds its square roots by trying every residue modulo |m| and walks each
+# root through a whole period of its own cycle.  The tests require the
 # library's walks to return exactly what these return.
 
 def stepwise_minimal_unit_pm(d: int) -> tuple[int, int, int]:

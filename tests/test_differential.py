@@ -1,5 +1,5 @@
-"""Differential tests of hopfq.linalg, hopfq.pell and the factorisation in
-hopfq.freeness against sympy.
+"""Differential tests of hopfq.linalg, hopfq.pell (classes, square roots
+modulo m) and the factorisation against sympy.
 
 sympy is an optional test dependency; without it the module is skipped.
 """
@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from hopfq.errors import RankDeficientError, ZeroMatrixError
 from hopfq.freeness import _factor
 from hopfq.linalg import det, hnf_integer, mat_inv
-from hopfq.pell import solve_all
+from hopfq.pell import _square_roots, solve_all
 
 sympy = pytest.importorskip("sympy")
 factorint = pytest.importorskip("sympy.ntheory").factorint
+sqrt_mod = pytest.importorskip("sympy.ntheory").sqrt_mod
 hermite_normal_form = pytest.importorskip("sympy.matrices.normalforms").hermite_normal_form
 diop_DN = pytest.importorskip("sympy.solvers.diophantine.diophantine").diop_DN
 
@@ -104,9 +105,40 @@ def _pell_cases(count: int, seed: int) -> list[tuple[int, int]]:
     return cases
 
 
-def test_solve_all_classes_match_sympy_diop_DN():
+def _large_pell_cases(count: int, seed: int) -> list[tuple[int, int]]:
+    """Nonsquare d <= 10^4 and 1 <= |N| <= 10^6, in turn: a product of three
+    small values x^2 - d*y^2 with at least three odd prime factors; such a
+    value times a power of 2 up to 2^10; and a power of a prime dividing d
+    times a uniform cofactor.  (diop_DN itself slows down sharply with d.)"""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        d = rng.randint(2, 10**4)
+        if isqrt(d) ** 2 == d:
+            continue
+        y = rng.randint(1, 3)
+        kind = len(cases) % 3
+        if kind == 0:
+            n = 1
+            for _ in range(3):
+                x = isqrt(d * y * y) + rng.randint(-2, 3)
+                n *= x * x - d * y * y
+            if sum(1 for q in _factor(n) if q > 2) < 3:
+                continue
+        elif kind == 1:
+            x = isqrt(d * y * y) + rng.randint(-2, 3)
+            n = 2 ** rng.randint(1, 10) * (x * x - d * y * y)
+        else:
+            p = rng.choice(sorted(_factor(d)))
+            n = rng.choice((1, -1)) * p ** rng.randint(1, 3) * rng.randint(1, 10**6 // p)
+        if 1 <= abs(n) <= 10**6:
+            cases.append((d, n))
+    return cases
+
+
+def _assert_classes_match_diop_DN(cases: list[tuple[int, int]]) -> int:
     """Every fundamental solution from diop_DN lies in a class of solve_all, and
-    every class of solve_all holds one of them.
+    every class of solve_all holds one of them; returns how many cases solve.
 
     Solutions (x1, y1), (x2, y2) of x^2 - d*y^2 = N lie in the same class
     {+-U^k * rep} exactly when x1*x2 - d*y1*y2 and x1*y2 - x2*y1 are both
@@ -116,7 +148,7 @@ def test_solve_all_classes_match_sympy_diop_DN():
         return (s[0] * r[0] - d * s[1] * r[1]) % n == 0 and (s[0] * r[1] - r[0] * s[1]) % n == 0
 
     solved = 0
-    for d, n in _pell_cases(60, seed=2021):
+    for d, n in cases:
         theirs = [(int(x), int(y)) for x, y in diop_DN(d, n)]
         ours = solve_all(d, n)
         assert ours.kind == ("indefinite" if theirs else "empty"), (d, n)
@@ -126,7 +158,44 @@ def test_solve_all_classes_match_sympy_diop_DN():
         for r in reps:
             assert any(same_class(s, r, d, abs(n)) for s in theirs), (d, n, r)
         solved += bool(reps)
-    assert solved >= 30
+    return solved
+
+
+def test_solve_all_classes_match_sympy_diop_DN():
+    assert _assert_classes_match_diop_DN(_pell_cases(60, seed=2021)) >= 30
+
+
+def test_solve_all_classes_match_sympy_diop_DN_up_to_a_million():
+    assert _assert_classes_match_diop_DN(_large_pell_cases(30, seed=2022)) >= 15
+
+
+def test_square_roots_match_sympy_sqrt_mod():
+    """Seeded composite m up to 10^12 built from prime powers (2 and 3 up to
+    the 12th power, larger primes up to 10^6); d is a random value, a square
+    modulo m, or shares a prime power with m."""
+    rng = random.Random(2023)
+    small = [int(q) for q in sympy.primerange(2, 200)]
+    for case in range(60):
+        m = 1
+        while True:
+            q = rng.choice(small) if rng.random() < 0.8 else int(sympy.nextprime(rng.randint(200, 10**6)))
+            e = rng.randint(1, 12 if q <= 3 else 3)
+            if m * q ** e > 10**12 or (m > 1 and rng.random() < 0.2):
+                break
+            m *= q ** e
+        if m == 1:
+            continue
+        z = rng.randrange(m)
+        if case % 3 == 0:
+            d = rng.randint(-10**12, 10**12)
+        elif case % 3 == 1:
+            d = z * z - m * rng.randint(-10**6, 10**6)
+        else:
+            q = rng.choice(sorted(_factor(m)))
+            d = q ** rng.randint(1, 4) * (z * z + rng.randint(-5, 5))
+        want = sorted(r if r <= m // 2 else r - m
+                      for r in (int(r) for r in sqrt_mod(d % m, m, all_roots=True)))
+        assert _square_roots(d, m, _factor(m)) == want, (d, m)
 
 
 def test_factor_matches_sympy_factorint():

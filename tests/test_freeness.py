@@ -12,6 +12,7 @@ import hashlib
 import io
 import itertools
 import random
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import partial
@@ -692,3 +693,38 @@ def test_large_cyclic_decisions_are_pinned(abc, method, digest, unlimited_int_di
     assert (report.decision, report.method) == (FREE, method)
     key = repr((report.decision, report.method, report.index, report.witness, report.generator))
     assert hashlib.sha256(key.encode()).hexdigest() == digest
+
+
+# ---- deadlines at scale ----
+
+# Generous against the ~1 s these take on one core.  A class search that
+# scans every residue modulo the target takes about 2 s per 10^7 of d on a
+# biquadratic field (hours at d near 10^11) and 7 s on (1, 999999, 4).
+DEADLINE_S = 5.0
+
+
+@pytest.mark.parametrize("m, n", [(-100000000003, -200000000006),
+                                  (-299999999931, -499999999885)])
+def test_biquadratic_near_1e11_is_decided_within_a_deadline(m, n):
+    """d = gcd(m, n) is a prime near 10^11, so the norm equations have
+    targets 2d and 4d.  Each free generator is checked by its closed-form
+    determinant, a route independent of the Pell solver and of the matrices."""
+    p = canonicalize_biquadratic(m, n)
+    assert p.d > 9 * 10**10
+    start = time.perf_counter()
+    fs = summary(p)
+    assert time.perf_counter() - start < DEADLINE_S
+    reports = [entry.report for entry in fs.structures]
+    assert "pell_criterion" in {r.method for r in reports}
+    for entry, r in zip(fs.structures, reports):
+        if r.decision == FREE:
+            assert abs(closed_form_determinant(p, entry.structure, r.generator)) == r.index
+
+
+def test_cyclic_1_999999_4_is_decided_within_a_deadline():
+    """The target 999999 = 3^3 * 7 * 11 * 13 * 37 has many square roots of d."""
+    start = time.perf_counter()
+    report = summary(validate_cyclic(1, 999999, 4)).structures[0].report
+    assert time.perf_counter() - start < DEADLINE_S
+    assert (report.decision, report.method, report.index) == (NOT_FREE, "pell_criterion", 8)
+    assert report.witness is None and report.generator is None

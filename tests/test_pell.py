@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -197,14 +197,21 @@ def test_solve_all_classes_satisfy_equation(d, n):
 
 nonsquare_d = st.one_of(st.integers(2, 100), st.integers(2, 10**7)).filter(
     lambda d: isqrt(d) ** 2 != d)
+# Small targets, targets up to 2*10^4, and products of small primes with many square roots.
+class_targets = st.one_of(
+    st.integers(-200, 200),
+    st.integers(-2 * 10**4, 2 * 10**4),
+    st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=8).map(prod)
+    .filter(lambda m: m <= 2 * 10**4).flatmap(lambda m: st.sampled_from((m, -m))),
+).filter(lambda m: m != 0)
 
 
-@given(nonsquare_d, st.integers(-200, 200).filter(lambda m: m != 0))
+@given(nonsquare_d, class_targets)
 @settings(max_examples=300, deadline=None)
 def test_walks_match_the_stepwise_references(d, m):
     assert pell._minimal_unit_pm(d) == stepwise_minimal_unit_pm(d)
-    (t, u), neg = pell._unit_and_negative(d)
-    reps = list(pell._primitive_class_reps(d, m, neg))
+    (t, u), neg, [reps] = pell._primitive_class_reps(d, [(m, pell._factor(m))])
+    assert ((t, u), neg) == pell._unit_and_negative(d, *pell._minimal_unit_pm(d))
     assert reps == list(stepwise_primitive_class_reps(d, m, neg))
     for x, y in reps:
         for k in (-2, -1, 0, 1, 2):
@@ -246,11 +253,43 @@ def test_large_unit_is_pinned(unlimited_int_digits):
 @pytest.mark.parametrize("n", [3, -3])
 def test_square_roots_without_a_solution_close_their_period(n):
     """1 is a square root of 10 modulo 3, yet x^2 - 10*y^2 = +-3 has no solution:
-    both walks return to their anchor without meeting q = +-1."""
+    the walks of both roots reach an anchor off the principal cycle, whose
+    period closes without meeting q = +-1."""
     assert (1 - 10) % 3 == 0
-    neg = pell._unit_and_negative(10)[1]
-    assert list(pell._primitive_class_reps(10, n, neg)) == []
+    assert pell._square_roots(10, 3, {3: 1}) == [-1, 1]
+    assert pell._primitive_class_reps(10, [(n, {3: 1})])[2] == [[]]
     assert solve_all(10, n).kind == "empty"
+
+
+# ---- square roots modulo m from the factorisation ----
+
+@st.composite
+def square_root_problems(draw):
+    """(d, m) with 2 <= m <= 5000 and d of either sign, often sharing prime
+    powers with m: square factors, even d and high powers of 2 included."""
+    m = draw(st.one_of(st.integers(2, 5000), st.sampled_from(
+        [2 ** k for k in range(1, 13)] + [3 ** 7, 2 ** 5 * 3 ** 4, 4 * 9 * 25, 8 * 49 * 11])))
+    shared = draw(st.sampled_from(sorted(pell._factor(m)) + [2]))
+    d = (draw(st.integers(-10**6, 10**6)) * shared ** draw(st.integers(0, 12))
+         * draw(st.integers(1, 40)) ** 2)
+    return d, m
+
+
+@given(square_root_problems())
+@settings(max_examples=400, deadline=None)
+def test_square_roots_match_a_scan(problem):
+    d, m = problem
+    want = [z for z in range(-((m - 1) // 2), m // 2 + 1) if (z * z - d) % m == 0]
+    assert pell._square_roots(d, m, pell._factor(m)) == want
+
+
+def test_square_divisors_come_from_the_factorisation():
+    for n in list(range(1, 2000)) + [2**20, 3**9 * 5**4, 9699690, 2**6 * 3**4 * 7**2]:
+        got = pell._square_divisors(pell._factor(n))
+        want = [f for f in range(1, isqrt(n) + 1) if n % (f * f) == 0]
+        assert sorted(f for f, _ in got) == want
+        for f, rest in got:
+            assert rest == pell._factor(n // (f * f))
 
 
 # ---- divisibility-constrained search ----
