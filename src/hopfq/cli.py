@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
-from .fields import canonicalize_biquadratic, validate_cyclic
+from .fields import SQUAREFREE_LIMIT, canonicalize_biquadratic, validate_cyclic
 from .freeness import (
     FREE,
     ORACLE_BOUND_LIMIT,
@@ -186,6 +186,8 @@ def _run_field(args: argparse.Namespace) -> int:
 
 
 def _run_pell(args: argparse.Namespace) -> int:
+    if max(abs(args.D), abs(args.N)) > SQUAREFREE_LIMIT:  # N is factored by trial division
+        raise ValidationError(f"pell takes |D|, |N| <= {SQUAREFREE_LIMIT}, got {args.D}, {args.N}")
     solutions = solve_all(args.D, args.N)
     doc: dict = {
         "schema_version": SCHEMA_VERSION,

@@ -7,23 +7,29 @@ unit.  Also provides the divisibility-constrained search used by the freeness
 criteria, reduction cycles of indefinite forms, and the Jacobi symbol.
 
 The class search follows K. Matthews, "The Diophantine equation
-x^2 - Dy^2 = N, D > 0", Expo. Math. 18, 2000.  Its square roots of D modulo
-|N| come from the factorisation of N (Tonelli-Shanks, Hensel lifting and the
-Chinese remainder theorem, as in H. Cohen, "A Course in Computational
-Algebraic Number Theory", section 1.5), not from a scan.  Each root walks its
-continued fraction only to its first reduced state; a class has a solution
-exactly when that state lies on the principal cycle, which the unit's own
-walk passes once per D.  The walks keep only the small state of each step and
-its partial quotient.  A convergent, which can run to hundreds of thousands
-of bits, is built once from the quotients by a balanced product tree
-(`_quotient_product`).
+x^2 - Dy^2 = N, D > 0", Expo. Math. 18, 2000, with the square roots of D
+modulo |N| taken from the factorisation of N (H. Cohen, "A Course in
+Computational Algebraic Number Theory", section 1.5).  Each root walks its
+continued fraction to its first reduced state, its anchor; the class has a
+solution exactly when the anchor lies on the principal cycle, which the
+unit's walk passes once per D, up to the middle of its palindromic period.
+The anchor splits the period in two sides, each giving an element of the
+class (the infrastructure of the principal cycle: M. J. Jacobson Jr. and
+H. C. Williams, "Solving the Pell Equation", 2009).  The smallest element of
+the class is the side of value N, the shorter one if both are; its size in
+floating point confirms it and exact comparison settles a near-tie, so no
+element is walked by the unit.  The walks keep only small states and partial
+quotients; the products, up to millions of bits, come from balanced product
+trees over half the period, which also yield every side.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import isqrt
-from typing import Iterator, NamedTuple
+from functools import cached_property
+from math import inf, isqrt, log2
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadDiscriminantError,
@@ -184,34 +190,51 @@ def _square_divisors(factors: dict[int, int]) -> list[tuple[int, dict[int, int]]
 _PRODUCT_LEAF = 16
 
 
-def _quotient_product(quotients: list[int], lo: int, hi: int) -> tuple[int, int, int, int]:
+def _quotient_product(quotients: list[int], lo: int, hi: int, cuts: Sequence[int] = (),
+                      rows: dict[int, tuple[int, int]] | None = None,
+                      row: tuple[int, int] = (1, 0)) -> tuple[int, int, int, int]:
     """Entries (h, h', k, k') of the product of [[a, 1], [1, 0]] over quotients[lo:hi].
 
     The first column (h, k) is the last convergent of [a_lo; ..., a_(hi-1)] and
     the second column the one before it.  Halves are multiplied recursively
     (binary splitting), so the big products come last and are balanced; short
-    runs are multiplied one quotient at a time.
+    runs are multiplied one quotient at a time.  For each c of the ascending
+    `cuts` in [lo, hi], rows[c] becomes `row` times the product over
+    quotients[lo:c]: a cut in a right half takes the row through the left
+    half once, shared by every cut there.
     """
     if hi - lo <= _PRODUCT_LEAF:
+        for c in cuts:
+            p, q = row
+            for a in quotients[lo:c]:
+                p, q = a * p + q, p
+            rows[c] = p, q
         h, h1, k, k1 = 1, 0, 0, 1
         for a in quotients[lo:hi]:
             h, h1 = a * h + h1, h
             k, k1 = a * k + k1, k
         return h, h1, k, k1
     mid = (lo + hi) // 2
-    a, b, c, e = _quotient_product(quotients, lo, mid)
-    f, g, i, j = _quotient_product(quotients, mid, hi)
+    split = bisect_right(cuts, mid)
+    a, b, c, e = _quotient_product(quotients, lo, mid, cuts[:split], rows, row)
+    if split < len(cuts):
+        row = row[0] * a + row[1] * c, row[0] * b + row[1] * e
+    f, g, i, j = _quotient_product(quotients, mid, hi, cuts[split:], rows, row)
     return a * f + b * i, a * g + b * j, c * f + e * i, c * g + e * j
 
 
 def _principal_walk(d: int, anchors: dict[int, set[int]]
-                    ) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """Partial quotients [a0, ..., a_(L-1)] of sqrt(d) over one period, and where anchors lie.
+                    ) -> tuple[list[int], int, dict[tuple[int, int], int]]:
+    """Partial quotients of sqrt(d) up to the middle of its period, the period
+    length L, and where anchors lie.
 
-    The states after the first, (m + sqrt(d))/den, are the reduced states of
-    the principal cycle; the period closes at den = 1.  `anchors` maps a
-    denominator to the numerators of the states sought.  Each one the walk
-    passes comes back with its position: the index of its partial quotient.
+    The states after the first, (m_i + sqrt(d))/den_i, are the reduced states
+    of the principal cycle; the period closes at den_L = 1, in the state
+    (isqrt(d) + sqrt(d))/1.  Over a period den_i = den_(L-i) and
+    m_i = m_(L+1-i), so the walk stops where m or den first repeats, at the
+    middle, and the state (m_i, den_(i-1)) is the one at position L + 1 - i.
+    `anchors` maps a denominator to the numerators of the states sought; each
+    one met comes back with its position, the index of its partial quotient.
     """
     if d <= 0:
         raise SquareDiscriminantError(f"fundamental unit needs d > 1, got {d}")
@@ -221,52 +244,71 @@ def _principal_walk(d: int, anchors: dict[int, set[int]]
     quotients = [a0]
     append = quotients.append
     positions: dict[tuple[int, int], int] = {}
+    mirrored: dict[tuple[int, int], int] = {}
     m, den, a = 0, 1, a0
     while True:
-        m = den * a - m
-        den = (d - m * m) // den
-        if den == 1:
+        m1 = den * a - m
+        den1 = (d - m1 * m1) // den
+        if den1 in anchors and m1 in anchors[den1]:
+            positions[m1, den1] = len(quotients)
+        if den in anchors and m1 in anchors[den]:
+            mirrored[m1, den] = len(quotients)
+        if m1 == m or den1 == den:
             break
-        if den in anchors and m in anchors[den]:
-            positions[m, den] = len(quotients)
+        m, den = m1, den1
         a = (a0 + m) // den
         append(a)
-    return quotients, positions
+    period = 2 * len(quotients) - (2 if m1 == m else 1)
+    positions.update({state: period + 1 - i for state, i in mirrored.items()})
+    return quotients, period, positions
 
 
-def _period_convergent(quotients: list[int]) -> tuple[int, int, int]:
-    """(x, y, s) of the convergent built from one period of sqrt(d): x^2 - d*y^2 = s."""
-    h, _, k, _ = _quotient_product(quotients, 0, len(quotients))
-    return h, k, (-1) ** len(quotients)
+def _period_convergent(quotients: list[int], period: int, lengths: Sequence[int] = (),
+                       rows: dict[int, tuple[int, int]] | None = None) -> tuple[int, int, int]:
+    """(x, y, s) of the convergent built from one period of sqrt(d): x^2 - d*y^2 = s.
+
+    `quotients` are a_0, a_1, ... up to the middle of the period, of length
+    L = `period`.  a_1, ..., a_(L-1) is a palindrome, so the product R of
+    their matrices is B * A^T, where A is the product over the first
+    r = (L-1)//2 of them and B is A, times the middle one when L - 1 is odd.
+    (x, y) is the first column of [[a0, 1], [1, 0]] * R.  For each l of the
+    ascending `lengths`, rows[l] becomes the first row of the product over
+    a_1, ..., a_l: from the tree over a_1, ..., a_r up to r, and past it
+    from the first row of B through a_r, ..., a_1, the rest of the period.
+    """
+    r = (period - 1) // 2
+    split = bisect_right(lengths, r)
+    first: dict[int, tuple[int, int]] = {}
+    h, h1, k, k1 = _quotient_product(quotients, 1, r + 1, [1 + n for n in lengths[:split]], first)
+    bh, bh1, bk, bk1 = h, h1, k, k1
+    if period % 2 == 0:
+        a = quotients[r + 1]
+        bh, bh1, bk, bk1 = a * h + h1, h, a * k + k1, k
+    skip, second = period - 1 - r, {}  # skip: the quotients in B
+    if split < len(lengths):
+        top = lengths[-1] - skip
+        _quotient_product(quotients[r:r - top:-1], 0, top, [n - skip for n in lengths[split:]],
+                          second, (bh, bh1))
+    if rows is not None:
+        rows.update({n: first[1 + n] if n <= r else second[n - skip] for n in lengths})
+    r11 = bh * h + bh1 * h1
+    return quotients[0] * r11 + bk * h + bk1 * h1, r11, (-1) ** period
 
 
 def _minimal_unit_pm(d: int) -> tuple[int, int, int]:
-    """Smallest (x, y, s) with x, y >= 1 and x^2 - d*y^2 = s, s in {1, -1}.
-
-    Continued-fraction expansion of sqrt(d); the convergent just before the
-    period closes gives the minimal solution, with s = (-1)^period.  The walk
-    keeps only small integers and records the partial quotients; the
-    convergent is built from them once, by `_quotient_product`.
-    """
-    return _period_convergent(_principal_walk(d, {})[0])
+    """Smallest (x, y, s) with x, y >= 1 and x^2 - d*y^2 = s, s in {1, -1}: the
+    convergent of sqrt(d) just before its period closes, s = (-1)^period."""
+    return _period_convergent(*_principal_walk(d, {})[:2])
 
 
-def _unit_and_negative(d: int, x: int, y: int,
-                       s: int) -> tuple[tuple[int, int], tuple[int, int] | None]:
-    """The fundamental unit and the minimal -1 solution, from the minimal +-1 solution."""
-    if s == 1:
-        return (x, y), None
-    return (x * x + d * y * y, 2 * x * y), (x, y)
+def _unit_from(x: int, y: int, s: int) -> tuple[int, int]:
+    """The fundamental unit from the minimal +-1 solution: itself, or its square."""
+    return (x, y) if s == 1 else (2 * x * x + 1, 2 * x * y)  # x^2 + d*y^2 = 2*x^2 + 1
 
 
 def fundamental_unit(d: int) -> tuple[int, int]:
     """Minimal (t, u) with t, u >= 1 and t^2 - d*u^2 = 1."""
-    return _unit_and_negative(d, *_minimal_unit_pm(d))[0]
-
-
-def minimal_negative_solution(d: int) -> tuple[int, int] | None:
-    """Minimal positive solution of x^2 - d*y^2 = -1, if one exists."""
-    return _unit_and_negative(d, *_minimal_unit_pm(d))[1]
+    return _unit_from(*_minimal_unit_pm(d))
 
 
 # ---- solution class sets ----
@@ -283,77 +325,76 @@ class SolutionClassSet:
     kind "empty": no solutions.  kind "finite": `solutions` lists every
     solution (D < 0 or D square).  kind "indefinite": `solutions` lists class
     representatives; the full set is {±U^k·rep} for the fundamental unit
-    U = (t, u) acting by (x, y) -> (t*x + D*u*y, u*x + t*y).
+    U = (t, u) acting by (x, y) -> (t*x + D*u*y, u*x + t*y).  `minimal` is
+    the minimal solution (x, y, s) of x^2 - D*y^2 = s = +-1; `unit` is built
+    from it on first use, as a divisibility search needs it only when no
+    representative qualifies.
     """
 
     kind: str
     solutions: tuple[PellSolution, ...]
-    unit: tuple[int, int] | None = None
+    minimal: tuple[int, int, int] | None = None
+
+    @cached_property
+    def unit(self) -> tuple[int, int] | None:
+        return None if self.minimal is None else _unit_from(*self.minimal)
 
 
 def _size_key(s: PellSolution) -> tuple:
     return (abs(s.y), 0 if s.y >= 0 else 1, abs(s.x), 0 if s.x >= 0 else 1)
 
 
-def _check_problem(d: int, n: int) -> None:
-    if d == 0 or n == 0:
-        raise ValidationError(f"Pell problem needs nonzero D and N, got D={d}, N={n}")
-
-
 def solve_all(d: int, n: int) -> SolutionClassSet:
     """Full solution description of x^2 - d*y^2 = n (d, n nonzero)."""
-    _check_problem(d, n)
-
-    if d < 0:
+    if d == 0 or n == 0:
+        raise ValidationError(f"Pell problem needs nonzero D and N, got D={d}, N={n}")
+    s = isqrt(d) if d > 0 else 0
+    if d < 0 or s * s == d:
         sols = set()
-        if n > 0:
-            for y in range(isqrt(n // -d) + 1):
+        if d < 0:
+            for y in range(isqrt(n // -d) + 1 if n > 0 else 0):
                 r = n + d * y * y
                 if is_square(r):
                     x = isqrt(r)
                     sols.update({(x, y), (-x, y), (x, -y), (-x, -y)})
-        ordered = tuple(PellSolution(*v) for v in sorted(sols, key=lambda v: _size_key(PellSolution(*v))))
-        return SolutionClassSet("finite" if ordered else "empty", ordered)
-
-    s = isqrt(d)
-    if s * s == d:
-        # (x - s*y)(x + s*y) = n: pair up divisors of matching parity.
-        sols = set()
-        for e in range(1, isqrt(abs(n)) + 1):
-            if n % e:
-                continue
-            for e_signed in {e, -e, n // e, -(n // e)}:
-                f = n // e_signed
-                if (e_signed + f) % 2 == 0 and (f - e_signed) % (2 * s) == 0:
-                    sols.add(((e_signed + f) // 2, (f - e_signed) // (2 * s)))
-        ordered = tuple(PellSolution(*v) for v in sorted(sols, key=lambda v: _size_key(PellSolution(*v))))
+        else:  # (x - s*y)(x + s*y) = n: pair up divisors of matching parity.
+            for e in range(1, isqrt(abs(n)) + 1):
+                if n % e:
+                    continue
+                for e_signed in {e, -e, n // e, -(n // e)}:
+                    f = n // e_signed
+                    if (e_signed + f) % 2 == 0 and (f - e_signed) % (2 * s) == 0:
+                        sols.add(((e_signed + f) // 2, (f - e_signed) // (2 * s)))
+        ordered = tuple(sorted(map(PellSolution._make, sols), key=_size_key))
         return SolutionClassSet("finite" if ordered else "empty", ordered)
 
     factors = _factor(n)
     divisors = _square_divisors(factors)
-    (t, u), _, reps = _primitive_class_reps(d, [(n // (f * f), rest) for f, rest in divisors])
-    found = {_canonical_in_class(PellSolution(f * r, f * s), d, t, u)
-             for (f, _), class_reps in zip(divisors, reps) for r, s in class_reps}
+    minimal, reps = _primitive_class_reps(d, [(n // (f * f), rest) for f, rest in divisors])
+    found = {PellSolution(f * x, f * y) for (f, _), class_reps in zip(divisors, reps)
+             for x, y in class_reps}
     if not found:
         return SolutionClassSet("empty", ())
-    return SolutionClassSet("indefinite", tuple(sorted(found, key=_size_key)), (t, u))
+    return SolutionClassSet("indefinite", tuple(sorted(found, key=_size_key)), minimal)
 
 
 def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> tuple[
-        tuple[int, int], tuple[int, int] | None, list[list[tuple[int, int]]]]:
-    """The fundamental unit, the minimal -1 solution, and per target one
-    fundamental solution per class of primitive solutions of x^2 - d*y^2 = m.
+        tuple[int, int, int], list[list[tuple[int, int]]]]:
+    """The minimal +-1 solution eps = (x, y, s) and per target the smallest
+    element (by _size_key) of each class of primitive solutions of
+    x^2 - d*y^2 = m.
 
     Each target is m with the factorisation of |m|.  Classes correspond to the
-    square roots z of d modulo |m|; the continued fraction of
-    (z + sqrt(d))/|m| reaches a convergent of value +-m, and a value of -m
-    converts to m through a solution of x^2 - d*y^2 = -1.  A walk ends at an
-    early q = +-1 or at its first reduced state, its anchor, from which the
-    expansion is purely periodic.  It can reach q = 1 from there only on the
-    principal cycle, as (isqrt(d) + sqrt(d))/1 is the only reduced state with
-    q = 1.  So the unit's walk runs once and places every anchor on that
-    cycle; a class whose anchor is not on it has no solution, and the others
-    take the principal quotients from their anchor on.
+    square roots z of d modulo |m|.  The continued fraction of (z + sqrt(d))/|m|
+    becomes purely periodic at its first reduced state, its anchor, and can
+    meet q = 1 only on the principal cycle, as (isqrt(d) + sqrt(d))/1 is the
+    only reduced state with q = 1; a class whose anchor is not on that cycle
+    has no solution.  An anchor at position i splits the period in two sides.
+    Continued through the quotients from i, the walk ends at an element of
+    value (-1)^steps * |m|; through the adjugate of the product before i, at
+    +-eps^-1 times it.  The side of value m, the shorter one if both are, is
+    the smallest element of the class but for a near-tie, which
+    `_least_in_class` settles.
     """
     root = isqrt(d)
     walks = []
@@ -363,40 +404,47 @@ def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> 
         if am == 1:
             continue
         for z in _square_roots(d, am, factors):
-            quotients, anchor = _walk_to_anchor(d, root, z, am)
-            if anchor is not None:
-                anchors.setdefault(anchor[1], set()).add(anchor[0])
-            walks.append((i, m, z, quotients, anchor))
-    principal, positions = _principal_walk(d, anchors)
-    unit, neg = _unit_and_negative(d, *_period_convergent(principal))
-    reps: list[list[tuple[int, int]]] = [
-        [(1, 0)] if m == 1 else [neg] if m == -1 and neg is not None else []
-        for m, _ in targets]
+            quotients, (p, q) = _walk_to_anchor(d, root, z, am)
+            anchors.setdefault(q, set()).add(p)
+            walks.append((i, m, z, quotients, (p, q)))
+    principal, period, positions = _principal_walk(d, anchors)
+    sign = -1 if period % 2 else 1  # the norm of eps
+    classes = []
     for i, m, z, quotients, anchor in walks:
-        if anchor is not None:
-            if anchor not in positions:
-                continue
-            quotients = quotients + principal[positions[anchor]:]
-        h, _, k, _ = _quotient_product(quotients, 0, len(quotients))
-        # [[g, .], [b, .]] = [[|m|, -z], [0, 1]] times the quotient product.
-        g, b = abs(m) * h - z * k, k
-        value = g * g - d * b * b
-        if value == m:
-            reps[i].append((g, b))
-        elif value == -m and neg is not None:
-            reps[i].append((g * neg[0] + d * b * neg[1], g * neg[1] + b * neg[0]))
-    return unit, neg, reps
+        if anchor not in positions:
+            continue
+        pos = positions[anchor]
+        # The side after the anchor has value (-1)^steps * |m|; the side before, sign times that.
+        after = (len(quotients) + period - pos) % 2 == (m < 0)
+        before = after == (sign == 1)
+        if after or before:  # the side of value m, the shorter one (in quotients) if both are
+            suffix = after and (not before or period - pos <= pos - 1)
+            classes.append((i, m, z, quotients, suffix, period - pos if suffix else pos - 1))
+    rows: dict[int, tuple[int, int]] = {}
+    x, y, s = _period_convergent(principal, period, sorted({c[-1] for c in classes}), rows)
+    reps: list[list] = [[(1, 0)] if m == 1 else [(x, y)] if m == -1 and s == -1 else []
+                        for m, _ in targets]
+    for i, m, z, quotients, suffix, length in classes:
+        # (p, q) is the first row of the product over a_1, ..., a_l.  By the
+        # palindrome the side after the anchor is its transpose, with first
+        # column (p, q); the side before is [[a0, 1], [1, 0]] times it, whose
+        # adjugate has first column (q, -p).
+        p, q = rows[length]
+        col0, col1 = (p, q) if suffix else (q, -p)
+        hw, hw1, kw, kw1 = _quotient_product(quotients, 0, len(quotients))
+        # [[g, .], [b, .]] = [[|m|, -z], [0, 1]] times the walk's product times the column.
+        b = kw * col0 + kw1 * col1
+        v = PellSolution(abs(m) * (hw * col0 + hw1 * col1) - z * b, b)
+        reps[i].append(_least_in_class(v, m, d, x, y, s))
+    return (x, y, s), reps
 
 
-def _walk_to_anchor(d: int, root: int, p: int,
-                    q: int) -> tuple[list[int], tuple[int, int] | None]:
-    """Partial quotients of (p + sqrt(d))/q up to its first reduced state (p', q').
+def _walk_to_anchor(d: int, root: int, p: int, q: int) -> tuple[list[int], tuple[int, int]]:
+    """Partial quotients of (p + sqrt(d))/q up to its first reduced state (p', q'), and (p', q').
 
-    Returns the quotients and (p', q'), or None for the anchor when a state
-    with q = +-1 comes first; the walk then stops there.  A state is reduced
-    when (p + sqrt(d))/q is greater than 1 with conjugate in (-1, 0).  States
-    before it cannot repeat; a set over them makes sure that a wrong test
-    cannot loop.
+    A state is reduced when (p + sqrt(d))/q is greater than 1 with conjugate
+    in (-1, 0).  States before it cannot repeat; a set over them makes sure
+    that a wrong test cannot loop.
     """
     quotients: list[int] = []
     append = quotients.append
@@ -412,73 +460,56 @@ def _walk_to_anchor(d: int, root: int, p: int,
         append(a)
         p = a * q - p
         q = (d - p * p) // q
-        if q == 1 or q == -1:
-            return quotients, None
     return quotients, (p, q)
 
 
-def _canonical_in_class(sol: PellSolution, d: int, t: int, u: int) -> PellSolution:
-    """Smallest element (by _size_key) of the class {+-U^k * sol}.
+def _log2_size(x: int, y: int, d: int) -> float:
+    """log2(|x| + |y|*sqrt(d)) from the leading bits of x and y."""
+    a = log2(abs(x)) if x else -inf
+    b = log2(abs(y)) + log2(d) / 2 if y else -inf
+    hi, lo = max(a, b), min(a, b)
+    return hi + log2(1 + 2.0 ** (lo - hi))
 
-    From sol and from -sol, walk down (by U^-1) and up (by U) while the key
-    falls; the smallest end point wins.  Each step compares |y| first, so it
-    computes x only when y does not grow.  The unit acts linearly, so the
-    walks from -sol are the negated walks from sol until the first tie in |y|,
-    where the sign of y decides; only from there do they need their own steps.
+
+def _least_in_class(v: PellSolution, n: int, d: int, x: int, y: int, sign: int) -> PellSolution:
+    """Smallest element (by _size_key) of the class {+-U^k * v} of x^2 - d*y^2 = n.
+
+    (x, y, sign) is the minimal +-1 solution eps; U = eps^e, e = 2 when
+    sign = -1 and 1 otherwise.  With |v.x + v.y*sqrt(d)| = sqrt(|n|) * 2^s,
+    U^k * v has s + k*log2(U), and |y| grows strictly with |s|: the smallest
+    element has |s + k*log2(U)| <= log2(U)/2, with y > 0 (x > 0 when y = 0)
+    of the pair +-w.  s is a float from the leading bits; where rounding could
+    hide which side of a tie it lies on, both neighbours are compared exactly.
     """
-    ends = []
-    for sign in (-1, 1):
-        end, tie = _descend(sol, d, t, sign * u)
-        ends.append(end)
-        if tie is None:
-            ends.append(PellSolution(-end.x, -end.y))
-        else:
-            ends.append(_descend(PellSolution(-tie.x, -tie.y), d, t, sign * u)[0])
-    return min(ends, key=_size_key)
-
-
-def _descend(v: PellSolution, d: int, t: int, u: int) -> tuple[PellSolution, PellSolution | None]:
-    """Apply (x, y) -> (t*x + d*u*y, u*x + t*y) while _size_key falls.
-
-    Returns the end point and the first point at which a step kept |y|, or None.
-    """
-    tie = None
-    while True:
-        # When u*x and t*y do not have opposite signs, |u*x + t*y| >= t*|y| > |y|,
-        # or u*|x| > 0 = |y|: the step grows |y| and needs no product.
-        if v.x == 0 or v.y == 0 or ((u > 0) == (v.x > 0)) == (v.y > 0):
-            return v, tie
-        wy = u * v.x + t * v.y
-        if abs(wy) > abs(v.y):
-            return v, tie
-        w = PellSolution(t * v.x + d * u * v.y, wy)
-        if abs(wy) == abs(v.y):
-            if tie is None:
-                tie = v
-            if _size_key(w) >= _size_key(v):
-                return v, tie
-        v = w
+    e = 1 if sign == 1 else 2
+    size = e * _log2_size(x, y, d)
+    s = _log2_size(v.x, v.y, d) - log2(abs(n)) / 2
+    if (v.x >= 0) != (v.y >= 0):  # |v.x + v.y*sqrt(d)| = |n| / (|v.x| + |v.y|*sqrt(d))
+        s = -s
+    k = round(-s / size)
+    rest = s + k * size
+    near = abs(rest) > size / 2 - 1e-9 * (size + abs(s) + 1)  # within rounding of a tie
+    ks = [k, k - 1 if rest > 0 else k + 1] if near else [k]
+    return min((_normalize_sign(_unit_power(x, y, d, v, e * j) if j else v) for j in ks),
+               key=_size_key)
 
 
 def _unit_power(t: int, u: int, d: int, rep: PellSolution, k: int) -> PellSolution:
-    """Apply the k-th power (k in Z) of the fundamental unit to a solution."""
-    a, b, c, e = 1, 0, 0, 1  # 2x2 identity
-    if k >= 0:
-        ma, mb, mc, md = t, d * u, u, t
-    else:
-        ma, mb, mc, md = t, -d * u, -u, t
-        k = -k
+    """Multiply a solution by (t + u*sqrt(d))^k, t^2 - d*u^2 = +-1, k in Z.
+
+    A negative k multiplies by (t - u*sqrt(d))^|k|: the inverse power for a
+    unit of norm 1, and that times (-1)^k for norm -1.
+    """
+    if k < 0:
+        u, k = -u, -k
+    x, y = rep
     while k:
         if k & 1:
-            a, b, c, e = a * ma + b * mc, a * mb + b * md, c * ma + e * mc, c * mb + e * md
-        ma, mb, mc, md = (
-            ma * ma + mb * mc,
-            ma * mb + mb * md,
-            mc * ma + md * mc,
-            mc * mb + md * md,
-        )
+            x, y = t * x + d * u * y, u * x + t * y
         k >>= 1
-    return PellSolution(a * rep.x + b * rep.y, c * rep.x + e * rep.y)
+        if k:
+            t, u = t * t + d * u * u, 2 * t * u
+    return PellSolution(x, y)
 
 
 def _normalize_sign(s: PellSolution) -> PellSolution:
@@ -507,7 +538,6 @@ def _divisible_solutions_from(scs: SolutionClassSet, d: int, b: int,
         return
     bb = abs(b)
     cb = c % bb
-
     seen: set[PellSolution] = set()
     if scs.kind == "finite":
         for s in sorted(scs.solutions, key=_size_key):
@@ -669,35 +699,3 @@ def represents_one(f: QuadForm) -> bool:
         g = rho(g)
         if g == start:
             return False
-
-
-def representation_of_one(f: QuadForm) -> tuple[int, int] | None:
-    """Explicit (u, v) with f(u, v) = 1, or None when 1 is not represented.
-
-    Tracks the change of variables along the reduction orbit: each step
-    (a, b, c) -> (c, r, c') substitutes (u, v) -> (-v, u + s*v) with
-    s = (b + r)/(2c), so reaching the principal form p gives f = p composed
-    with the inverse substitution, and p(1, 0) = 1 pulls back to a witness.
-    """
-    f = QuadForm(*f)
-    delta = _check_disc(f)
-    target = principal_form(delta)
-    g = f
-    m00, m01, m10, m11 = 1, 0, 0, 1  # g = f with variables sent through M
-    cycle_start: QuadForm | None = None
-    for _ in range(1_000_000):
-        if g == target:
-            u, v = m00, m10
-            if f.a * u * u + f.b * u * v + f.c * v * v != 1:
-                raise InternalInconsistencyError(f"({u}, {v}) does not represent 1 by {tuple(f)}")
-            return u, v
-        if cycle_start is None and is_reduced(g):
-            cycle_start = g
-        nxt = rho(g)
-        s = (g.b + nxt.b) // (2 * g.c)
-        m00, m01 = m01, -m00 + s * m01
-        m10, m11 = m11, -m10 + s * m11
-        g = nxt
-        if cycle_start is not None and g == cycle_start:
-            return None
-    raise InternalInconsistencyError(f"reduction orbit of {tuple(f)} did not close")

@@ -1,4 +1,4 @@
-"""Matrix, Gram-matrix and Pell helpers used only by the tests."""
+"""Matrix, Gram-matrix, Pell and quadratic-form helpers used only by the tests."""
 
 from __future__ import annotations
 
@@ -9,9 +9,19 @@ from typing import Iterator
 
 from hopfq.fields import CyclicQuarticParams
 from hopfq.hopf import CLASSICAL, StructureId
-from hopfq.errors import SquareDiscriminantError
+from hopfq.errors import InternalInconsistencyError, SquareDiscriminantError
 from hopfq.linalg import det_int
-from hopfq.pell import PellSolution, _size_key, solve_all
+from hopfq.pell import (
+    PellSolution,
+    QuadForm,
+    _check_disc,
+    _minimal_unit_pm,
+    _size_key,
+    is_reduced,
+    principal_form,
+    rho,
+    solve_all,
+)
 
 
 def mat(rows) -> list[list[Fraction]]:
@@ -85,6 +95,44 @@ def solutions_within(d: int, n: int, bound: int) -> list[PellSolution]:
                 else:
                     x, y = t * x - d * u * y, -u * x + t * y
     return sorted(inside, key=_size_key)
+
+
+def minimal_negative_solution(d: int) -> tuple[int, int] | None:
+    """Minimal positive solution of x^2 - d*y^2 = -1, if one exists."""
+    x, y, s = _minimal_unit_pm(d)
+    return (x, y) if s == -1 else None
+
+
+def representation_of_one(f: QuadForm) -> tuple[int, int] | None:
+    """Explicit (u, v) with f(u, v) = 1, or None when 1 is not represented.
+
+    Tracks the change of variables along the reduction orbit: each step
+    (a, b, c) -> (c, r, c') substitutes (u, v) -> (-v, u + s*v) with
+    s = (b + r)/(2c), so reaching the principal form p gives f = p composed
+    with the inverse substitution, and p(1, 0) = 1 pulls back to a witness.
+    """
+    f = QuadForm(*f)
+    delta = _check_disc(f)
+    target = principal_form(delta)
+    g = f
+    m00, m01, m10, m11 = 1, 0, 0, 1  # g = f with variables sent through M
+    cycle_start: QuadForm | None = None
+    for _ in range(1_000_000):
+        if g == target:
+            u, v = m00, m10
+            if f.a * u * u + f.b * u * v + f.c * v * v != 1:
+                raise InternalInconsistencyError(f"({u}, {v}) does not represent 1 by {tuple(f)}")
+            return u, v
+        if cycle_start is None and is_reduced(g):
+            cycle_start = g
+        nxt = rho(g)
+        s = (g.b + nxt.b) // (2 * g.c)
+        m00, m01 = m01, -m00 + s * m01
+        m10, m11 = m11, -m10 + s * m11
+        g = nxt
+        if cycle_start is not None and g == cycle_start:
+            return None
+    raise InternalInconsistencyError(f"reduction orbit of {tuple(f)} did not close")
 
 
 # ---- step-by-step references for the continued-fraction walks in hopfq.pell ----

@@ -6,11 +6,13 @@ so every test sees both the exit code and the parsed JSON document.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -209,6 +211,25 @@ def test_pell_zero_input_exits_2():
     code, doc = invoke_json(["pell", "-D", "0", "-N", "9"])
     assert code == 2
     assert doc["error"]["exit_code"] == 2
+
+
+@pytest.mark.parametrize("d, n", [(2, 1000000016000000063),  # 1000000007 * 1000000009
+                                  (10**12 + 1, 1), (-2, -10**12 - 1)])
+def test_pell_beyond_the_limit_exits_2_at_once(d, n):
+    """N is factored by trial division up to sqrt|N| and the unit's walk runs
+    about sqrt(D) steps, so both are bounded like the field radicands."""
+    start = time.perf_counter()
+    code, doc = invoke_json(["pell", "-D", str(d), "-N", str(n)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["type"] == "ValidationError"
+
+
+def test_pell_at_the_limit_is_accepted():
+    code, doc = invoke_json(["pell", "-D", str(10**12), "-N", str(-10**12)])
+    assert code == 0
+    assert doc["kind"] == "finite"
+    assert [0, 1] in doc["solutions"]
 
 
 # ---- form-cycle command ----
@@ -533,3 +554,21 @@ def test_command_output_matches_its_golden_file_byte_for_byte(name, monkeypatch)
     code, text = invoke(GOLDEN_COMMANDS[name].split())
     assert code == 0
     assert text.encode("utf-8") == (DATA_DIR / "golden_commands" / name).read_bytes()
+
+
+# Commands whose output runs to megabytes, pinned by the SHA-256 of their
+# output: each file in tests/data/golden_commands holds one `sha256sum` line
+# for standard input, so CI checks it with `hopfq ... | sha256sum -c FILE`.
+GOLDEN_DIGESTS = {
+    "cyclic_1_56724_79619.sha256": "cyclic -a 1 -b 56724 -c 79619",
+    "cyclic_1_602827_647340.sha256": "cyclic -a 1 -b 602827 -c 647340",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_command_output_matches_its_pinned_digest(name):
+    """A difference is a change of output; mend the code, never the file."""
+    code, text = invoke(GOLDEN_DIGESTS[name].split())
+    assert code == 0
+    want = (DATA_DIR / "golden_commands" / name).read_text(encoding="utf-8").split()[0]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want

@@ -728,3 +728,18 @@ def test_cyclic_1_999999_4_is_decided_within_a_deadline():
     assert time.perf_counter() - start < DEADLINE_S
     assert (report.decision, report.method, report.index) == (NOT_FREE, "pell_criterion", 8)
     assert report.witness is None and report.generator is None
+
+
+def test_cyclic_1_602827_647340_is_decided_within_a_deadline():
+    """d = 602827^2 + 647340^2 is a prime near 7.8 * 10^11 whose minimal
+    +-1 solution has millions of bits; the generator has about 1.4 million.
+    The bound leaves room for slow machines; a walk of every class
+    representative by the unit took 42 s here."""
+    p = validate_cyclic(1, 602827, 647340)
+    start = time.perf_counter()
+    entry = summary(p).structures[0]
+    assert time.perf_counter() - start < 20.0
+    report = entry.report
+    assert (report.decision, report.method, report.index) == (FREE, "pell_criterion", 8)
+    assert 1_300_000 < max(abs(g) for g in report.generator).bit_length() < 1_400_000
+    assert abs(closed_form_determinant(p, entry.structure, report.generator)) == report.index

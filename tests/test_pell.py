@@ -8,7 +8,7 @@ from math import isqrt, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfq import pell
@@ -28,16 +28,16 @@ from hopfq.pell import (
     fundamental_unit,
     is_reduced,
     jacobi,
-    minimal_negative_solution,
     principal_form,
     reduce_form,
-    representation_of_one,
     represents_one,
     rho,
     solve_all,
 )
 
 from helpers import (
+    minimal_negative_solution,
+    representation_of_one,
     solutions_within,
     stepwise_canonical_in_class,
     stepwise_minimal_unit_pm,
@@ -206,29 +206,100 @@ class_targets = st.one_of(
 ).filter(lambda m: m != 0)
 
 
+def _unit_of(d: int, x: int, y: int, s: int) -> tuple[int, int]:
+    return (x, y) if s == 1 else (x * x + d * y * y, 2 * x * y)
+
+
 @given(nonsquare_d, class_targets)
 @settings(max_examples=300, deadline=None)
 def test_walks_match_the_stepwise_references(d, m):
-    assert pell._minimal_unit_pm(d) == stepwise_minimal_unit_pm(d)
-    (t, u), neg, [reps] = pell._primitive_class_reps(d, [(m, pell._factor(m))])
-    assert ((t, u), neg) == pell._unit_and_negative(d, *pell._minimal_unit_pm(d))
-    assert reps == list(stepwise_primitive_class_reps(d, m, neg))
-    for x, y in reps:
+    """Each class comes back as its smallest element: the stepwise
+    representative, reduced by stepping through the class one unit at a time."""
+    x, y, s = stepwise_minimal_unit_pm(d)
+    assert pell._minimal_unit_pm(d) == (x, y, s)
+    minimal, [reps] = pell._primitive_class_reps(d, [(m, pell._factor(m))])
+    assert minimal == (x, y, s)
+    t, u = _unit_of(d, x, y, s)
+    assert reps == [stepwise_canonical_in_class(PellSolution(*r), d, t, u)
+                    for r in stepwise_primitive_class_reps(d, m, (x, y) if s == -1 else None)]
+    for rep in reps:
         for k in (-2, -1, 0, 1, 2):
             for sign in (1, -1):
-                start = pell._unit_power(t, u, d, PellSolution(sign * x, sign * y), k)
-                assert (pell._canonical_in_class(start, d, t, u)
-                        == stepwise_canonical_in_class(start, d, t, u))
+                start = pell._unit_power(t, u, d, PellSolution(sign * rep[0], sign * rep[1]), k)
+                assert pell._least_in_class(start, m, d, x, y, s) == rep
+
+
+def _stepwise_product(quotients: list[int]) -> tuple[int, int, int, int]:
+    """(h, h', k, k') of the product of [[a, 1], [1, 0]] over quotients, one at a time."""
+    h, h1, k, k1 = 1, 0, 0, 1
+    for a in quotients:
+        h, h1, k, k1 = a * h + h1, h, a * k + k1, k
+    return h, h1, k, k1
+
+
+@given(nonsquare_d, class_targets)
+@settings(max_examples=200, deadline=None)
+def test_both_sides_of_an_anchor_give_the_class(d, m):
+    """An anchor at position i of the principal period splits it in two.  The
+    walk continued through the quotients from i gives an element A of value
+    (-1)^steps * |m|; through the adjugate of the product before i it gives
+    +-eps^-1 * A.  Brought to value m by eps where needed, either side reduces
+    to the smallest element of the class, the stepwise reference's."""
+    assume(abs(m) > 1)
+    x, y, s = stepwise_minimal_unit_pm(d)
+    t, u = _unit_of(d, x, y, s)
+    root = isqrt(d)
+    principal, where = [root], {}
+    p, q, a = 0, 1, root
+    while True:  # one whole period, every state with its position
+        p = q * a - p
+        q = (d - p * p) // q
+        where[p, q] = len(principal)
+        if q == 1:
+            break
+        a = (root + p) // q
+        principal.append(a)
+    got = []
+    for z in pell._square_roots(d, abs(m), pell._factor(m)):
+        walk, anchor = pell._walk_to_anchor(d, root, z, abs(m))
+        if anchor not in where:
+            continue
+        pos = where[anchor]
+        hw, hw1, kw, kw1 = _stepwise_product(walk)
+
+        def element(c0: int, c1: int) -> PellSolution:
+            b = kw * c0 + kw1 * c1
+            return PellSolution(abs(m) * (hw * c0 + hw1 * c1) - z * b, b)
+
+        h, _, k, _ = _stepwise_product(principal[pos:])
+        after = element(h, k)
+        _, _, k, k1 = _stepwise_product(principal[:pos])
+        before = element(k1, -k)
+        steps = len(walk) + len(principal) - pos
+        assert after.x ** 2 - d * after.y ** 2 == (-1) ** steps * abs(m)
+        shifted = (s * (x * after.x - d * y * after.y), s * (x * after.y - y * after.x))
+        assert before in (shifted, (-shifted[0], -shifted[1]))
+        least = set()
+        for v in (after, before):
+            if v.x ** 2 - d * v.y ** 2 != m:
+                if s == 1:
+                    continue
+                v = PellSolution(x * v.x + d * y * v.y, y * v.x + x * v.y)
+            least.add(pell._least_in_class(v, m, d, x, y, s))
+        if least:
+            assert len(least) == 1
+            got.append(least.pop())
+    assert got == [stepwise_canonical_in_class(PellSolution(*r), d, t, u)
+                   for r in stepwise_primitive_class_reps(d, m, (x, y) if s == -1 else None)]
 
 
 def test_canonical_step_breaks_a_tie_in_y_by_sign():
-    """From (1, 1) for d = 2 the step down keeps |y| = 1 and is refused, while
-    from (-1, -1) the same step reaches (1, -1) and is taken."""
-    assert pell._descend(PellSolution(1, 1), 2, 3, -2) == ((1, 1), (1, 1))
-    assert pell._descend(PellSolution(-1, -1), 2, 3, -2) == ((1, -1), (-1, -1))
+    """For d = 2 the class of norm -1 holds (1, 1) and U^-1 * (1, 1) = (-1, 1)
+    with the same |y|: the tie goes to the positive x, from every start."""
     for start in ((1, 1), (-1, -1), (1, -1), (-1, 1), (7, 5), (-7, 5)):
         sol = PellSolution(*start)
-        assert pell._canonical_in_class(sol, 2, 3, 2) == stepwise_canonical_in_class(sol, 2, 3, 2)
+        least = pell._least_in_class(sol, -1, 2, 1, 1, -1)
+        assert least == stepwise_canonical_in_class(sol, 2, 3, 2) == (1, 1)
 
 
 def test_quotient_product_matches_the_stepwise_convergents():
@@ -257,7 +328,7 @@ def test_square_roots_without_a_solution_close_their_period(n):
     period closes without meeting q = +-1."""
     assert (1 - 10) % 3 == 0
     assert pell._square_roots(10, 3, {3: 1}) == [-1, 1]
-    assert pell._primitive_class_reps(10, [(n, {3: 1})])[2] == [[]]
+    assert pell._primitive_class_reps(10, [(n, {3: 1})])[1] == [[]]
     assert solve_all(10, n).kind == "empty"
 
 
