@@ -390,8 +390,11 @@ def closed_form_determinant(p: FieldParams, structure: StructureId,
 
 # ---- exhaustive oracle ----
 
-# Largest box half-width the oracle accepts.  The scan visits (2 * bound + 1)^3
-# points, about 8 million at this limit, which takes seconds per structure.
+# Largest box half-width the oracle accepts.  The scan visits (2 * bound + 1)^2
+# rows of (beta_3, beta_4), about 40,000 at this limit, and the (2 * bound + 1)
+# points of beta_2 only on the rows the beta_1 factor leaves: a fraction of a
+# second per structure.  A determinant without that factor is scanned at all
+# 8 million points, which takes seconds.
 ORACLE_BOUND_LIMIT = 100
 
 
@@ -438,16 +441,54 @@ def _least_root(slope: int, value: int, target: int, bound: int) -> int | None:
     return min(roots, default=None)
 
 
+def _slope_limit(coeffs: dict[tuple[int, ...], int], target: int) -> int | None:
+    """c * target when q = (c * beta_1 + S) * R over the integers, else None.
+
+    Write q = A * beta_1 + B, c for the content of A and R = A / c.  When R
+    divides B with an integral quotient S, |q| = target at an integer point
+    makes R a divisor of target, so 0 < |A| <= c * target there.  R is
+    divided into B by leading terms in lexicographic order of exponents; the
+    division fails at the first leading term that LT(R) does not divide.
+    """
+    slope = {key[1:]: c for key, c in coeffs.items() if key[0]}
+    if not slope:
+        return None
+    content = gcd(*slope.values())
+    factor = {key: c // content for key, c in slope.items()}
+    lead = max(factor)
+    rest = {key[1:]: c for key, c in coeffs.items() if not key[0]}
+    while rest:
+        top = max(rest)
+        shift = [t - e for t, e in zip(top, lead)]
+        q, r = divmod(rest[top], factor[lead])
+        if r or min(shift) < 0:
+            return None
+        for key, c in factor.items():
+            key = tuple(e + s for e, s in zip(key, shift))
+            rest[key] = rest.get(key, 0) - q * c
+            if not rest[key]:
+                del rest[key]
+    return content * target
+
+
 def _first_point(coeffs: dict[tuple[int, ...], int], bound: int,
                  target: int) -> tuple[int, int, int, int] | None:
     """Lexicographically first beta in [-bound, bound]^4 with |q(beta)| = target.
 
     The quartic q must be linear in beta_1: q = A * beta_1 + B, with A a cubic
     and B a quartic form in (beta_2, beta_3, beta_4).  Their coefficients are
-    expanded for each beta_3, then for each beta_4, and A and B are evaluated
-    in beta_2 by Horner's rule, so the scan takes (2 * bound + 1)^3 steps.  At
-    each point the beta_1 with A * beta_1 + B = +-target is solved for exactly;
-    when A = 0 and |B| = target every beta_1 qualifies and -bound is the first.
+    expanded for each beta_3, then for each row beta_4, and A and B are
+    evaluated in beta_2 by Horner's rule.  At each point the beta_1 with
+    A * beta_1 + B = +-target is solved for exactly; when A = 0 and
+    |B| = target every beta_1 qualifies and -bound is the first.
+
+    On the structures the pipeline builds, q also splits as
+    (c * beta_1 + S) * R with R = A / c (`_slope_limit`); then a point
+    qualifies only where 0 < |A| <= c * target.  Every value of A on a row is
+    a multiple of the gcd of the row's coefficients of A, so a row whose gcd
+    is 0 or exceeds c * target is skipped whole, and on the other rows a
+    point with |A| > c * target is skipped before B is evaluated.  When A = 0
+    or q does not split, no bound applies and every point is visited.
     """
     # lin[e2][e4] and const[e2][e4]: coefficients of beta_2^e2 * beta_3^e3 *
     # beta_4^e4 in A and in B, where e3 makes the degree 3 in A and 4 in B.
@@ -457,6 +498,7 @@ def _first_point(coeffs: dict[tuple[int, ...], int], bound: int,
             raise InternalInconsistencyError(
                 f"determinant polynomial has degree {e1} in beta_1")
         (lin if e1 else const)[e2][e4] = c
+    limit = _slope_limit(coeffs, target)
     span = range(-bound, bound + 1)
     squared = target * target
     best = None
@@ -472,12 +514,18 @@ def _first_point(coeffs: dict[tuple[int, ...], int], bound: int,
             a0 = ((a03 * b4 + a02) * b4 + a01) * b4 + a00
             a1 = (a12 * b4 + a11) * b4 + a10
             a2 = a21 * b4 + a20
+            if limit is not None:
+                row = gcd(a0, a1, a2, a3)
+                if not row or row > limit:
+                    continue
             c0 = (((c04 * b4 + c03) * b4 + c02) * b4 + c01) * b4 + c00
             c1 = ((c13 * b4 + c12) * b4 + c11) * b4 + c10
             c2 = (c22 * b4 + c21) * b4 + c20
             c3 = c31 * b4 + c30
             for b2 in span:
                 slope = ((a3 * b2 + a2) * b2 + a1) * b2 + a0
+                if limit is not None and abs(slope) > limit:
+                    continue
                 value = (((c4 * b2 + c3) * b2 + c2) * b2 + c1) * b2 + c0
                 # slope divides target - value or -target - value only if it
                 # divides their product: one division rules out most points.
@@ -500,6 +548,10 @@ def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
     by an exact scan of the determinant polynomial and confirmed by the matrix
     test.  The polynomial and the target are those of the primitive part of
     the action: its determinants and its index are content^4 times smaller.
+    When the polynomial splits as (c * beta_1 + S) * R with R = A / c, the
+    scan skips each row of (beta_3, beta_4) whose coefficients of A have a
+    gcd of 0 or above c * target, and each point with |A| above it; when
+    it does not split, every point is visited (`_first_point`).
     The bound must lie in [0, ORACLE_BOUND_LIMIT].
     """
     check_oracle_bound(bound)

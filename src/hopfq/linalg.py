@@ -44,10 +44,13 @@ def content_primitive(m) -> tuple[int | Fraction, list[list[int]]]:
     if not any(x for row in m for x in row):
         raise ZeroMatrixError("content/primitive split of a zero matrix")
     scale = lcm(*(x.denominator for row in m for x in row))
-    scaled = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+    if scale == 1:
+        scaled = [[x.numerator for x in row] for row in m]
+    else:
+        scaled = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
     g = gcd(*(v for row in scaled for v in row))
     content = g if scale == 1 else Fraction(g, scale)
-    return content, [[v // g for v in row] for row in scaled]
+    return content, scaled if g == 1 else [[v // g for v in row] for row in scaled]
 
 
 # ---- Hermite normal form ----

@@ -537,6 +537,8 @@ def test_corpus_output_matches_the_golden_file_byte_for_byte():
 GOLDEN_COMMANDS = {
     "cyclic_1_9_5_oracle.json": "cyclic -a 1 -b 9 -c 5 --verify-oracle",
     "biquadratic_-3_-7_oracle.json": "biquadratic -m -3 -n -7 --verify-oracle",
+    "biquadratic_-3_-7_oracle_100.json":
+        "biquadratic -m -3 -n -7 --verify-oracle --oracle-bound 100",
     "pell_106_9_5.json": "pell -D 106 -N 9 -c 5",
     "form_cycle_15_14_-15.json": "form-cycle 15 14 -15",
     "gram_file_power_basis.json":

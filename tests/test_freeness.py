@@ -55,6 +55,7 @@ from hopfq.freeness import (
     _equation_table,
     _factor,
     _quartic_coefficients,
+    _slope_limit,
     _viable_targets,
 )
 from hopfq.hopf import (
@@ -571,6 +572,46 @@ def test_brute_force_when_the_determinant_does_not_involve_beta_1():
     action = zero + identity(4) + zero + zero
     red = reduction_report(action)
     assert brute_force_generator(red, action, 1) == _first_in_box(red, action, 1) == (-1, -1, -1, -1)
+
+
+def test_brute_force_when_the_determinant_has_no_beta_1_factor():
+    # det = (beta_1 * (beta_3 + beta_4) - beta_2^2) * beta_4^2 with index 1:
+    # A = (beta_3 + beta_4) * beta_4^2 does not divide B = -beta_2^2 * beta_4^2,
+    # so no bound applies, and the first point of the box qualifies with
+    # |A| = 2 above content(A) * index = 1.
+    def units(*cells):
+        return [[int((r, t) in cells) for t in range(4)] for r in range(4)]
+
+    blocks = [units((0, 0)), units((0, 1), (1, 0)), units((1, 1)), units((1, 1), (2, 2), (3, 3))]
+    action = [row for block in blocks for row in block]
+    red = reduction_report(action)
+    assert red.index == 1
+    assert _slope_limit(_quartic_coefficients(action), red.index) is None
+    for bound in (1, 2):
+        assert brute_force_generator(red, action, bound) == _first_in_box(red, action, bound)
+    assert brute_force_generator(red, action, 1) == (-1, -1, -1, -1)
+
+
+def test_pipeline_determinants_split_off_a_beta_1_factor():
+    rng = random.Random(23)
+    setups = [_cyclic_setup(p)[2:] for p in rng.sample(CYCLIC_FIELDS, 6)]
+    setups += [_biquad_setup(p, idx)[1:] for p in rng.sample(BIQUAD_FIELDS, 3)
+               for idx in range(3)]
+    action = setups[0][0]
+    # The whole action scaled, and block 1 alone scaled (beta_1 -> 3 * beta_1),
+    # which triples the content of A.
+    for scaled in ([[2 * x for x in row] for row in action],
+                   [[Fraction(x, 2) for x in row] for row in action],
+                   [[3 * x for x in row] for row in action[:4]] + action[4:]):
+        setups.append((scaled, reduction_report(scaled)))
+    found = 0
+    for action, red in setups:
+        _, primitive = content_primitive(action)
+        assert _slope_limit(_quartic_coefficients(primitive), 1) is not None
+        want = _first_in_box(red, action, 3)
+        assert brute_force_generator(red, action, 3) == want
+        found += want is not None
+    assert found >= 3
 
 
 def test_brute_force_returns_the_first_generator_in_the_box():
