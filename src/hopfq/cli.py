@@ -205,6 +205,9 @@ def _run_pell(args: argparse.Namespace) -> int:
 
 def _run_form_cycle(args: argparse.Namespace) -> int:
     form = QuadForm(args.A, args.B, args.C)
+    if form.disc > SQUAREFREE_LIMIT:  # the cycle has about sqrt(disc) forms
+        raise ValidationError(
+            f"form-cycle takes a discriminant <= {SQUAREFREE_LIMIT}, got {form.disc}")
     reduced = reduce_form(form)
     cycle = form_cycle(reduced)
     doc = {
@@ -230,8 +233,15 @@ def _parse_beta(text: str) -> tuple[int, int, int, int]:
     return (b1, b2, b3, b4)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _run_gram_file(args: argparse.Namespace) -> int:
-    text = Path(args.gram).read_text(encoding="utf-8")
+    text = _read_text(args.gram)
     gram = parse_gram_text(text)
     action = action_matrix(gram)
     report = reduction_report(action)
@@ -291,7 +301,7 @@ def _run_corpus(args: argparse.Namespace) -> int:
     # is rejected the same way, before any line is read.
     if args.verify_oracle:
         check_oracle_bound(args.oracle_bound)
-    text = Path(args.path).read_text(encoding="utf-8")
+    text = _read_text(args.path)
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -392,9 +392,8 @@ def closed_form_determinant(p: FieldParams, structure: StructureId,
 
 # Largest box half-width the oracle accepts.  The scan visits (2 * bound + 1)^2
 # rows of (beta_3, beta_4), about 40,000 at this limit, and the (2 * bound + 1)
-# points of beta_2 only on the rows the beta_1 factor leaves: a fraction of a
-# second per structure.  A determinant without that factor is scanned at all
-# 8 million points, which takes seconds.
+# points of beta_2 only on the rows where the factor R of the determinant can
+# divide the target: a fraction of a second per structure.
 ORACLE_BOUND_LIMIT = 100
 
 
@@ -432,111 +431,85 @@ def _quartic_coefficients(action: Sequence[Sequence[int]]) -> dict[tuple[int, ..
     return {tuple(key // 5**i % 5 for i in range(4)): c for key, c in coeffs.items() if c}
 
 
-def _least_root(slope: int, value: int, target: int, bound: int) -> int | None:
-    """Least b1 in [-bound, bound] with slope * b1 + value = +-target, if any."""
-    if not slope:
-        return -bound if abs(value) == target else None
-    roots = [q for q, r in (divmod(t - value, slope) for t in (target, -target))
-             if not r and -bound <= q <= bound]
-    return min(roots, default=None)
+def _split(coeffs: dict[tuple[int, ...], int]
+           ) -> tuple[int, dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """(c, R, S) with q = (c * beta_1 + S) * R over the integers.
 
-
-def _slope_limit(coeffs: dict[tuple[int, ...], int], target: int) -> int | None:
-    """c * target when q = (c * beta_1 + S) * R over the integers, else None.
-
-    Write q = A * beta_1 + B, c for the content of A and R = A / c.  When R
-    divides B with an integral quotient S, |q| = target at an integer point
-    makes R a divisor of target, so 0 < |A| <= c * target there.  R is
-    divided into B by leading terms in lexicographic order of exponents; the
-    division fails at the first leading term that LT(R) does not divide.
+    Write q = A * beta_1 + B, c for the content of A and R = A / c: R is a
+    cubic and S a linear form in (beta_2, beta_3, beta_4), keyed by their
+    exponents.  R is divided into B by leading terms in lexicographic order of
+    exponents; the division fails at the first leading term that LT(R) does
+    not divide.  Every determinant the pipeline builds splits so: each closed
+    form (`closed_form_determinant`) has one factor in beta_1, a linear one.
     """
+    degree = max(key[0] for key in coeffs)
+    if degree != 1:
+        raise InternalInconsistencyError(
+            f"determinant polynomial has degree {degree} in beta_1" if degree
+            else "determinant polynomial does not involve beta_1")
     slope = {key[1:]: c for key, c in coeffs.items() if key[0]}
-    if not slope:
-        return None
     content = gcd(*slope.values())
     factor = {key: c // content for key, c in slope.items()}
     lead = max(factor)
     rest = {key[1:]: c for key, c in coeffs.items() if not key[0]}
+    linear = {}
     while rest:
         top = max(rest)
-        shift = [t - e for t, e in zip(top, lead)]
+        shift = tuple(t - e for t, e in zip(top, lead))
         q, r = divmod(rest[top], factor[lead])
         if r or min(shift) < 0:
-            return None
+            raise InternalInconsistencyError(
+                "determinant polynomial does not split off a factor linear in beta_1")
+        linear[shift] = q
         for key, c in factor.items():
             key = tuple(e + s for e, s in zip(key, shift))
             rest[key] = rest.get(key, 0) - q * c
             if not rest[key]:
                 del rest[key]
-    return content * target
+    return content, factor, linear
 
 
-def _first_point(coeffs: dict[tuple[int, ...], int], bound: int,
+def _first_point(content: int, factor: dict[tuple[int, ...], int],
+                 linear: dict[tuple[int, ...], int], bound: int,
                  target: int) -> tuple[int, int, int, int] | None:
     """Lexicographically first beta in [-bound, bound]^4 with |q(beta)| = target.
 
-    The quartic q must be linear in beta_1: q = A * beta_1 + B, with A a cubic
-    and B a quartic form in (beta_2, beta_3, beta_4).  Their coefficients are
-    expanded for each beta_3, then for each row beta_4, and A and B are
-    evaluated in beta_2 by Horner's rule.  At each point the beta_1 with
-    A * beta_1 + B = +-target is solved for exactly; when A = 0 and
-    |B| = target every beta_1 qualifies and -bound is the first.
-
-    On the structures the pipeline builds, q also splits as
-    (c * beta_1 + S) * R with R = A / c (`_slope_limit`); then a point
-    qualifies only where 0 < |A| <= c * target.  Every value of A on a row is
-    a multiple of the gcd of the row's coefficients of A, so a row whose gcd
-    is 0 or exceeds c * target is skipped whole, and on the other rows a
-    point with |A| > c * target is skipped before B is evaluated.  When A = 0
-    or q does not split, no bound applies and every point is visited.
+    q = (c * beta_1 + S) * R as `_split` returns it.  At an integer point
+    with |q| = target, R divides target and c * beta_1 + S = +-target / R,
+    which gives beta_1 directly.  R's coefficients are expanded for each
+    beta_3, then for each row beta_4, and R is evaluated in beta_2 by Horner's
+    rule.  Every value of R on a row is a multiple of the gcd of the row's
+    coefficients, so a row whose gcd does not divide target is skipped whole.
     """
-    # lin[e2][e4] and const[e2][e4]: coefficients of beta_2^e2 * beta_3^e3 *
-    # beta_4^e4 in A and in B, where e3 makes the degree 3 in A and 4 in B.
-    const, lin = ([[0] * (5 - e1 - e2) for e2 in range(5 - e1)] for e1 in range(2))
-    for (e1, e2, _, e4), c in coeffs.items():
-        if e1 > 1:
-            raise InternalInconsistencyError(
-                f"determinant polynomial has degree {e1} in beta_1")
-        (lin if e1 else const)[e2][e4] = c
-    limit = _slope_limit(coeffs, target)
+    # forms[e2][e4]: coefficient of beta_2^e2 * beta_3^(3 - e2 - e4) * beta_4^e4 in R.
+    forms = [[0] * (4 - e2) for e2 in range(4)]
+    for (e2, _, e4), r in factor.items():
+        forms[e2][e4] = r
+    s2, s3, s4 = (linear.get(key, 0) for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     span = range(-bound, bound + 1)
-    squared = target * target
     best = None
     for b3 in span:
-        powers = (1, b3, b3 * b3, b3**3, b3**4)
+        powers = (1, b3, b3 * b3, b3**3)
         # Coefficients of beta_2^e2 * beta_4^j once beta_3 is fixed.
-        ((a00, a01, a02, a03), (a10, a11, a12), (a20, a21), (a3,),
-         (c00, c01, c02, c03, c04), (c10, c11, c12, c13), (c20, c21, c22), (c30, c31),
-         (c4,)) = ([c * powers[len(form) - 1 - j] for j, c in enumerate(form)]
-                   for form in lin + const)
+        (r00, r01, r02, r03), (r10, r11, r12), (r20, r21), (r3,) = (
+            [r * powers[len(form) - 1 - j] for j, r in enumerate(form)] for form in forms)
         for b4 in span:
             # Coefficients of beta_2^e2 once beta_4 is fixed as well.
-            a0 = ((a03 * b4 + a02) * b4 + a01) * b4 + a00
-            a1 = (a12 * b4 + a11) * b4 + a10
-            a2 = a21 * b4 + a20
-            if limit is not None:
-                row = gcd(a0, a1, a2, a3)
-                if not row or row > limit:
-                    continue
-            c0 = (((c04 * b4 + c03) * b4 + c02) * b4 + c01) * b4 + c00
-            c1 = ((c13 * b4 + c12) * b4 + c11) * b4 + c10
-            c2 = (c22 * b4 + c21) * b4 + c20
-            c3 = c31 * b4 + c30
+            r0 = ((r03 * b4 + r02) * b4 + r01) * b4 + r00
+            r1 = (r12 * b4 + r11) * b4 + r10
+            r2 = r21 * b4 + r20
+            row = gcd(r0, r1, r2, r3)
+            if not row or target % row:
+                continue
+            s_row = s3 * b3 + s4 * b4
             for b2 in span:
-                slope = ((a3 * b2 + a2) * b2 + a1) * b2 + a0
-                if limit is not None and abs(slope) > limit:
+                value = ((r3 * b2 + r2) * b2 + r1) * b2 + r0
+                if not value or target % value:
                     continue
-                value = (((c4 * b2 + c3) * b2 + c2) * b2 + c1) * b2 + c0
-                # slope divides target - value or -target - value only if it
-                # divides their product: one division rules out most points.
-                if slope:
-                    if (value * value - squared) % slope:
-                        continue
-                elif value * value != squared:
-                    continue
-                b1 = _least_root(slope, value, target, bound)
-                if b1 is not None and (best is None or (b1, b2, b3, b4) < best):
-                    best = (b1, b2, b3, b4)
+                for t in (target // value, -target // value):
+                    b1, r = divmod(t - s2 * b2 - s_row, content)
+                    if not r and -bound <= b1 <= bound and (best is None or (b1, b2, b3, b4) < best):
+                        best = (b1, b2, b3, b4)
     return best
 
 
@@ -548,10 +521,10 @@ def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
     by an exact scan of the determinant polynomial and confirmed by the matrix
     test.  The polynomial and the target are those of the primitive part of
     the action: its determinants and its index are content^4 times smaller.
-    When the polynomial splits as (c * beta_1 + S) * R with R = A / c, the
-    scan skips each row of (beta_3, beta_4) whose coefficients of A have a
-    gcd of 0 or above c * target, and each point with |A| above it; when
-    it does not split, every point is visited (`_first_point`).
+    The polynomial must split as (c * beta_1 + S) * R (`_split`), as every
+    determinant the pipeline builds does; any other raises
+    InternalInconsistencyError.  The scan then visits only the rows of
+    (beta_3, beta_4) on which R can divide the target (`_first_point`).
     The bound must lie in [0, ORACLE_BOUND_LIMIT].
     """
     check_oracle_bound(bound)
@@ -560,11 +533,11 @@ def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
     if not coeffs:
         return None
     common = gcd(*coeffs.values())
+    split = _split({key: c // common for key, c in coeffs.items()})
     target = report.index // content**4
     if target % common:
         return None
-    coeffs = {key: c // common for key, c in coeffs.items()}
-    beta = _first_point(coeffs, bound, target // common)
+    beta = _first_point(*split, bound, target // common)
     if beta is not None and not test_generator(report, action, beta):
         raise InternalInconsistencyError(
             f"polynomial and matrix determinants disagree at {beta}")

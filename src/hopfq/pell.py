@@ -534,28 +534,20 @@ def divisible_solutions(d: int, b: int, c: int) -> Iterator[PellSolution]:
 def _divisible_solutions_from(scs: SolutionClassSet, d: int, b: int,
                               c: int) -> Iterator[PellSolution]:
     """divisible_solutions over the already solved classes scs of x^2 - d*y^2 = b."""
-    if scs.kind == "empty":
-        return
     bb = abs(b)
     cb = c % bb
     seen: set[PellSolution] = set()
-    if scs.kind == "finite":
-        for s in sorted(scs.solutions, key=_size_key):
-            v = _normalize_sign(s)
-            if v not in seen and (v.x - cb * v.y) % bb == 0:
-                seen.add(v)
-                yield v
-        return
-
     # Solutions come by unit power k (nearest to 0 modulo each class's period,
-    # k before -k), then by class.  The k = 0 ones, the representatives, need
-    # no walk: they come first, before any period is walked.
+    # k before -k), then by class.  The k = 0 ones, the representatives (all
+    # of the solutions of a finite set), need no walk: they come first, before
+    # any period is walked.
     for rep in scs.solutions:
-        if (rep.x - cb * rep.y) % bb == 0:
-            v = _normalize_sign(rep)
-            if v not in seen:
-                seen.add(v)
-                yield v
+        v = _normalize_sign(rep)
+        if v not in seen and (v.x - cb * v.y) % bb == 0:
+            seen.add(v)
+            yield v
+    if scs.kind != "indefinite":
+        return
     t, u = scs.unit
     # The walk only needs residues, so the unit's coefficients are reduced once.
     tb, ub, dub = t % bb, u % bb, d * u % bb
@@ -570,10 +562,9 @@ def _divisible_solutions_from(scs: SolutionClassSet, d: int, b: int,
                 ks.append(k)
             x, y = (tb * x + dub * y) % bb, (ub * x + tb * y) % bb
             k += 1
-        period = k
-        for k0 in ks:
-            kk = k0 if k0 <= period - k0 else k0 - period
-            found.append(((abs(kk), 0 if kk >= 0 else 1, idx), idx, kk))
+        # k is now the period; a power past its half is nearer to 0 below it.
+        for kk in (k0 if 2 * k0 <= k else k0 - k for k0 in ks):
+            found.append(((abs(kk), kk < 0, idx), idx, kk))
     for _, idx, kk in sorted(found):
         v = _normalize_sign(_unit_power(t, u, d, scs.solutions[idx], kk))
         if v not in seen:

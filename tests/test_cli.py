@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from hopfq import cli, pell
 from hopfq.cli import decode_number, encode_number
 from hopfq.errors import ValidationError
+from hopfq.fields import SQUAREFREE_LIMIT
 from hopfq.freeness import ORACLE_BOUND_LIMIT
 from hopfq.hopf import action_matrix, parse_gram_text, reduction_report
 
@@ -271,6 +272,32 @@ def test_form_cycle_bad_discriminant_exits_2():
     assert doc["error"]["type"] == "BadDiscriminantError"
 
 
+@pytest.mark.parametrize("form", [(1, 1, -10000000000000000000003),  # about 10^11 forms
+                                  (1, 0, -250000000001)])  # discriminant 10^12 + 4
+def test_form_cycle_beyond_the_limit_exits_2_at_once(form):
+    """The cycle of a discriminant D has about sqrt(D) forms, so D is bounded
+    like the pell inputs."""
+    start = time.perf_counter()
+    code, doc = invoke_json(["form-cycle", *map(str, form)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["type"] == "ValidationError"
+    assert str(SQUAREFREE_LIMIT) in doc["error"]["message"]
+
+
+def test_form_cycle_near_the_limit_is_accepted():
+    # x^2 - (k^2 + 1) y^2 with k = 499999: sqrt(k^2 + 1) = [k; 2k], one form.
+    code, doc = invoke_json(["form-cycle", "1", "0", str(-(499999**2 + 1))])
+    assert code == 0
+    assert doc["discriminant"] == 999996000008
+    assert doc["cycle"] == [[1, 999998, -1]]
+
+
+def _not_utf8(path: Path) -> Path:
+    path.write_bytes(b"cyclic 1 9 5\n\xff\n")
+    return path
+
+
 # ---- gram-file command ----
 
 def test_gram_file_power_basis():
@@ -323,6 +350,14 @@ def test_gram_file_bad_beta_exits_2():
 def test_gram_file_missing_file_exits_2(tmp_path):
     code, doc = invoke_json(["gram-file", "--gram", str(tmp_path / "absent.txt")])
     assert code == 2
+
+
+def test_gram_file_not_utf8_exits_2(tmp_path):
+    path = _not_utf8(tmp_path / "gram.txt")
+    code, doc = invoke_json(["gram-file", "--gram", str(path)])
+    assert code == 2
+    assert doc["error"]["type"] == "ValidationError"
+    assert "not UTF-8" in doc["error"]["message"]
 
 
 def test_gram_file_malformed_exits_2(tmp_path):
@@ -388,6 +423,14 @@ def test_corpus_rejects_a_bad_oracle_bound_once_before_any_line(monkeypatch, tmp
     assert code == 2
     assert doc["error"]["type"] == "ValidationError"
     assert doc["error"]["exit_code"] == 2
+
+
+def test_corpus_not_utf8_exits_2_with_one_error_document(tmp_path):
+    path = _not_utf8(tmp_path / "corpus.txt")
+    code, doc = invoke_json(["corpus", str(path)])
+    assert code == 2
+    assert doc["error"]["type"] == "ValidationError"
+    assert "not UTF-8" in doc["error"]["message"]
 
 
 def test_verify_oracle_runs_without_numpy():
@@ -558,18 +601,22 @@ def test_command_output_matches_its_golden_file_byte_for_byte(name, monkeypatch)
     assert text.encode("utf-8") == (DATA_DIR / "golden_commands" / name).read_bytes()
 
 
-# Commands whose output runs to megabytes, pinned by the SHA-256 of their
-# output: each file in tests/data/golden_commands holds one `sha256sum` line
-# for standard input, so CI checks it with `hopfq ... | sha256sum -c FILE`.
+# Commands whose output runs to megabytes, run from the repository root and
+# pinned by the SHA-256 of their output: each file in tests/data/golden_commands
+# holds one `sha256sum` line for standard input, so CI checks it with
+# `hopfq ... | sha256sum -c FILE`.  oracle_space.txt holds the 3,163 valid
+# fields the oracle-verify benchmark samples from.
 GOLDEN_DIGESTS = {
     "cyclic_1_56724_79619.sha256": "cyclic -a 1 -b 56724 -c 79619",
     "cyclic_1_602827_647340.sha256": "cyclic -a 1 -b 602827 -c 647340",
+    "oracle_space_corpus.sha256": "corpus tests/data/oracle_space.txt --verify-oracle",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
-def test_command_output_matches_its_pinned_digest(name):
+def test_command_output_matches_its_pinned_digest(name, monkeypatch):
     """A difference is a change of output; mend the code, never the file."""
+    monkeypatch.chdir(REPO_ROOT)
     code, text = invoke(GOLDEN_DIGESTS[name].split())
     assert code == 0
     want = (DATA_DIR / "golden_commands" / name).read_text(encoding="utf-8").split()[0]

@@ -55,7 +55,7 @@ from hopfq.freeness import (
     _equation_table,
     _factor,
     _quartic_coefficients,
-    _slope_limit,
+    _split,
     _viable_targets,
 )
 from hopfq.hopf import (
@@ -567,18 +567,21 @@ def _first_in_box(red, action, bound):
 
 def test_brute_force_when_the_determinant_does_not_involve_beta_1():
     # block_2 is the identity and the other blocks vanish, so the determinant
-    # is beta_2^4: every beta_1 qualifies wherever beta_2 = +-1.
+    # is beta_2^4: every beta_1 qualifies wherever beta_2 = +-1, but no
+    # determinant the pipeline builds looks like this, and the oracle says so.
     zero = [[0] * 4 for _ in range(4)]
     action = zero + identity(4) + zero + zero
     red = reduction_report(action)
-    assert brute_force_generator(red, action, 1) == _first_in_box(red, action, 1) == (-1, -1, -1, -1)
+    assert _first_in_box(red, action, 1) == (-1, -1, -1, -1)
+    with pytest.raises(InternalInconsistencyError, match="does not involve beta_1"):
+        brute_force_generator(red, action, 1)
 
 
 def test_brute_force_when_the_determinant_has_no_beta_1_factor():
     # det = (beta_1 * (beta_3 + beta_4) - beta_2^2) * beta_4^2 with index 1:
     # A = (beta_3 + beta_4) * beta_4^2 does not divide B = -beta_2^2 * beta_4^2,
-    # so no bound applies, and the first point of the box qualifies with
-    # |A| = 2 above content(A) * index = 1.
+    # so the determinant has no factor linear in beta_1, though the first
+    # point of the box passes the determinant test.
     def units(*cells):
         return [[int((r, t) in cells) for t in range(4)] for r in range(4)]
 
@@ -586,10 +589,32 @@ def test_brute_force_when_the_determinant_has_no_beta_1_factor():
     action = [row for block in blocks for row in block]
     red = reduction_report(action)
     assert red.index == 1
-    assert _slope_limit(_quartic_coefficients(action), red.index) is None
-    for bound in (1, 2):
-        assert brute_force_generator(red, action, bound) == _first_in_box(red, action, bound)
-    assert brute_force_generator(red, action, 1) == (-1, -1, -1, -1)
+    assert _first_in_box(red, action, 1) == (-1, -1, -1, -1)
+    assert _first_in_box(red, action, 2) == (-2, -1, -2, 1)
+    with pytest.raises(InternalInconsistencyError, match="does not split"):
+        _split(_quartic_coefficients(action))
+    with pytest.raises(InternalInconsistencyError, match="does not split"):
+        brute_force_generator(red, action, 1)
+
+
+def test_split_divides_exactly_or_raises():
+    # q = (2 * beta_1 + beta_2 - beta_4) * (3 * beta_2^3 + beta_3^2 * beta_4), keys
+    # as exponents of (beta_1, ..., beta_4).
+    q = {(1, 3, 0, 0): 6, (1, 0, 2, 1): 2, (0, 4, 0, 0): 3, (0, 1, 2, 1): 1,
+         (0, 3, 0, 1): -3, (0, 0, 2, 2): -1}
+    assert _split(q) == (2, {(3, 0, 0): 3, (0, 2, 1): 1}, {(1, 0, 0): 1, (0, 0, 1): -1})
+    # beta_2^4 is not a multiple of 3 * beta_2^3 over the integers.
+    with pytest.raises(InternalInconsistencyError, match="does not split"):
+        _split({(1, 3, 0, 0): 6, (1, 0, 2, 1): 2, (0, 4, 0, 0): 1})
+
+
+def _expand_split(content, factor, linear):
+    """Monomial coefficients of (content * beta_1 + S) * R, keyed as q's."""
+    coeffs = {(1, *key): content * r for key, r in factor.items()}
+    for (s_key, s), (r_key, r) in itertools.product(linear.items(), factor.items()):
+        key = (0, *(a + b for a, b in zip(s_key, r_key)))
+        coeffs[key] = coeffs.get(key, 0) + s * r
+    return {key: c for key, c in coeffs.items() if c}
 
 
 def test_pipeline_determinants_split_off_a_beta_1_factor():
@@ -607,7 +632,8 @@ def test_pipeline_determinants_split_off_a_beta_1_factor():
     found = 0
     for action, red in setups:
         _, primitive = content_primitive(action)
-        assert _slope_limit(_quartic_coefficients(primitive), 1) is not None
+        coeffs = _quartic_coefficients(primitive)
+        assert _expand_split(*_split(coeffs)) == coeffs
         want = _first_in_box(red, action, 3)
         assert brute_force_generator(red, action, 3) == want
         found += want is not None

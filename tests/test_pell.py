@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from math import isqrt, prod
 
@@ -378,6 +379,20 @@ def test_divisible_solutions_are_valid_and_normalized():
         assert x * x - 106 * y * y == 9
         assert (x - 5 * y) % 9 == 0
         assert y > 0 or (y == 0 and x > 0)
+
+
+def test_divisible_solutions_of_a_finite_set_are_each_listed_once():
+    # x^2 + y^2 = 25: (0, 5) and (0, -5) normalize to the same witness.
+    assert list(divisible_solutions(-1, 25, 0)) == [(0, 5)]
+    assert list(divisible_solutions(-1, 25, 7)) == [(-4, 3), (3, 4)]
+    assert list(divisible_solutions(-2, 9, 1)) == []
+
+
+def test_divisible_solutions_take_the_positive_power_at_half_a_period():
+    # The divisible power sits at exactly half the class's period modulo b,
+    # where k and -k give different solutions; k comes first.
+    assert list(divisible_solutions(2, -16, 3)) == [(28, 20)]
+    assert list(itertools.islice(divisible_solutions(2, -36, 1), 2)) == [(6, 6), (246, 174)]
 
 
 @given(
