@@ -14,6 +14,7 @@ level is taken from the ``HOPFQ_LOG`` environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -235,7 +236,7 @@ def _parse_beta(text: str) -> tuple[int, int, int, int]:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -315,7 +316,9 @@ def _run_corpus(args: argparse.Namespace) -> int:
 
 # ---- argument parsing ----
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="hopfq",
         description="Freeness of rings of integers over associated orders "

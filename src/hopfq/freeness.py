@@ -4,10 +4,11 @@ For each non-classical structure of a quartic field this module decides
 whether the ring of integers is a free module over the associated order.
 Every structure reduces to one question, the solvability of a generalized
 Pell equation: x^2 - d*y^2 = t with t | x - s*y for the cyclic structure,
-x^2 + a*y^2 = +-t for the three biquadratic ones.  Each family supplies a
-prescreen verdict, a witness solution and its generator formula, and one
-routine, `_decide`, turns them into a decision; every generator is
-re-verified through the determinant test before it is reported.  Fast
+x^2 + a*y^2 = +-t for the three biquadratic ones.  A decision is prescreen,
+then class representatives, then formula, then determinant test: each family
+supplies a prescreen verdict, a witness (the first class representative that
+qualifies) and the paper's generator formula in it, and one routine,
+`_decide`, verifies the one generator before it is reported.  Fast
 prescreens settle many inputs without touching the Pell machinery, and an
 exhaustive box-scan oracle provides an independent check for tests.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
 from .fields import (
@@ -46,7 +47,7 @@ from .hopf import (
     test_generator,
 )
 from .linalg import content_primitive
-from .pell import SolutionClassSet, _divisible_solutions_from, _factor, jacobi, solve_all
+from .pell import SolutionClassSet, _factor, jacobi, solve_all
 
 FieldParams = CyclicQuarticParams | BiquadraticParams
 
@@ -92,32 +93,18 @@ class FreenessReport:
     method: str
 
 
-# ---- small arithmetic helpers ----
-
-def _exact_div(num: int, den: int) -> int:
-    if num % den:
-        raise _NotDivisible(num, den)
-    return num // den
-
-
-class _NotDivisible(Exception):
-    pass
-
-
 # ---- the decision every structure shares ----
-
-_SIGN_VARIANTS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
-
 
 def _decide(structure: StructureId, action: Sequence[Sequence[int]], reduction: ReductionReport,
             verdict: PrescreenVerdict, witness: tuple[int, int, int] | None,
-            candidates: Callable[[int, int], Iterator[tuple[int, ...]]]) -> FreenessReport:
+            formula: Callable[[int, int], tuple[int, int, int, int]]) -> FreenessReport:
     """Decide one structure from its prescreen verdict and norm-equation witness.
 
     `witness` is (x, y, target), a solution of the structure's norm equation
-    (with its side condition), or None when there is none; `candidates(x, y)`
-    yields the generator formula over sign variants.  The first candidate that
-    passes the determinant test is the generator.
+    (with its side condition), or None when there is none.  The generator
+    `formula(x, y)` is verified once: at it each closed form
+    (`closed_form_determinant`) is a constant times (x^2 - D*y^2)/target
+    whatever the signs of x and y, so no sign variant verifies where it fails.
     """
     index = reduction.index
     if verdict.outcome == NOT_FREE:
@@ -129,11 +116,10 @@ def _decide(structure: StructureId, action: Sequence[Sequence[int]], reduction: 
                 f"prescreen says free but the norm equation of {structure} has no solution")
         return FreenessReport(structure, NOT_FREE, None, None, None, index, "pell_criterion")
     x, y, target = witness
-    beta = next((beta for beta in candidates(x, y)
-                 if test_generator(reduction, action, beta)), None)
-    if beta is None:
+    beta = formula(x, y)
+    if not test_generator(reduction, action, beta):
         raise InternalInconsistencyError(
-            f"no sign variant of the formula verifies for {structure}, witness {(x, y)}")
+            f"the generator formula does not verify for {structure}, witness {(x, y)}")
     method = f"prescreen:{verdict.reason}" if verdict.outcome == FREE else "pell_criterion"
     return FreenessReport(structure, FREE, (x, y), target, beta, index, method)
 
@@ -176,24 +162,21 @@ def _cyclic_prescreen(p: CyclicQuarticParams,
     return UNDECIDED, classes
 
 
-def _cyclic_candidates(case: int, target: int, cross: int,
-                       x: int, y: int) -> Iterator[tuple[int, int, int, int]]:
-    """Generator candidates for a cyclic solution, over sign variants."""
-    for sx, sy in _SIGN_VARIANTS:
-        u, v = sx * x, sy * y
-        if (u - cross * v) % target:
-            continue
-        q = (u - cross * v) // target
-        if case == 1:
-            yield (1, 1, q, v)
-        elif case <= 3:
-            yield (0, 1, q, v)
-        elif (v - q + 1) % 2 == 0:
-            half = (v - q + 1) // 2
-            if case == 4:
-                yield (-(v + (v % 2)) // 2, half, q, v)
-            else:
-                yield (-(v + (v % 2)) // 2 + half, -half, v, q)
+def _cyclic_generator(case: int, target: int, cross: int,
+                      x: int, y: int) -> tuple[int, int, int, int]:
+    """The generator for x^2 - d*y^2 = target with target | x - cross*y.
+
+    In cases 4-5 the target c is odd and b even, so d = 1 mod 4, exactly one
+    of x, y is odd, q = x mod 2, and y - q is odd."""
+    q = (x - cross * y) // target
+    if case == 1:
+        return (1, 1, q, y)
+    if case <= 3:
+        return (0, 1, q, y)
+    half = (y - q + 1) // 2
+    if case == 4:
+        return (-(y + y % 2) // 2, half, q, y)
+    return (-(y + y % 2) // 2 + half, -half, y, q)
 
 
 def decide_cyclic(p: CyclicQuarticParams) -> FreenessReport:
@@ -267,39 +250,27 @@ def _small_radicand_rule(a: int) -> PrescreenVerdict:
     return UNDECIDED
 
 
-def _biquad_candidates(kind: str, idx: int, p: BiquadraticParams,
-                       x: int, y: int) -> Iterator[tuple[int, int, int, int]]:
-    """Generator candidates for one biquadratic solution, over sign variants."""
+def _biquad_generator(kind: str, idx: int, p: BiquadraticParams,
+                      x: int, y: int) -> tuple[int, int, int, int]:
+    """The generator for one solution of the structure's equation x^2 + a*y^2 = +-target."""
     m, n, k, d = p.m, p.n, p.k, p.d
     nd = n // d
-    for sx, sy in _SIGN_VARIANTS:
-        u, v = sx * x, sy * y
-        try:
-            if kind == "first":
-                if idx == 0:
-                    yield (1, 1, _exact_div(u - d * v, 2 * d), v)
-                elif idx == 1:
-                    yield (1, _exact_div(u, 2 * d), _exact_div(1 - v, 2), v)
-                else:
-                    yield (1, _exact_div(v, 2), _exact_div(u * d - n, 2 * n), 1)
-            elif kind == "second":
-                yield (1, -1, _exact_div(u - d * v, 2 * d), v)
-            elif idx == 0:
-                b3 = _exact_div(u - m * v, 2 * d)
-                eps = b3 % 2
-                yield ((-b3 - eps) // 2, _exact_div(1 - v, 2), b3, v)
-            elif idx == 1:
-                t = _exact_div(m * v - u, d)
-                eps = t % 4
-                yield ((t - eps) // 4, _exact_div(u - v * d, 2 * d),
-                       _exact_div(d - m * v, 2 * d), v)
-            else:
-                t = _exact_div(k - u, nd) - v
-                eps = (t % 4) - 2
-                yield ((t + eps) // 4, _exact_div(v - 1, 2),
-                       _exact_div(u - k, 2 * nd), 1)
-        except _NotDivisible:
-            continue
+    if kind == "first":
+        if idx == 0:
+            return (1, 1, (x - d * y) // (2 * d), y)
+        if idx == 1:
+            return (1, x // (2 * d), (1 - y) // 2, y)
+        return (1, y // 2, (x * d - n) // (2 * n), 1)
+    if kind == "second":
+        return (1, -1, (x - d * y) // (2 * d), y)
+    if idx == 0:
+        b3 = (x - m * y) // (2 * d)
+        return ((-b3 - b3 % 2) // 2, (1 - y) // 2, b3, y)
+    if idx == 1:
+        t = (m * y - x) // d
+        return ((t - t % 4) // 4, (x - y * d) // (2 * d), (d - m * y) // (2 * d), y)
+    t = (k - x) // nd - y
+    return ((t + t % 4 - 2) // 4, (y - 1) // 2, (x - k) // (2 * nd), 1)
 
 
 def _biquadratic_witness(equation: tuple[int, int] | None) -> tuple[int, int, int] | None:
@@ -325,9 +296,9 @@ def decide_biquadratic(
 
     Each structure has a norm-form equation x^2 + a*y^2 = +-target; any
     solution yields a generator through the per-type formula (all required
-    divisibilities hold automatically and are still asserted).  Second-type
-    structures two and three are never free: their generator determinants
-    are multiples of four while the index is two.
+    divisibilities hold automatically; the determinant test checks the
+    result).  Second-type structures two and three are never free: their
+    generator determinants are multiples of four while the index is two.
     """
     return tuple(entry.report for entry in _analyse(p).structures)
 
@@ -589,16 +560,20 @@ def _analyse(p: FieldParams) -> FieldSummary:
         # One solution of the norm equation serves the prescreen and the decision.
         target, cross = _cyclic_equation(p, case)
         pre, classes = _cyclic_prescreen(p, target)
+        # Divisibility is the same on a whole class {+-U^k * v}: with
+        # d = cross^2 mod target, x' - cross*y' = (T - cross*U)(x - cross*y) for
+        # the unit (T, U), and (T - cross*U)(T + cross*U) = T^2 - d*U^2 = 1.  So
+        # the class representatives decide, and no unit power is walked.
         hit = None if classes is None else next(
-            _divisible_solutions_from(classes, p.d, target, cross), None)
+            (v for v in classes.solutions if (v.x - cross * v.y) % target == 0), None)
         plans = [(pre, None if hit is None else (hit.x, hit.y, target),
-                  partial(_cyclic_candidates, case, target, cross))]
+                  partial(_cyclic_generator, case, target, cross))]
     else:
         kind = classify_biquadratic_type(p)
         family, classification, origins = "biquadratic", kind, p.origins
         descriptor = integral_basis_biquadratic(p)
         plans = [(pre, None if pre.outcome == NOT_FREE else _biquadratic_witness(equation),
-                  partial(_biquad_candidates, kind, idx, p))
+                  partial(_biquad_generator, kind, idx, p))
                  for idx, (pre, equation)
                  in enumerate(zip(prescreen_biquadratic(p), _equation_table(p, kind)))]
     inverse = invert_descriptor(descriptor)

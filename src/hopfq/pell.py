@@ -3,8 +3,8 @@
 Solves x^2 - D*y^2 = N exactly over the integers for any nonzero D, N:
 finitely many solutions when D < 0 or D is a perfect square, otherwise
 finitely many solution classes closed under multiplication by the fundamental
-unit.  Also provides the divisibility-constrained search used by the freeness
-criteria, reduction cycles of indefinite forms, and the Jacobi symbol.
+unit.  Also provides the divisibility-constrained search behind
+`hopfq pell -c`, reduction cycles of indefinite forms, and the Jacobi symbol.
 
 The class search follows K. Matthews, "The Diophantine equation
 x^2 - Dy^2 = N, D > 0", Expo. Math. 18, 2000, with the square roots of D
@@ -520,11 +520,14 @@ def _normalize_sign(s: PellSolution) -> PellSolution:
 
 
 def divisible_solutions(d: int, b: int, c: int) -> Iterator[PellSolution]:
-    """Solutions of x^2 - d*y^2 = b with b | x - c*y, smallest first.
+    """Solutions of x^2 - d*y^2 = b with b | x - c*y.
 
+    First the representatives that qualify, in the order of `solve_all`; then
+    U^k * rep for each qualifying power k of the unit modulo its class's
+    period, taken in (-period/2, period/2]: by |k|, k > 0 first, then by
+    class.  At half a period U^k * rep is listed and U^-k * rep is not.
     Witnesses are sign-normalized to y >= 0 (x > 0 when y = 0); the search is
-    complete because the divisibility pattern along each solution class is
-    periodic modulo b.
+    complete because divisibility along each class is periodic modulo b.
     """
     if b == 0:
         raise ValidationError("divisor target must be nonzero")
@@ -536,22 +539,19 @@ def _divisible_solutions_from(scs: SolutionClassSet, d: int, b: int,
     """divisible_solutions over the already solved classes scs of x^2 - d*y^2 = b."""
     bb = abs(b)
     cb = c % bb
-    seen: set[PellSolution] = set()
     # Solutions come by unit power k (nearest to 0 modulo each class's period,
     # k before -k), then by class.  The k = 0 ones, the representatives (all
-    # of the solutions of a finite set), need no walk: they come first, before
-    # any period is walked.
-    for rep in scs.solutions:
-        v = _normalize_sign(rep)
-        if v not in seen and (v.x - cb * v.y) % bb == 0:
-            seen.add(v)
+    # of the solutions of a finite set, where +-v are both listed), need no
+    # walk: they come first, before any period is walked.
+    for v in dict.fromkeys(map(_normalize_sign, scs.solutions)):
+        if (v.x - cb * v.y) % bb == 0:
             yield v
     if scs.kind != "indefinite":
         return
     t, u = scs.unit
     # The walk only needs residues, so the unit's coefficients are reduced once.
     tb, ub, dub = t % bb, u % bb, d * u % bb
-    found: list[tuple[tuple, int, int]] = []
+    found: list[tuple[int, bool, int, int]] = []
     for idx, rep in enumerate(scs.solutions):
         x0, y0 = rep.x % bb, rep.y % bb
         x, y = (tb * x0 + dub * y0) % bb, (ub * x0 + tb * y0) % bb
@@ -564,12 +564,10 @@ def _divisible_solutions_from(scs: SolutionClassSet, d: int, b: int,
             k += 1
         # k is now the period; a power past its half is nearer to 0 below it.
         for kk in (k0 if 2 * k0 <= k else k0 - k for k0 in ks):
-            found.append(((abs(kk), kk < 0, idx), idx, kk))
-    for _, idx, kk in sorted(found):
-        v = _normalize_sign(_unit_power(t, u, d, scs.solutions[idx], kk))
-        if v not in seen:
-            seen.add(v)
-            yield v
+            found.append((abs(kk), kk < 0, idx, kk))
+    # A nonzero power of one class meets neither another power nor a representative.
+    for *_, idx, kk in sorted(found):
+        yield _normalize_sign(_unit_power(t, u, d, scs.solutions[idx], kk))
 
 
 def find_with_divisibility(d: int, b: int, c: int) -> PellSolution | None:

@@ -360,6 +360,20 @@ def test_gram_file_not_utf8_exits_2(tmp_path):
     assert "not UTF-8" in doc["error"]["message"]
 
 
+def test_gram_file_with_a_byte_order_mark_reads_as_without(tmp_path, monkeypatch):
+    # The same relative name in two directories, so the documents can match byte for byte.
+    text = POWER_GRAM_PATH.read_text(encoding="utf-8")
+    outputs = []
+    for name, prefix in (("plain", ""), ("marked", "\ufeff")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "gram.txt").write_text(prefix + text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path / name)
+        outputs.append(invoke(["gram-file", "--gram", "gram.txt", "--beta", "1,1,1,0"]))
+    assert (tmp_path / "marked" / "gram.txt").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
 def test_gram_file_malformed_exits_2(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1,2 3,4\n", encoding="utf-8")
@@ -433,6 +447,15 @@ def test_corpus_not_utf8_exits_2_with_one_error_document(tmp_path):
     assert "not UTF-8" in doc["error"]["message"]
 
 
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls():
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["cyclic", "-a", "3", "-b", "2", "-c", "1"]
+    code, doc = invoke_json(argv + ["--verify-oracle", "--oracle-bound", "2"])
+    assert code == 0 and "oracle" in doc["structures"][0]
+    code, doc = invoke_json(argv)
+    assert code == 0 and "oracle" not in doc["structures"][0]
+
+
 def test_verify_oracle_runs_without_numpy():
     script = (
         "import sys\n"
@@ -448,6 +471,16 @@ def test_verify_oracle_runs_without_numpy():
 
 
 # ---- corpus command ----
+
+def test_corpus_with_a_byte_order_mark_reads_as_without(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"cyclic 1 9 5\n")
+    marked.write_bytes(b"\xef\xbb\xbfcyclic 1 9 5\n")
+    code, text = invoke(["corpus", str(marked)])
+    assert code == 0
+    assert text == invoke(["corpus", str(plain)])[1]
+    assert json.loads(text)["structures"][0]["freeness"]["decision"] == "free"
+
 
 def test_corpus_processes_lines_in_order(tmp_path):
     path = tmp_path / "corpus.txt"
@@ -589,6 +622,8 @@ GOLDEN_COMMANDS = {
     "biquadratic_-10000019_-20000038.json": "biquadratic -m -10000019 -n -20000038",
     "cyclic_1_999999_4.json": "cyclic -a 1 -b 999999 -c 4",
     "pell_3994_9699690_48148.json": "pell -D 3994 -N 9699690 -c 48148",
+    # No class representative meets 16 | x - 3*y: the witness comes from the unit walk.
+    "pell_2_-16_3.json": "pell -D 2 -N -16 -c 3",
 }
 
 

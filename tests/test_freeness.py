@@ -47,9 +47,9 @@ from hopfq.freeness import (
     prescreen_biquadratic,
     prescreen_cyclic,
     summary,
-    _biquad_candidates,
+    _biquad_generator,
     _biquadratic_witness,
-    _cyclic_candidates,
+    _cyclic_generator,
     _cyclic_equation,
     _decide,
     _equation_table,
@@ -104,14 +104,14 @@ def _pell_only_cyclic(p: CyclicQuarticParams) -> FreenessReport:
     hit = find_with_divisibility(p.d, target, cross)
     witness = None if hit is None else (hit.x, hit.y, target)
     return _decide(structure, action, red, UNDECIDED, witness,
-                   partial(_cyclic_candidates, case, target, cross))
+                   partial(_cyclic_generator, case, target, cross))
 
 
 def _pell_only_biquadratic(p: BiquadraticParams) -> list[FreenessReport]:
     """The three biquadratic decisions with the prescreen left out."""
     kind = classify_biquadratic_type(p)
     return [_decide(*_biquad_setup(p, idx), UNDECIDED, _biquadratic_witness(equation),
-                    partial(_biquad_candidates, kind, idx, p))
+                    partial(_biquad_generator, kind, idx, p))
             for idx, equation in enumerate(_equation_table(p, kind))]
 
 
@@ -240,7 +240,7 @@ def test_cyclic_case5_formula_handles_every_witness():
     case, _, action, red = _cyclic_setup(p)
     for x, y in [(1, 0), (9, 4), (161, 72), (-9, 4)]:
         assert x * x - 5 * y * y == 1
-        beta = next(_cyclic_candidates(case, p.c, p.b, x, y))
+        beta = _cyclic_generator(case, p.c, p.b, x, y)
         assert generator_passes(red, action, beta), (x, y, beta)
 
 
@@ -463,6 +463,36 @@ def test_cyclic_decision_matches_form_representation(p):
     assert (report.decision == FREE) == expected
 
 
+# ---- the cyclic criterion reads only the class representatives ----
+
+@given(st.sampled_from(CYCLIC_FIELDS))
+@settings(max_examples=120, deadline=None)
+def test_cyclic_divisibility_is_a_class_invariant(p):
+    target, cross = _cyclic_equation(p, classify_cyclic_case(p))
+    classes = solve_all(p.d, target)
+    witness = summary(p).structures[0].report.witness
+    walked = find_with_divisibility(p.d, target, cross)
+    assert witness == (None if walked is None else tuple(walked))
+    if classes.kind == "empty":
+        return
+    assert classes.kind == "indefinite"
+    t, u = classes.unit
+    assert (t - cross * u) * (t + cross * u) % target == 1 % target
+
+    def qualifies(v):
+        return (v.x - cross * v.y) % target == 0
+
+    for rep in classes.solutions:
+        assert rep.y > 0 or (rep.y == 0 and rep.x > 0), rep
+        for k in range(-2, 3):
+            v = pell._unit_power(t, u, p.d, rep, k)
+            for w in (v, pell.PellSolution(-v.x, -v.y)):
+                assert w.x**2 - p.d * w.y**2 == target
+                assert qualifies(w) == qualifies(rep), (p, rep, k, w)
+    # Only the class of the square root cross of d modulo target can qualify.
+    assert sum(map(qualifies, classes.solutions)) <= 1
+
+
 # ---- the formulas accept every witness ----
 
 @given(st.sampled_from(CYCLIC_FIELDS))
@@ -471,9 +501,8 @@ def test_cyclic_formula_accepts_any_divisible_solution(p):
     case, _, action, red = _cyclic_setup(p)
     target, cross = (p.b, p.c) if case <= 2 else (p.c, p.b)
     for _, witness in zip(range(3), divisible_solutions(p.d, target, cross)):
-        candidates = list(_cyclic_candidates(case, target, cross, witness.x, witness.y))
-        assert candidates
-        assert generator_passes(red, action, candidates[0]), (p, witness)
+        beta = _cyclic_generator(case, target, cross, witness.x, witness.y)
+        assert generator_passes(red, action, beta), (p, witness)
 
 
 @given(st.sampled_from(BIQUAD_FIELDS))
@@ -488,9 +517,8 @@ def test_biquadratic_formula_accepts_any_class_representative(p):
         classes = solve_all(-radicands[idx], report.witness_target)
         assert classes.kind != "empty"
         for rep in classes.solutions:
-            candidates = list(_biquad_candidates(kind, idx, p, rep.x, rep.y))
-            assert any(generator_passes(red, action, beta) for beta in candidates), (
-                p, idx, rep)
+            beta = _biquad_generator(kind, idx, p, rep.x, rep.y)
+            assert generator_passes(red, action, beta), (p, idx, rep)
 
 
 # ---- parameterization invariance ----
