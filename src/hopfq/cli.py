@@ -61,7 +61,7 @@ def encode_number(value: Any) -> int | str:
     Documents carry ints and Fractions as computed; ``json`` writes the ints
     itself and hands every Fraction here as its ``default``.
     """
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return f.numerator
     return f"{f.numerator}/{f.denominator}"

@@ -39,10 +39,8 @@ from .hopf import (
     ReductionReport,
     StructureId,
     action_matrix,
-    change_basis,
-    gram_nonclassical,
-    invert_descriptor,
     reduction_report,
+    structure_grams,
     structures_for,
     test_generator,
 )
@@ -548,8 +546,9 @@ class FieldSummary:
 def _analyse(p: FieldParams) -> FieldSummary:
     """One record per non-classical structure, in canonical order.
 
-    The classification, integral basis and prescreen run once per field; the
-    Gram matrix, action matrix, reduction and decision once per structure.
+    The classification, integral basis, prescreen and the change of basis of
+    the Gram matrices run once per field; the action matrix, reduction and
+    decision once per structure.
     Each family supplies per structure a prescreen verdict, a witness and the
     generator formula; `_decide` does the rest.
     """
@@ -576,10 +575,9 @@ def _analyse(p: FieldParams) -> FieldSummary:
                   partial(_biquad_generator, kind, idx, p))
                  for idx, (pre, equation)
                  in enumerate(zip(prescreen_biquadratic(p), _equation_table(p, kind)))]
-    inverse = invert_descriptor(descriptor)
     entries = []
-    for structure, origin, (pre, witness, formula) in zip(structures_for(p), origins, plans):
-        gram = change_basis(gram_nonclassical(p, structure), descriptor, inverse=inverse)
+    for structure, origin, gram, (pre, witness, formula) in zip(
+            structures_for(p), origins, structure_grams(p, descriptor), plans):
         action = action_matrix(gram)
         red = reduction_report(action)
         report = _decide(structure, action, red, pre, witness, formula)

@@ -13,7 +13,10 @@ The non-classical structures all share one shape of basis,
 (Id, mu, eta + mu*eta, z*(eta - mu*eta)), so their Gram matrices are built
 from rows of the classical Gram matrix: one row copied (mu acts as a field
 automorphism), one sum of two rows, and one difference of two rows multiplied
-by the quadratic element z through the field's multiplication table.
+by the quadratic element z through the field's multiplication table.  A
+field's structures share its classical Gram matrix, multiplication table and
+integral basis, so `structure_grams` moves the classical rows and each
+structure's z row to the integral basis in one change of basis per field.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import (
     GramFormatError,
     RankDeficientError,
     SingularDescriptorError,
-    ValidationError,
     ZeroMatrixError,
 )
 from .fields import BiquadraticParams, CyclicQuarticParams
@@ -162,36 +164,32 @@ _NONCLASSICAL_RECIPE = {
 }
 
 
-def gram_nonclassical(field: FieldParams, structure: StructureId) -> GramMatrix:
-    """Gram matrix of a non-classical structure over the reference basis.
+def structure_grams(field: FieldParams, descriptor: Sequence[Sequence]) -> list[GramMatrix]:
+    """Integral-basis Gram matrices of the field's non-classical structures.
 
-    Rows follow the basis (Id, mu, eta + mu*eta, z*(eta - mu*eta)): the first
-    is the identity row, the second a single classical row, the third the sum
-    of two classical rows, and the fourth z times their difference, expanded
-    through the multiplication table.
+    One per structure, in the order of `structures_for`.  Rows follow the
+    basis (Id, mu, eta + mu*eta, z*(eta - mu*eta)).  The classical rows and
+    the z rows move to the integral basis in one `change_basis` call; the
+    identity row is the identity there too, and the sum row is the sum of
+    two moved rows, since the change of basis is linear and exact.
     """
-    if structure.family not in _NONCLASSICAL_RECIPE:
-        raise ValidationError(f"not a non-classical structure: {structure.family}")
-    if isinstance(field, CyclicQuarticParams) != (structure.family == CYCLIC_NONCLASSICAL):
-        raise ValidationError(f"structure {structure.family} does not match the field family")
-    mu, eta, mu_eta, z_index = _NONCLASSICAL_RECIPE[structure.family]
     classical = gram_classical(field)
     table = mult_table(field)
-    z_vec = _unit(z_index)
-    row1 = classical[0]
-    row2 = classical[mu]
-    row3 = [
-        [classical[eta][j][t] + classical[mu_eta][j][t] for t in range(4)] for j in range(4)
-    ]
-    row4 = [
-        multiply(
-            z_vec,
-            [classical[eta][j][t] - classical[mu_eta][j][t] for t in range(4)],
-            table,
-        )
-        for j in range(4)
-    ]
-    return [row1, row2, row3, row4]
+    recipes = [_NONCLASSICAL_RECIPE[s.family] for s in structures_for(field)]
+    z_rows = [[multiply(_unit(z_index), [x - y for x, y in zip(u, v)], table)
+               for u, v in zip(classical[eta], classical[mu_eta])]
+              for _, eta, mu_eta, z_index in recipes]
+    moved = [None] + change_basis(classical[1:] + z_rows, descriptor)
+    return [[[_unit(j) for j in range(4)], moved[mu],
+             [[_exact_sum(x, y) for x, y in zip(u, v)] for u, v in zip(moved[eta], moved[mu_eta])],
+             z_row]
+            for (mu, eta, mu_eta, _), z_row in zip(recipes, moved[4:])]
+
+
+def _exact_sum(x, y) -> int | Fraction:
+    """x + y as `quotient` writes it: an int when integral, else a Fraction."""
+    s = x + y
+    return s.numerator if s.denominator == 1 else s
 
 
 def invert_descriptor(descriptor: Sequence[Sequence]) -> tuple[list, int, list]:
@@ -206,8 +204,7 @@ def invert_descriptor(descriptor: Sequence[Sequence]) -> tuple[list, int, list]:
     return primitive, denominator, adj
 
 
-def change_basis(gram: GramMatrix, descriptor: Sequence[Sequence], *,
-                 inverse: tuple[list, int, list] | None = None) -> GramMatrix:
+def change_basis(gram: GramMatrix, descriptor: Sequence[Sequence]) -> GramMatrix:
     """Re-express a Gram matrix in the integral basis given by the descriptor.
 
     The descriptor rows are the integral basis elements in reference-basis
@@ -215,10 +212,9 @@ def change_basis(gram: GramMatrix, descriptor: Sequence[Sequence], *,
     columns), and every resulting element is rewritten in integral-basis
     coordinates.  For descriptor = content * P the content cancels: each
     combination u of old columns by a row of P maps to u * adjugate(P) / det P.
-    A field's structures share one descriptor: pass `invert_descriptor(descriptor)`
-    as `inverse` to compute it once.
+    Any number of rows may be moved at once, against one inverse.
     """
-    primitive, denominator, adj = inverse or invert_descriptor(descriptor)
+    primitive, denominator, adj = invert_descriptor(descriptor)
     adj_columns = list(zip(*adj))
     out = []
     for row in gram:

@@ -61,46 +61,50 @@ def hnf_integer(a: list[list[int]]) -> list[list[int]]:
     Returns h, the square basis of the row lattice of a: upper triangular
     with positive diagonal and above-pivot entries reduced into [0, pivot).
     Raises RankDeficientError when a does not have full column rank.
+
+    One pass per column: the first row with a nonzero entry becomes the pivot
+    row, and each lower row is folded into it once, by one subtraction when
+    the pivot entry divides the row's, else by the unimodular extended-gcd
+    step (pivot, row) -> (x*pivot + y*row, b*pivot - p*row), where
+    p*x + b*y = 1 for the pivot and row entries divided by their gcd.  The
+    row Hermite form is unique, so the order of the steps does not change it.
     """
     nrows = len(a)
     ncols = len(a[0])
-    w = [[int(x) for x in row] for row in a]
-
-    def submul(dst: int, src: int, q: int) -> None:
-        if q:
-            wd, ws = w[dst], w[src]
-            for j in range(ncols):
-                wd[j] -= q * ws[j]
-
+    w = list(a)  # rows are replaced, never changed in place
     for col in range(ncols):
         if col >= nrows:
             raise RankDeficientError("fewer rows than columns")
-        # Euclidean elimination below the pivot.
-        while True:
-            support = [r for r in range(col, nrows) if w[r][col] != 0]
-            if not support:
-                raise RankDeficientError(f"no pivot available in column {col}")
-            r0 = min(support, key=lambda r: (abs(w[r][col]), r))
-            w[col], w[r0] = w[r0], w[col]
-            if w[col][col] < 0:
-                w[col] = [-x for x in w[col]]
-            pivot = w[col][col]
-            done = True
-            for r in range(col + 1, nrows):
-                if w[r][col]:
-                    submul(r, col, w[r][col] // pivot)
-                    if w[r][col]:
-                        done = False
-            if done:
-                break
+        first = next((r for r in range(col, nrows) if w[r][col]), None)
+        if first is None:
+            raise RankDeficientError(f"no pivot available in column {col}")
+        top, w[first] = w[first], w[col]
+        for r in range(first + 1, nrows):
+            row = w[r]
+            if not row[col]:
+                continue
+            q, rem = divmod(row[col], top[col])
+            if not rem:
+                w[r] = [u - q * v for u, v in zip(row, top)]
+                continue
+            g = gcd(top[col], rem)
+            p, b = top[col] // g, row[col] // g
+            x = pow(p, -1, abs(b))
+            y = (1 - x * p) // b
+            top, w[r] = ([x * v + y * u for u, v in zip(row, top)],
+                         [b * v - p * u for u, v in zip(row, top)])
+        if top[col] < 0:
+            top = [-v for v in top]
+        w[col] = top
         # Reduce entries above the pivot into [0, pivot).
-        pivot = w[col][col]
         for r in range(col):
-            submul(r, col, w[r][col] // pivot)
+            q = w[r][col] // top[col]
+            if q:
+                w[r] = [u - q * v for u, v in zip(w[r], top)]
 
-    if any(x for r in range(ncols, nrows) for x in w[r]):
+    if any(map(any, w[ncols:])):
         raise InternalInconsistencyError("rows below the Hermite form are not zero")
-    return w[:ncols]
+    return [list(map(int, row)) for row in w[:ncols]]
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,23 @@ from math import isqrt
 from typing import Iterator
 
 from hopfq.fields import CyclicQuarticParams
-from hopfq.hopf import CLASSICAL, StructureId
-from hopfq.errors import InternalInconsistencyError, SquareDiscriminantError
+from hopfq.hopf import (
+    _NONCLASSICAL_RECIPE,
+    CLASSICAL,
+    CYCLIC_NONCLASSICAL,
+    GramMatrix,
+    StructureId,
+    _unit,
+    gram_classical,
+    mult_table,
+    multiply,
+)
+from hopfq.errors import (
+    InternalInconsistencyError,
+    RankDeficientError,
+    SquareDiscriminantError,
+    ValidationError,
+)
 from hopfq.linalg import det_int
 from hopfq.pell import (
     PellSolution,
@@ -62,6 +77,86 @@ def classical_structure(field) -> StructureId:
     if isinstance(field, CyclicQuarticParams):
         return StructureId(CLASSICAL, f"sqrt({field.d})")
     return StructureId(CLASSICAL, f"sqrt({field.m})")
+
+
+def gram_nonclassical(field, structure: StructureId) -> GramMatrix:
+    """Gram matrix of one non-classical structure over the reference basis.
+
+    The per-structure reference construction for `hopfq.hopf.structure_grams`.
+    Rows follow the basis (Id, mu, eta + mu*eta, z*(eta - mu*eta)): the first
+    is the identity row, the second a single classical row, the third the sum
+    of two classical rows, and the fourth z times their difference, expanded
+    through the multiplication table.
+    """
+    if structure.family not in _NONCLASSICAL_RECIPE:
+        raise ValidationError(f"not a non-classical structure: {structure.family}")
+    if isinstance(field, CyclicQuarticParams) != (structure.family == CYCLIC_NONCLASSICAL):
+        raise ValidationError(f"structure {structure.family} does not match the field family")
+    mu, eta, mu_eta, z_index = _NONCLASSICAL_RECIPE[structure.family]
+    classical = gram_classical(field)
+    table = mult_table(field)
+    z_vec = _unit(z_index)
+    row1 = classical[0]
+    row2 = classical[mu]
+    row3 = [
+        [classical[eta][j][t] + classical[mu_eta][j][t] for t in range(4)] for j in range(4)
+    ]
+    row4 = [
+        multiply(
+            z_vec,
+            [classical[eta][j][t] - classical[mu_eta][j][t] for t in range(4)],
+            table,
+        )
+        for j in range(4)
+    ]
+    return [row1, row2, row3, row4]
+
+
+def euclidean_hnf(a: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form by repeated Euclidean sweeps; reference for `hnf_integer`.
+
+    Each column repeats "take the smallest nonzero entry as pivot, reduce
+    every lower row by it" until the column is clear below the pivot.
+    """
+    nrows = len(a)
+    ncols = len(a[0])
+    w = [[int(x) for x in row] for row in a]
+
+    def submul(dst: int, src: int, q: int) -> None:
+        if q:
+            wd, ws = w[dst], w[src]
+            for j in range(ncols):
+                wd[j] -= q * ws[j]
+
+    for col in range(ncols):
+        if col >= nrows:
+            raise RankDeficientError("fewer rows than columns")
+        # Euclidean elimination below the pivot.
+        while True:
+            support = [r for r in range(col, nrows) if w[r][col] != 0]
+            if not support:
+                raise RankDeficientError(f"no pivot available in column {col}")
+            r0 = min(support, key=lambda r: (abs(w[r][col]), r))
+            w[col], w[r0] = w[r0], w[col]
+            if w[col][col] < 0:
+                w[col] = [-x for x in w[col]]
+            pivot = w[col][col]
+            done = True
+            for r in range(col + 1, nrows):
+                if w[r][col]:
+                    submul(r, col, w[r][col] // pivot)
+                    if w[r][col]:
+                        done = False
+            if done:
+                break
+        # Reduce entries above the pivot into [0, pivot).
+        pivot = w[col][col]
+        for r in range(col):
+            submul(r, col, w[r][col] // pivot)
+
+    if any(x for r in range(ncols, nrows) for x in w[r]):
+        raise InternalInconsistencyError("rows below the Hermite form are not zero")
+    return w[:ncols]
 
 
 def format_gram_text(gram) -> str:

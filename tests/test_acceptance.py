@@ -45,14 +45,13 @@ from hopfq.hopf import (
     change_basis,
     generator_determinant,
     gram_classical,
-    gram_nonclassical,
     mult_table,
     multiply,
     reduction_report,
     structures_for,
 )
 from hopfq.hopf import test_generator as generator_passes
-from helpers import solutions_within
+from helpers import gram_nonclassical, solutions_within
 from test_cli import POWER_GRAM_PATH, invoke_json
 
 pytestmark = pytest.mark.acceptance

@@ -619,6 +619,9 @@ GOLDEN_COMMANDS = {
     "form_cycle_15_14_-15.json": "form-cycle 15 14 -15",
     "gram_file_power_basis.json":
         "gram-file --gram tests/data/power_basis_gram.txt --beta 1,1,1,0",
+    # Content 1/6: the Hermite form and the index are rational.
+    "gram_file_rational.json":
+        "gram-file --gram tests/data/rational_gram.txt --beta 1,1,1,0",
     "biquadratic_-10000019_-20000038.json": "biquadratic -m -10000019 -n -20000038",
     "cyclic_1_999999_4.json": "cyclic -a 1 -b 999999 -c 4",
     "pell_3994_9699690_48148.json": "pell -D 3994 -N 9699690 -c 48148",

@@ -62,7 +62,6 @@ from hopfq.hopf import (
     action_matrix,
     change_basis,
     generator_determinant,
-    gram_nonclassical,
     reduction_report,
     structures_for,
 )
@@ -78,7 +77,7 @@ from hopfq.pell import (
 
 from hopfq.linalg import content_primitive
 
-from helpers import expanded_quartic_coefficients, identity
+from helpers import expanded_quartic_coefficients, gram_nonclassical, identity
 
 
 def _cyclic_setup(p: CyclicQuarticParams):
@@ -385,6 +384,48 @@ def test_prescreen_biquadratic_never_contradicts_decision(p):
     for verdict, report in zip(verdicts, reports):
         if verdict.outcome != UNKNOWN:
             assert report.decision == verdict.outcome
+
+
+# ---- shared Gram matrices ----
+
+def _typed(gram):
+    return [[[(type(x), x) for x in entry] for entry in row] for row in gram]
+
+
+def _check_pipeline_grams(p, descriptor) -> None:
+    """Each structure's Gram equals the per-structure reference, type by type."""
+    entries = summary(p).structures
+    assert len(entries) == len(structures_for(p))
+    for entry in entries:
+        want = change_basis(gram_nonclassical(p, entry.structure), descriptor)
+        assert _typed(entry.gram) == _typed(want), (p, entry.structure)
+
+
+@given(st.sampled_from(CYCLIC_FIELDS))
+@settings(max_examples=120, deadline=None)
+def test_cyclic_pipeline_gram_matches_the_per_structure_reference(p):
+    _check_pipeline_grams(p, integral_basis_cyclic(p))
+
+
+@given(st.sampled_from(BIQUAD_FIELDS))
+@settings(max_examples=120, deadline=None)
+def test_biquadratic_pipeline_gram_matches_the_per_structure_reference(p):
+    _check_pipeline_grams(p, integral_basis_biquadratic(p))
+
+
+def test_pipeline_gram_matches_the_reference_in_every_case_and_type():
+    """One field of each cyclic case and biquadratic type; the third type's
+    descriptor carries m/(4d)."""
+    cyclic = {classify_cyclic_case(p): p for p in reversed(CYCLIC_FIELDS)}
+    biquad = {classify_biquadratic_type(p): p for p in reversed(BIQUAD_FIELDS)}
+    assert sorted(cyclic) == [1, 2, 3, 4, 5]
+    assert sorted(biquad) == ["first", "second", "third"]
+    third = biquad["third"]
+    assert integral_basis_biquadratic(third)[3][2] == Fraction(third.m, 4 * third.d)
+    for p in cyclic.values():
+        _check_pipeline_grams(p, integral_basis_cyclic(p))
+    for p in biquad.values():
+        _check_pipeline_grams(p, integral_basis_biquadratic(p))
 
 
 # ---- report invariants ----

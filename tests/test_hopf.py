@@ -34,7 +34,6 @@ from hopfq.hopf import (
     change_basis,
     generator_determinant,
     gram_classical,
-    gram_nonclassical,
     mult_table,
     multiply,
     parse_gram_text,
@@ -44,7 +43,15 @@ from hopfq.hopf import (
 from hopfq.hopf import test_generator as generator_passes
 from hopfq.linalg import det, mat_inv
 
-from helpers import classical_structure, format_gram_text, mat, mat_mul, mat_vec, transpose
+from helpers import (
+    classical_structure,
+    format_gram_text,
+    gram_nonclassical,
+    mat,
+    mat_mul,
+    mat_vec,
+    transpose,
+)
 
 F = Fraction
 

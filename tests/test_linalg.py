@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq.errors import RankDeficientError, ZeroMatrixError
+from hopfq.errors import HopfqError, RankDeficientError, ZeroMatrixError
 from hopfq.linalg import (
     adjugate,
     content_primitive,
@@ -22,7 +22,7 @@ from hopfq.linalg import (
     mat_inv,
 )
 
-from helpers import identity, mat, mat_eq, mat_mul
+from helpers import euclidean_hnf, identity, mat, mat_eq, mat_mul
 
 F = Fraction
 
@@ -169,6 +169,45 @@ def test_hnf_determinant_is_gcd_of_maximal_minors(rows):
     ]
     expected = gcd(*(abs(v) for v in minors))
     assert det(result.hnf) == expected
+
+
+@st.composite
+def tall_int_matrix(draw):
+    """1-16 rows of 4 integers as large as 10^15; half have a dependent column."""
+    entry = st.integers(-10**15, 10**15) | st.integers(-3, 3)
+    nrows = draw(st.integers(1, 16))
+    rows = draw(st.lists(st.lists(entry, min_size=4, max_size=4),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        dependent = draw(st.integers(0, 3))
+        k = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+        for row in rows:
+            row[dependent] = sum(k[j] * row[j] for j in range(4) if j != dependent)
+    return rows
+
+
+def _hnf_outcome(form, rows):
+    try:
+        return form(rows)
+    except HopfqError as exc:
+        return type(exc), str(exc)
+
+
+@given(tall_int_matrix())
+@settings(max_examples=300, deadline=None)
+def test_hnf_integer_matches_the_euclidean_sweeps(rows):
+    """The one-pass extended-gcd form equals the repeated Euclidean sweeps.
+
+    Large entries would show coefficient growth in the extended gcd as a wrong
+    or non-reduced result; rank-deficient input must raise the same error
+    with the same message.
+    """
+    before = [list(row) for row in rows]
+    want = _hnf_outcome(euclidean_hnf, rows)
+    assert _hnf_outcome(hnf_integer, rows) == want
+    assert rows == before
+    if not isinstance(want, tuple):
+        assert all(type(x) is int for row in hnf_integer(rows) for x in row)
 
 
 # ---- determinants ----
