@@ -45,7 +45,7 @@ from .hopf import (
     test_generator,
 )
 from .linalg import content_primitive
-from .pell import SolutionClassSet, _factor, jacobi, solve_all
+from .pell import SolutionClassSet, _divisible_solutions_from, _factor, jacobi, solve_all
 
 FieldParams = CyclicQuarticParams | BiquadraticParams
 
@@ -101,8 +101,9 @@ def _decide(structure: StructureId, action: Sequence[Sequence[int]], reduction: 
     `witness` is (x, y, target), a solution of the structure's norm equation
     (with its side condition), or None when there is none.  The generator
     `formula(x, y)` is verified once: at it each closed form
-    (`closed_form_determinant`) is a constant times (x^2 - D*y^2)/target
-    whatever the signs of x and y, so no sign variant verifies where it fails.
+    (`closed_form_determinant` in tests/helpers.py) is a constant times
+    (x^2 - D*y^2)/target whatever the signs of x and y, so no sign variant
+    verifies where it fails.
     """
     index = reduction.index
     if verdict.outcome == NOT_FREE:
@@ -301,62 +302,6 @@ def decide_biquadratic(
     return tuple(entry.report for entry in _analyse(p).structures)
 
 
-# ---- closed-form generator determinants ----
-
-def closed_form_determinant(p: FieldParams, structure: StructureId,
-                            beta: Sequence[int]) -> Fraction:
-    """Factored closed form of the generator determinant.
-
-    Independent of the matrix construction: evaluates the per-case product
-    of two linear factors and one quadratic form in the coordinates of beta.
-    """
-    b1, b2, b3, b4 = (Fraction(x) for x in beta)
-    if isinstance(p, CyclicQuarticParams):
-        b, c = p.b, p.c
-        case = classify_cyclic_case(p)
-        if case == 1:
-            return 16 * b1 * b2 * (b * b3**2 + 2 * c * b3 * b4 - b * b4**2)
-        if case == 2:
-            return 8 * b2 * (2 * b1 + b2) * (b * b3**2 + 2 * c * b3 * b4 - b * b4**2)
-        if case == 3:
-            return -8 * b2 * (2 * b1 + b2) * (c * b3**2 + 2 * b * b3 * b4 - c * b4**2)
-        if case == 4:
-            return (-2 * (2 * b2 + b3 - b4) * (4 * b1 + 2 * b2 + b3 + b4)
-                    * (c * b3**2 + 2 * b * b3 * b4 - c * b4**2))
-        return (2 * (2 * b2 + b3 - b4) * (4 * b1 + 2 * b2 + b3 + b4)
-                * (-c * b3**2 + 2 * b * b3 * b4 + c * b4**2))
-    m, n, k, d = p.m, p.n, p.k, p.d
-    md, nd = m // d, n // d
-    kind = classify_biquadratic_type(p)
-    idx = structures_for(p).index(structure)
-    if kind == "first":
-        if idx == 0:
-            return (-32 * b1 * b2
-                    * (d * b3**2 + d * b3 * b4 + Fraction(d + md, 4) * b4**2))
-        if idx == 1:
-            return 8 * b1 * (2 * b3 + b4) * (2 * d * b2**2 + Fraction(n, 2 * d) * b4**2)
-        return (8 * b1 * b4
-                * (2 * md * b2**2 + 2 * nd * b3**2 + 2 * nd * b3 * b4
-                   + Fraction(n, 2 * d) * b4**2))
-    if kind == "second":
-        if idx == 0:
-            return (-8 * b2 * (2 * b1 + b2)
-                    * (2 * d * b3**2 + 2 * d * b3 * b4 + Fraction(d + md, 2) * b4**2))
-        if idx == 1:
-            return 4 * (2 * b1 + b2) * (2 * b3 + b4) * (d * b2**2 + nd * b4**2)
-        return (4 * b4 * (2 * b1 + b2)
-                * (md * b2**2 + 4 * nd * b3**2 + 4 * nd * b3 * b4 + nd * b4**2))
-    if idx == 0:
-        return (-2 * (2 * b2 + b4) * (4 * b1 + 2 * b2 + 2 * b3 + b4)
-                * (2 * d * b3**2 + 2 * m * b3 * b4 + md * Fraction(m + 1, 2) * b4**2))
-    if idx == 1:
-        return (2 * (2 * b3 + md * b4) * (4 * b1 + 2 * b2 + 2 * b3 + b4)
-                * (2 * d * b2**2 + 2 * d * b2 * b4 + Fraction(d + nd, 2) * b4**2))
-    return (2 * b4 * (4 * b1 + 2 * b2 + 2 * b3 + b4)
-            * (2 * md * b2**2 + 2 * md * b2 * b4 + 2 * nd * b3**2
-               + 2 * k * b3 * b4 + md * Fraction(k + 1, 2) * b4**2))
-
-
 # ---- exhaustive oracle ----
 
 # Largest box half-width the oracle accepts.  The scan visits (2 * bound + 1)^2
@@ -409,7 +354,8 @@ def _split(coeffs: dict[tuple[int, ...], int]
     exponents.  R is divided into B by leading terms in lexicographic order of
     exponents; the division fails at the first leading term that LT(R) does
     not divide.  Every determinant the pipeline builds splits so: each closed
-    form (`closed_form_determinant`) has one factor in beta_1, a linear one.
+    form (`closed_form_determinant` in tests/helpers.py) has one factor in
+    beta_1, a linear one.
     """
     degree = max(key[0] for key in coeffs)
     if degree != 1:
@@ -559,12 +505,8 @@ def _analyse(p: FieldParams) -> FieldSummary:
         # One solution of the norm equation serves the prescreen and the decision.
         target, cross = _cyclic_equation(p, case)
         pre, classes = _cyclic_prescreen(p, target)
-        # Divisibility is the same on a whole class {+-U^k * v}: with
-        # d = cross^2 mod target, x' - cross*y' = (T - cross*U)(x - cross*y) for
-        # the unit (T, U), and (T - cross*U)(T + cross*U) = T^2 - d*U^2 = 1.  So
-        # the class representatives decide, and no unit power is walked.
         hit = None if classes is None else next(
-            (v for v in classes.solutions if (v.x - cross * v.y) % target == 0), None)
+            _divisible_solutions_from(classes, p.d, target, cross), None)
         plans = [(pre, None if hit is None else (hit.x, hit.y, target),
                   partial(_cyclic_generator, case, target, cross))]
     else:

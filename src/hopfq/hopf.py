@@ -171,7 +171,9 @@ def structure_grams(field: FieldParams, descriptor: Sequence[Sequence]) -> list[
     basis (Id, mu, eta + mu*eta, z*(eta - mu*eta)).  The classical rows and
     the z rows move to the integral basis in one `change_basis` call; the
     identity row is the identity there too, and the sum row is the sum of
-    two moved rows, since the change of basis is linear and exact.
+    two moved rows, since the change of basis is linear and exact.  The
+    moved rows are automorphisms, which map O_L into itself, so their
+    entries and sums are ints.
     """
     classical = gram_classical(field)
     table = mult_table(field)
@@ -181,15 +183,9 @@ def structure_grams(field: FieldParams, descriptor: Sequence[Sequence]) -> list[
               for _, eta, mu_eta, z_index in recipes]
     moved = [None] + change_basis(classical[1:] + z_rows, descriptor)
     return [[[_unit(j) for j in range(4)], moved[mu],
-             [[_exact_sum(x, y) for x, y in zip(u, v)] for u, v in zip(moved[eta], moved[mu_eta])],
+             [[x + y for x, y in zip(u, v)] for u, v in zip(moved[eta], moved[mu_eta])],
              z_row]
             for (mu, eta, mu_eta, _), z_row in zip(recipes, moved[4:])]
-
-
-def _exact_sum(x, y) -> int | Fraction:
-    """x + y as `quotient` writes it: an int when integral, else a Fraction."""
-    s = x + y
-    return s.numerator if s.denominator == 1 else s
 
 
 def invert_descriptor(descriptor: Sequence[Sequence]) -> tuple[list, int, list]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf, isqrt, log2
+from math import gcd, inf, isqrt, log2
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -327,8 +327,8 @@ class SolutionClassSet:
     representatives; the full set is {±U^k·rep} for the fundamental unit
     U = (t, u) acting by (x, y) -> (t*x + D*u*y, u*x + t*y).  `minimal` is
     the minimal solution (x, y, s) of x^2 - D*y^2 = s = +-1; `unit` is built
-    from it on first use, as a divisibility search needs it only when no
-    representative qualifies.
+    from it on first use, as a divisibility search needs it only for a class
+    that it walks.
     """
 
     kind: str
@@ -526,8 +526,13 @@ def divisible_solutions(d: int, b: int, c: int) -> Iterator[PellSolution]:
     U^k * rep for each qualifying power k of the unit modulo its class's
     period, taken in (-period/2, period/2]: by |k|, k > 0 first, then by
     class.  At half a period U^k * rep is listed and U^-k * rep is not.
-    Witnesses are sign-normalized to y >= 0 (x > 0 when y = 0); the search is
-    complete because divisibility along each class is periodic modulo b.
+    Witnesses are sign-normalized to y >= 0 (x > 0 when y = 0).
+
+    The search is complete: every solution is +-U^k * rep for one class
+    representative, and U^k * rep modulo |b| is periodic in k, so one period
+    of each class holds every residue of x - c*y it takes.  Where
+    divisibility cannot depend on k (`_class_invariant`), a class whose
+    representative fails holds no solution that qualifies and is not walked.
     """
     if b == 0:
         raise ValidationError("divisor target must be nonzero")
@@ -548,11 +553,15 @@ def _divisible_solutions_from(scs: SolutionClassSet, d: int, b: int,
             yield v
     if scs.kind != "indefinite":
         return
+    walked = [(idx, rep) for idx, rep in enumerate(scs.solutions)
+              if (rep.x - cb * rep.y) % bb == 0 or not _class_invariant(rep, d, bb, cb)]
+    if not walked:
+        return
     t, u = scs.unit
     # The walk only needs residues, so the unit's coefficients are reduced once.
     tb, ub, dub = t % bb, u % bb, d * u % bb
     found: list[tuple[int, bool, int, int]] = []
-    for idx, rep in enumerate(scs.solutions):
+    for idx, rep in walked:
         x0, y0 = rep.x % bb, rep.y % bb
         x, y = (tb * x0 + dub * y0) % bb, (ub * x0 + tb * y0) % bb
         ks = []
@@ -568,6 +577,21 @@ def _divisible_solutions_from(scs: SolutionClassSet, d: int, b: int,
     # A nonzero power of one class meets neither another power nor a representative.
     for *_, idx, kk in sorted(found):
         yield _normalize_sign(_unit_power(t, u, d, scs.solutions[idx], kk))
+
+
+def _class_invariant(rep: PellSolution, d: int, bb: int, cb: int) -> bool:
+    """True where bb | x - cb*y is proved to hold on all of rep's class {+-U^k * rep} or none.
+
+    It does when d = cb^2 mod bb: the unit (T, U) multiplies x - cb*y by
+    T - cb*U modulo bb, and (T - cb*U)(T + cb*U) = T^2 - d*U^2 = 1.  It does
+    too when rep is primitive and gcd(bb, 2d) = 1.  At each p^e || bb, d has
+    a p-adic square root s, and the factors x + s*y and x - s*y of the norm
+    cannot both be multiples of p, so one is 0 modulo p^e and the other a
+    unit, along the whole class, as the unit's own factors are units.  Then
+    x - cb*y = ((s - cb)(x + s*y) + (s + cb)(x - s*y))/(2s) is a unit times
+    s + cb or s - cb modulo p^e, whatever the power of U.
+    """
+    return (d - cb * cb) % bb == 0 or (gcd(rep.x, rep.y) == 1 and gcd(bb, 2 * d) == 1)
 
 
 def find_with_divisibility(d: int, b: int, c: int) -> PellSolution | None:

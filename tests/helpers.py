@@ -5,9 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from hopfq.fields import CyclicQuarticParams
+from hopfq.fields import CyclicQuarticParams, classify_biquadratic_type, classify_cyclic_case
+from hopfq.freeness import FieldParams
 from hopfq.hopf import (
     _NONCLASSICAL_RECIPE,
     CLASSICAL,
@@ -18,6 +19,7 @@ from hopfq.hopf import (
     gram_classical,
     mult_table,
     multiply,
+    structures_for,
 )
 from hopfq.errors import (
     InternalInconsistencyError,
@@ -31,7 +33,9 @@ from hopfq.pell import (
     QuadForm,
     _check_disc,
     _minimal_unit_pm,
+    _normalize_sign,
     _size_key,
+    _unit_power,
     is_reduced,
     principal_form,
     rho,
@@ -333,6 +337,39 @@ def stepwise_canonical_in_class(sol: PellSolution, d: int, t: int, u: int) -> Pe
     return best
 
 
+def stepwise_divisible_solutions(d: int, b: int, c: int) -> Iterator[PellSolution]:
+    """divisible_solutions(d, b, c) with every class walked through its whole period.
+
+    The search as it was before hopfq.pell skipped the classes on which
+    divisibility cannot depend on the power of the unit: the representatives
+    that qualify, then each class's qualifying powers modulo its period, by
+    |k|, k > 0 first, then by class.
+    """
+    scs = solve_all(d, b)
+    bb = abs(b)
+    cb = c % bb
+    for v in dict.fromkeys(map(_normalize_sign, scs.solutions)):
+        if (v.x - cb * v.y) % bb == 0:
+            yield v
+    if scs.kind != "indefinite":
+        return
+    t, u = scs.unit
+    found = []
+    for idx, rep in enumerate(scs.solutions):
+        x0, y0 = rep.x % bb, rep.y % bb
+        x, y = (t * x0 + d * u * y0) % bb, (u * x0 + t * y0) % bb
+        ks, k = [], 1
+        while (x, y) != (x0, y0):
+            if (x - cb * y) % bb == 0:
+                ks.append(k)
+            x, y = (t * x + d * u * y) % bb, (u * x + t * y) % bb
+            k += 1
+        # k is now the period; a power past its half is nearer to 0 below it.
+        found += [(abs(kk), kk < 0, idx, kk) for kk in (k0 if 2 * k0 <= k else k0 - k for k0 in ks)]
+    for *_, idx, kk in sorted(found):
+        yield _normalize_sign(_unit_power(t, u, d, scs.solutions[idx], kk))
+
+
 # ---- reference for the determinant polynomial of the oracle in hopfq.freeness ----
 
 def expanded_quartic_coefficients(action) -> dict[tuple[int, ...], int]:
@@ -350,3 +387,59 @@ def expanded_quartic_coefficients(action) -> dict[tuple[int, ...], int]:
             key = tuple(js.count(j) for j in range(4))
             coeffs[key] = coeffs.get(key, 0) + value
     return {key: v for key, v in coeffs.items() if v}
+
+
+# ---- closed-form generator determinants, the cross-check of hopfq.freeness ----
+
+def closed_form_determinant(p: FieldParams, structure: StructureId,
+                            beta: Sequence[int]) -> Fraction:
+    """Factored closed form of the generator determinant.
+
+    Independent of the matrix construction: evaluates the per-case product
+    of two linear factors and one quadratic form in the coordinates of beta.
+    """
+    b1, b2, b3, b4 = (Fraction(x) for x in beta)
+    if isinstance(p, CyclicQuarticParams):
+        b, c = p.b, p.c
+        case = classify_cyclic_case(p)
+        if case == 1:
+            return 16 * b1 * b2 * (b * b3**2 + 2 * c * b3 * b4 - b * b4**2)
+        if case == 2:
+            return 8 * b2 * (2 * b1 + b2) * (b * b3**2 + 2 * c * b3 * b4 - b * b4**2)
+        if case == 3:
+            return -8 * b2 * (2 * b1 + b2) * (c * b3**2 + 2 * b * b3 * b4 - c * b4**2)
+        if case == 4:
+            return (-2 * (2 * b2 + b3 - b4) * (4 * b1 + 2 * b2 + b3 + b4)
+                    * (c * b3**2 + 2 * b * b3 * b4 - c * b4**2))
+        return (2 * (2 * b2 + b3 - b4) * (4 * b1 + 2 * b2 + b3 + b4)
+                * (-c * b3**2 + 2 * b * b3 * b4 + c * b4**2))
+    m, n, k, d = p.m, p.n, p.k, p.d
+    md, nd = m // d, n // d
+    kind = classify_biquadratic_type(p)
+    idx = structures_for(p).index(structure)
+    if kind == "first":
+        if idx == 0:
+            return (-32 * b1 * b2
+                    * (d * b3**2 + d * b3 * b4 + Fraction(d + md, 4) * b4**2))
+        if idx == 1:
+            return 8 * b1 * (2 * b3 + b4) * (2 * d * b2**2 + Fraction(n, 2 * d) * b4**2)
+        return (8 * b1 * b4
+                * (2 * md * b2**2 + 2 * nd * b3**2 + 2 * nd * b3 * b4
+                   + Fraction(n, 2 * d) * b4**2))
+    if kind == "second":
+        if idx == 0:
+            return (-8 * b2 * (2 * b1 + b2)
+                    * (2 * d * b3**2 + 2 * d * b3 * b4 + Fraction(d + md, 2) * b4**2))
+        if idx == 1:
+            return 4 * (2 * b1 + b2) * (2 * b3 + b4) * (d * b2**2 + nd * b4**2)
+        return (4 * b4 * (2 * b1 + b2)
+                * (md * b2**2 + 4 * nd * b3**2 + 4 * nd * b3 * b4 + nd * b4**2))
+    if idx == 0:
+        return (-2 * (2 * b2 + b4) * (4 * b1 + 2 * b2 + 2 * b3 + b4)
+                * (2 * d * b3**2 + 2 * m * b3 * b4 + md * Fraction(m + 1, 2) * b4**2))
+    if idx == 1:
+        return (2 * (2 * b3 + md * b4) * (4 * b1 + 2 * b2 + 2 * b3 + b4)
+                * (2 * d * b2**2 + 2 * d * b2 * b4 + Fraction(d + nd, 2) * b4**2))
+    return (2 * b4 * (4 * b1 + 2 * b2 + 2 * b3 + b4)
+            * (2 * md * b2**2 + 2 * md * b2 * b4 + 2 * nd * b3**2
+               + 2 * k * b3 * b4 + md * Fraction(k + 1, 2) * b4**2))

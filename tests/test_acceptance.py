@@ -35,7 +35,6 @@ from hopfq.freeness import (
     NOT_FREE,
     UNKNOWN,
     brute_force_generator,
-    closed_form_determinant,
     decide_biquadratic,
     decide_cyclic,
     summary,
@@ -51,7 +50,7 @@ from hopfq.hopf import (
     structures_for,
 )
 from hopfq.hopf import test_generator as generator_passes
-from helpers import gram_nonclassical, solutions_within
+from helpers import closed_form_determinant, gram_nonclassical, solutions_within
 from test_cli import POWER_GRAM_PATH, invoke_json
 
 pytestmark = pytest.mark.acceptance

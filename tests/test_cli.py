@@ -627,6 +627,9 @@ GOLDEN_COMMANDS = {
     "pell_3994_9699690_48148.json": "pell -D 3994 -N 9699690 -c 48148",
     # No class representative meets 16 | x - 3*y: the witness comes from the unit walk.
     "pell_2_-16_3.json": "pell -D 2 -N -16 -c 3",
+    # Two primitive classes, gcd(N, 2D) = 1 and no representative qualifies: the
+    # witness is null without a walk, whose period modulo N runs to about 10^12.
+    "pell_2_999999999961_1.json": "pell -D 2 -N 999999999961 -c 1",
 }
 
 

@@ -41,7 +41,6 @@ from hopfq.freeness import (
     UNKNOWN,
     FreenessReport,
     brute_force_generator,
-    closed_form_determinant,
     decide_biquadratic,
     decide_cyclic,
     prescreen_biquadratic,
@@ -77,7 +76,12 @@ from hopfq.pell import (
 
 from hopfq.linalg import content_primitive
 
-from helpers import expanded_quartic_coefficients, gram_nonclassical, identity
+from helpers import (
+    closed_form_determinant,
+    expanded_quartic_coefficients,
+    gram_nonclassical,
+    identity,
+)
 
 
 def _cyclic_setup(p: CyclicQuarticParams):

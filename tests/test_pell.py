@@ -41,6 +41,7 @@ from helpers import (
     representation_of_one,
     solutions_within,
     stepwise_canonical_in_class,
+    stepwise_divisible_solutions,
     stepwise_minimal_unit_pm,
     stepwise_primitive_class_reps,
 )
@@ -390,9 +391,54 @@ def test_divisible_solutions_of_a_finite_set_are_each_listed_once():
 
 def test_divisible_solutions_take_the_positive_power_at_half_a_period():
     # The divisible power sits at exactly half the class's period modulo b,
-    # where k and -k give different solutions; k comes first.
+    # where k and -k give different solutions; k comes first.  The one class
+    # has the non-primitive representative (4, 4), which does not qualify, so
+    # the witness comes from the walk.
+    assert solve_all(2, -16).solutions == ((4, 4),) and (4 - 3 * 4) % 16
     assert list(divisible_solutions(2, -16, 3)) == [(28, 20)]
     assert list(itertools.islice(divisible_solutions(2, -36, 1), 2)) == [(6, 6), (246, 174)]
+
+
+@st.composite
+def divisibility_problems(draw):
+    """(d, n, c): small d, 1 <= |n| <= 400 and c over a wide range, often with
+    d = c^2 mod n, a square factor in n (non-primitive classes) or a prime of
+    n dividing 2d."""
+    f = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
+    n = f * f * draw(st.integers(1, 400 // (f * f))) * draw(st.sampled_from([1, -1]))
+    c = draw(st.integers(-10**9, 10**9))
+    how = draw(st.sampled_from(["any", "c squared", "shared prime"]))
+    if how == "c squared":
+        d = c * c % abs(n) + abs(n) * draw(st.integers(0, 2))
+    elif how == "shared prime":
+        d = draw(st.sampled_from([p for p in (2, 3, 5, 7) if n % p == 0] or [1]))
+        d *= draw(st.integers(-10, 60))
+    else:
+        d = draw(st.integers(-30, 300))
+    assume(d != 0)
+    return d, n, c
+
+
+@given(divisibility_problems())
+@settings(max_examples=400, deadline=None)
+def test_divisible_solutions_match_the_walk_of_every_class(problem):
+    """Skipping a class whose divisibility cannot change with the power of the
+    unit leaves the whole list as it was, order included."""
+    assert list(divisible_solutions(*problem)) == list(stepwise_divisible_solutions(*problem))
+
+
+def test_no_class_that_cannot_change_is_walked(monkeypatch):
+    # x^2 - 2y^2 = 999999999961 has two primitive classes and gcd(N, 2D) = 1; the
+    # walk modulo N would run through a period of up to about 10^12 steps.
+    # x^2 - 17y^2 = -16 has the non-primitive class of (16, 4) and N is even,
+    # but 17 = 1^2 = 7^2 mod 16: only a class whose representative qualifies is walked.
+    want = list(stepwise_divisible_solutions(17, -16, 1))
+    assert want == [(1, 1), (169, 41)]
+    assert list(divisible_solutions(17, -16, 1)) == want
+    monkeypatch.setattr(pell.SolutionClassSet, "unit", property(lambda self: pytest.fail("walked")))
+    assert next(divisible_solutions(17, -16, 1)) == (1, 1)
+    assert list(divisible_solutions(17, -16, 7)) == []
+    assert list(divisible_solutions(2, 999999999961, 1)) == []
 
 
 @given(
