@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 from typing import Callable, Sequence
 
@@ -304,8 +304,8 @@ def decide_biquadratic(
 
 # ---- exhaustive oracle ----
 
-# Largest box half-width the oracle accepts.  The scan visits (2 * bound + 1)^2
-# rows of (beta_3, beta_4), about 40,000 at this limit, and the (2 * bound + 1)
+# Largest box half-width the oracle accepts.  The scan visits the rows
+# (beta_3, beta_4) >= (0, 0), about 20,000 at this limit, and the 2 * bound + 1
 # points of beta_2 only on the rows where the factor R of the determinant can
 # divide the target: a fraction of a second per structure.
 ORACLE_BOUND_LIMIT = 100
@@ -328,18 +328,21 @@ def _quartic_coefficients(action: Sequence[Sequence[int]]) -> dict[tuple[int, ..
     blocks = [[action[4 * j + t] for t in range(4)] for j in range(4)]
 
     def minor_form(r: int, s: int, p: int, q: int) -> dict[int, int]:
-        form: dict[int, int] = defaultdict(int)
-        for j, k in product(range(4), repeat=2):
+        form = {}
+        for j, k in combinations_with_replacement(range(4), 2):
             c = blocks[j][r][p] * blocks[k][s][q] - blocks[j][r][q] * blocks[k][s][p]
+            if j != k:  # the (k, j) term has the same monomial
+                c += blocks[k][r][p] * blocks[j][s][q] - blocks[k][r][q] * blocks[j][s][p]
             if c:
-                form[5**j + 5**k] += c
+                form[5**j + 5**k] = c
         return form
 
     coeffs: dict[int, int] = defaultdict(int)
     for p, q in combinations(range(4), 2):
         sign = 1 if (p + q) % 2 else -1
-        lower = minor_form(2, 3, *(c for c in range(4) if c not in (p, q)))
-        for a, u in minor_form(0, 1, p, q).items():
+        upper = minor_form(0, 1, p, q)
+        lower = minor_form(2, 3, *(c for c in range(4) if c not in (p, q))) if upper else {}
+        for a, u in upper.items():
             for b, v in lower.items():
                 coeffs[a + b] += sign * u * v
     return {tuple(key // 5**i % 5 for i in range(4)): c for key, c in coeffs.items() if c}
@@ -391,10 +394,14 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
 
     q = (c * beta_1 + S) * R as `_split` returns it.  At an integer point
     with |q| = target, R divides target and c * beta_1 + S = +-target / R,
-    which gives beta_1 directly.  R's coefficients are expanded for each
-    beta_3, then for each row beta_4, and R is evaluated in beta_2 by Horner's
-    rule.  Every value of R on a row is a multiple of the gcd of the row's
-    coefficients, so a row whose gcd does not divide target is skipped whole.
+    which gives beta_1 directly.  q is homogeneous of degree 4, so beta
+    solves exactly when -beta does, and the box is symmetric: only the rows
+    (beta_3, beta_4) >= (0, 0) are scanned, and each point found stands for
+    the smaller of it and -beta, so the least of them is the first of the
+    box.  R's coefficients are expanded for each beta_3, then for each row
+    beta_4, and R is evaluated in beta_2 by Horner's rule.  Every value of R
+    on a row is a multiple of the gcd of the row's coefficients, so a row
+    whose gcd does not divide target is skipped whole.
     """
     # forms[e2][e4]: coefficient of beta_2^e2 * beta_3^(3 - e2 - e4) * beta_4^e4 in R.
     forms = [[0] * (4 - e2) for e2 in range(4)]
@@ -402,13 +409,13 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
         forms[e2][e4] = r
     s2, s3, s4 = (linear.get(key, 0) for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     span = range(-bound, bound + 1)
-    best = None
-    for b3 in span:
+    found = []
+    for b3 in range(bound + 1):
         powers = (1, b3, b3 * b3, b3**3)
         # Coefficients of beta_2^e2 * beta_4^j once beta_3 is fixed.
         (r00, r01, r02, r03), (r10, r11, r12), (r20, r21), (r3,) = (
             [r * powers[len(form) - 1 - j] for j, r in enumerate(form)] for form in forms)
-        for b4 in span:
+        for b4 in span if b3 else range(bound + 1):
             # Coefficients of beta_2^e2 once beta_4 is fixed as well.
             r0 = ((r03 * b4 + r02) * b4 + r01) * b4 + r00
             r1 = (r12 * b4 + r11) * b4 + r10
@@ -423,9 +430,9 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
                     continue
                 for t in (target // value, -target // value):
                     b1, r = divmod(t - s2 * b2 - s_row, content)
-                    if not r and -bound <= b1 <= bound and (best is None or (b1, b2, b3, b4) < best):
-                        best = (b1, b2, b3, b4)
-    return best
+                    if not r and -bound <= b1 <= bound:
+                        found.append(min((b1, b2, b3, b4), (-b1, -b2, -b3, -b4)))
+    return min(found, default=None)
 
 
 def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
@@ -438,8 +445,9 @@ def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
     the action: its determinants and its index are content^4 times smaller.
     The polynomial must split as (c * beta_1 + S) * R (`_split`), as every
     determinant the pipeline builds does; any other raises
-    InternalInconsistencyError.  The scan then visits only the rows of
-    (beta_3, beta_4) on which R can divide the target (`_first_point`).
+    InternalInconsistencyError.  As q(-beta) = q(beta), the scan visits only
+    the rows (beta_3, beta_4) >= (0, 0) on which R can divide the target, and
+    keeps the smaller of each point found and its mirror (`_first_point`).
     The bound must lie in [0, ORACLE_BOUND_LIMIT].
     """
     check_oracle_bound(bound)

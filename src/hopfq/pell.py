@@ -422,6 +422,7 @@ def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> 
             classes.append((i, m, z, quotients, suffix, period - pos if suffix else pos - 1))
     rows: dict[int, tuple[int, int]] = {}
     x, y, s = _period_convergent(principal, period, sorted({c[-1] for c in classes}), rows)
+    size = (1 if s == 1 else 2) * _log2_size(x, y, d)  # log2 of the unit U of _least_in_class
     reps: list[list] = [[(1, 0)] if m == 1 else [(x, y)] if m == -1 and s == -1 else []
                         for m, _ in targets]
     for i, m, z, quotients, suffix, length in classes:
@@ -435,7 +436,7 @@ def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> 
         # [[g, .], [b, .]] = [[|m|, -z], [0, 1]] times the walk's product times the column.
         b = kw * col0 + kw1 * col1
         v = PellSolution(abs(m) * (hw * col0 + hw1 * col1) - z * b, b)
-        reps[i].append(_least_in_class(v, m, d, x, y, s))
+        reps[i].append(_least_in_class(v, m, d, x, y, s, size))
     return (x, y, s), reps
 
 
@@ -471,18 +472,19 @@ def _log2_size(x: int, y: int, d: int) -> float:
     return hi + log2(1 + 2.0 ** (lo - hi))
 
 
-def _least_in_class(v: PellSolution, n: int, d: int, x: int, y: int, sign: int) -> PellSolution:
+def _least_in_class(v: PellSolution, n: int, d: int, x: int, y: int, sign: int,
+                    size: float) -> PellSolution:
     """Smallest element (by _size_key) of the class {+-U^k * v} of x^2 - d*y^2 = n.
 
     (x, y, sign) is the minimal +-1 solution eps; U = eps^e, e = 2 when
-    sign = -1 and 1 otherwise.  With |v.x + v.y*sqrt(d)| = sqrt(|n|) * 2^s,
-    U^k * v has s + k*log2(U), and |y| grows strictly with |s|: the smallest
-    element has |s + k*log2(U)| <= log2(U)/2, with y > 0 (x > 0 when y = 0)
-    of the pair +-w.  s is a float from the leading bits; where rounding could
-    hide which side of a tie it lies on, both neighbours are compared exactly.
+    sign = -1 and 1 otherwise, and size = log2(U), the same for every class.
+    With |v.x + v.y*sqrt(d)| = sqrt(|n|) * 2^s, U^k * v has s + k*size, and
+    |y| grows strictly with |s|: the smallest element has |s + k*size| <=
+    size/2, with y > 0 (x > 0 when y = 0) of the pair +-w.  s is a float from
+    the leading bits; where rounding could hide which side of a tie it lies
+    on, both neighbours are compared exactly.
     """
     e = 1 if sign == 1 else 2
-    size = e * _log2_size(x, y, d)
     s = _log2_size(v.x, v.y, d) - log2(abs(n)) / 2
     if (v.x >= 0) != (v.y >= 0):  # |v.x + v.y*sqrt(d)| = |n| / (|v.x| + |v.y|*sqrt(d))
         s = -s

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 from hopfq.fields import CyclicQuarticParams, classify_biquadratic_type, classify_cyclic_case
@@ -387,6 +387,52 @@ def expanded_quartic_coefficients(action) -> dict[tuple[int, ...], int]:
             key = tuple(js.count(j) for j in range(4))
             coeffs[key] = coeffs.get(key, 0) + value
     return {key: v for key, v in coeffs.items() if v}
+
+
+# ---- reference for the box scan of the oracle in hopfq.freeness ----
+
+def full_box_first_point(content: int, factor: dict[tuple[int, ...], int],
+                          linear: dict[tuple[int, ...], int], bound: int,
+                          target: int) -> tuple[int, int, int, int] | None:
+    """Lexicographically first beta in [-bound, bound]^4 with |q(beta)| = target.
+
+    q = (c * beta_1 + S) * R as `_split` returns it.  At an integer point
+    with |q| = target, R divides target and c * beta_1 + S = +-target / R,
+    which gives beta_1 directly.  R's coefficients are expanded for each
+    beta_3, then for each row beta_4, and R is evaluated in beta_2 by Horner's
+    rule.  Every value of R on a row is a multiple of the gcd of the row's
+    coefficients, so a row whose gcd does not divide target is skipped whole.
+    """
+    # forms[e2][e4]: coefficient of beta_2^e2 * beta_3^(3 - e2 - e4) * beta_4^e4 in R.
+    forms = [[0] * (4 - e2) for e2 in range(4)]
+    for (e2, _, e4), r in factor.items():
+        forms[e2][e4] = r
+    s2, s3, s4 = (linear.get(key, 0) for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    span = range(-bound, bound + 1)
+    best = None
+    for b3 in span:
+        powers = (1, b3, b3 * b3, b3**3)
+        # Coefficients of beta_2^e2 * beta_4^j once beta_3 is fixed.
+        (r00, r01, r02, r03), (r10, r11, r12), (r20, r21), (r3,) = (
+            [r * powers[len(form) - 1 - j] for j, r in enumerate(form)] for form in forms)
+        for b4 in span:
+            # Coefficients of beta_2^e2 once beta_4 is fixed as well.
+            r0 = ((r03 * b4 + r02) * b4 + r01) * b4 + r00
+            r1 = (r12 * b4 + r11) * b4 + r10
+            r2 = r21 * b4 + r20
+            row = gcd(r0, r1, r2, r3)
+            if not row or target % row:
+                continue
+            s_row = s3 * b3 + s4 * b4
+            for b2 in span:
+                value = ((r3 * b2 + r2) * b2 + r1) * b2 + r0
+                if not value or target % value:
+                    continue
+                for t in (target // value, -target // value):
+                    b1, r = divmod(t - s2 * b2 - s_row, content)
+                    if not r and -bound <= b1 <= bound and (best is None or (b1, b2, b3, b4) < best):
+                        best = (b1, b2, b3, b4)
+    return best
 
 
 # ---- closed-form generator determinants, the cross-check of hopfq.freeness ----

@@ -615,6 +615,9 @@ GOLDEN_COMMANDS = {
     "biquadratic_-3_-7_oracle.json": "biquadratic -m -3 -n -7 --verify-oracle",
     "biquadratic_-3_-7_oracle_100.json":
         "biquadratic -m -3 -n -7 --verify-oracle --oracle-bound 100",
+    # The oracle's generator (-1, -1, -17, 10) lies in a row (beta_3, beta_4) < (0, 0):
+    # the half scan reaches it only as the mirror of (1, 1, 17, -10).
+    "cyclic_1_9_5_oracle_100.json": "cyclic -a 1 -b 9 -c 5 --verify-oracle --oracle-bound 100",
     "pell_106_9_5.json": "pell -D 106 -N 9 -c 5",
     "form_cycle_15_14_-15.json": "form-cycle 15 14 -15",
     "gram_file_power_basis.json":

@@ -16,6 +16,8 @@ import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import partial
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -79,9 +81,13 @@ from hopfq.linalg import content_primitive
 from helpers import (
     closed_form_determinant,
     expanded_quartic_coefficients,
+    full_box_first_point,
     gram_nonclassical,
     identity,
 )
+
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def _cyclic_setup(p: CyclicQuarticParams):
@@ -619,6 +625,50 @@ def test_quartic_coefficients_match_the_256_determinant_expansion():
             assert _quartic_coefficients(primitive) == expanded_quartic_coefficients(primitive)
             count += 1
     assert count == len(CYCLIC_FIELDS) + 3 * len(BIQUAD_FIELDS)
+
+
+def test_determinant_polynomial_is_even_in_beta():
+    """The premise of the half scan: q is homogeneous of degree 4, so q(-beta) = q(beta)."""
+    rng = random.Random(17)
+    for p in CYCLIC_FIELDS + BIQUAD_FIELDS:
+        for entry in summary(p).structures:
+            _, primitive = content_primitive(entry.action)
+            assert all(sum(key) == 4 for key in _quartic_coefficients(primitive))
+            for _ in range(4):
+                beta = [rng.randint(-9, 9) for _ in range(4)]
+                assert (generator_determinant(entry.action, beta)
+                        == generator_determinant(entry.action, [-b for b in beta]))
+
+
+def _oracle_scan_input(action, index):
+    """The arguments `brute_force_generator` hands `_first_point`, less the bound, or None."""
+    content, primitive = content_primitive(action)
+    coeffs = _quartic_coefficients(primitive)
+    common = gcd(*coeffs.values())
+    target = index // content**4
+    if not coeffs or target % common:
+        return None
+    return _split({key: c // common for key, c in coeffs.items()}), target // common
+
+
+def test_half_scan_matches_the_full_box_on_the_oracle_space():
+    """`_first_point` scans the rows (beta_3, beta_4) >= (0, 0) and takes the
+    smaller of each point and its mirror; the full-box scan gives the same point."""
+    rng = random.Random(29)
+    lines = (DATA_DIR / "oracle_space.txt").read_text().splitlines()
+    fields = [validate_cyclic(*map(int, w[1:])) if w[0] == "cyclic"
+              else canonicalize_biquadratic(*map(int, w[1:]))
+              for w in map(str.split, rng.sample(lines, 110))]
+    scans = [scan for p in fields for entry in summary(p).structures
+             if (scan := _oracle_scan_input(entry.action, entry.reduction.index))]
+    assert len(scans) >= 100
+    mirrored = 0
+    for i, (split, target) in enumerate(scans):
+        for bound in (0, 1, 2, 5, 12) + ((30,) if i < 10 else ()):
+            want = full_box_first_point(*split, bound, target)
+            assert freeness._first_point(*split, bound, target) == want
+            mirrored += want is not None and (want[2] < 0 or want[2] == 0 and want[3] < 0)
+    assert mirrored >= 100
 
 
 def test_brute_force_rejects_a_polynomial_of_degree_two_in_beta_1():

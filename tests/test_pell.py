@@ -212,6 +212,11 @@ def _unit_of(d: int, x: int, y: int, s: int) -> tuple[int, int]:
     return (x, y) if s == 1 else (x * x + d * y * y, 2 * x * y)
 
 
+def _least_in_class(v: PellSolution, m: int, d: int, x: int, y: int, s: int) -> PellSolution:
+    """`pell._least_in_class` with log2 of the unit U taken from U's own coordinates."""
+    return pell._least_in_class(v, m, d, x, y, s, pell._log2_size(*_unit_of(d, x, y, s), d))
+
+
 @given(nonsquare_d, class_targets)
 @settings(max_examples=300, deadline=None)
 def test_walks_match_the_stepwise_references(d, m):
@@ -228,7 +233,7 @@ def test_walks_match_the_stepwise_references(d, m):
         for k in (-2, -1, 0, 1, 2):
             for sign in (1, -1):
                 start = pell._unit_power(t, u, d, PellSolution(sign * rep[0], sign * rep[1]), k)
-                assert pell._least_in_class(start, m, d, x, y, s) == rep
+                assert _least_in_class(start, m, d, x, y, s) == rep
 
 
 def _stepwise_product(quotients: list[int]) -> tuple[int, int, int, int]:
@@ -287,7 +292,7 @@ def test_both_sides_of_an_anchor_give_the_class(d, m):
                 if s == 1:
                     continue
                 v = PellSolution(x * v.x + d * y * v.y, y * v.x + x * v.y)
-            least.add(pell._least_in_class(v, m, d, x, y, s))
+            least.add(_least_in_class(v, m, d, x, y, s))
         if least:
             assert len(least) == 1
             got.append(least.pop())
@@ -300,7 +305,7 @@ def test_canonical_step_breaks_a_tie_in_y_by_sign():
     with the same |y|: the tie goes to the positive x, from every start."""
     for start in ((1, 1), (-1, -1), (1, -1), (-1, 1), (7, 5), (-7, 5)):
         sol = PellSolution(*start)
-        least = pell._least_in_class(sol, -1, 2, 1, 1, -1)
+        least = _least_in_class(sol, -1, 2, 1, 1, -1)
         assert least == stepwise_canonical_in_class(sol, 2, 3, 2) == (1, 1)
 
 
