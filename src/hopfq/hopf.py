@@ -168,24 +168,39 @@ def structure_grams(field: FieldParams, descriptor: Sequence[Sequence]) -> list[
     """Integral-basis Gram matrices of the field's non-classical structures.
 
     One per structure, in the order of `structures_for`.  Rows follow the
-    basis (Id, mu, eta + mu*eta, z*(eta - mu*eta)).  The classical rows and
-    the z rows move to the integral basis in one `change_basis` call; the
-    identity row is the identity there too, and the sum row is the sum of
-    two moved rows, since the change of basis is linear and exact.  The
-    moved rows are automorphisms, which map O_L into itself, so their
-    entries and sums are ints.
+    basis (Id, mu, eta + mu*eta, z*(eta - mu*eta)).  The mu rows, the sum
+    rows and the z rows move to the integral basis in one `change_basis`
+    call; the identity row is the identity there too.  A sum row moves as
+    one row, unless eta or mu*eta moves anyway as some structure's mu: then
+    it is the sum of the two moved rows, since the change of basis is linear
+    and exact.  A cyclic field so moves sigma^2, sigma + sigma^3 and its z
+    row.  The moved rows are sums of automorphisms, which map O_L into
+    itself, so their entries are ints.
     """
     classical = gram_classical(field)
     table = mult_table(field)
     recipes = [_NONCLASSICAL_RECIPE[s.family] for s in structures_for(field)]
+    mus = {mu for mu, *_ in recipes}
+    # The rows to move, by classical row index, or by (eta, mu_eta) for a sum row moved as one.
+    rows = {mu: classical[mu] for mu in mus}
+    for _, eta, mu_eta, _ in recipes:
+        if eta in mus or mu_eta in mus:
+            rows[eta], rows[mu_eta] = classical[eta], classical[mu_eta]
+        else:
+            rows[eta, mu_eta] = _row_sum(classical[eta], classical[mu_eta])
     z_rows = [[multiply(_unit(z_index), [x - y for x, y in zip(u, v)], table)
                for u, v in zip(classical[eta], classical[mu_eta])]
               for _, eta, mu_eta, z_index in recipes]
-    moved = [None] + change_basis(classical[1:] + z_rows, descriptor)
-    return [[[_unit(j) for j in range(4)], moved[mu],
-             [[x + y for x, y in zip(u, v)] for u, v in zip(moved[eta], moved[mu_eta])],
-             z_row]
-            for (mu, eta, mu_eta, _), z_row in zip(recipes, moved[4:])]
+    moved = change_basis(list(rows.values()) + z_rows, descriptor)
+    at = dict(zip(rows, moved))
+    return [[[_unit(j) for j in range(4)], at[mu],
+             at[eta, mu_eta] if (eta, mu_eta) in at else _row_sum(at[eta], at[mu_eta]), z_row]
+            for (mu, eta, mu_eta, _), z_row in zip(recipes, moved[len(rows):])]
+
+
+def _row_sum(u: list, v: list) -> list:
+    """Entrywise sum of two Gram rows."""
+    return [[x + y for x, y in zip(a, b)] for a, b in zip(u, v)]
 
 
 def invert_descriptor(descriptor: Sequence[Sequence]) -> tuple[list, int, list]:

@@ -20,7 +20,10 @@ the class is the side of value N, the shorter one if both are; its size in
 floating point confirms it and exact comparison settles a near-tie, so no
 element is walked by the unit.  The walks keep only small states and partial
 quotients; the products, up to millions of bits, come from balanced product
-trees over half the period, which also yield every side.
+trees over half the period, which also yield every side.  They are built only
+when some class exists: one whose anchor lies on the principal cycle, or one
+of N/f^2 = +-1.  Where D is not a square modulo any |N/f^2| > 1 and no N/f^2
+is +-1, no class can exist and the principal cycle is not walked at all.
 """
 
 from __future__ import annotations
@@ -326,9 +329,10 @@ class SolutionClassSet:
     solution (D < 0 or D square).  kind "indefinite": `solutions` lists class
     representatives; the full set is {±U^k·rep} for the fundamental unit
     U = (t, u) acting by (x, y) -> (t*x + D*u*y, u*x + t*y).  `minimal` is
-    the minimal solution (x, y, s) of x^2 - D*y^2 = s = +-1; `unit` is built
-    from it on first use, as a divisibility search needs it only for a class
-    that it walks.
+    the minimal solution (x, y, s) of x^2 - D*y^2 = s = +-1, set for kind
+    "indefinite" alone: it is not computed when there is no class.  `unit`
+    is built from it on first use, as a divisibility search needs it only
+    for a class that it walks.
     """
 
     kind: str
@@ -379,10 +383,15 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
 
 
 def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> tuple[
-        tuple[int, int, int], list[list[tuple[int, int]]]]:
+        tuple[int, int, int] | None, list[list[tuple[int, int]]]]:
     """The minimal +-1 solution eps = (x, y, s) and per target the smallest
     element (by _size_key) of each class of primitive solutions of
     x^2 - d*y^2 = m.
+
+    eps is built only when some target has a class: one found on the
+    principal cycle, or m = 1, or m = -1 when the period is odd.  Otherwise
+    eps is None and every list is empty; with no square root of d modulo any
+    |m| > 1 and no m = +-1, the principal cycle is not walked either.
 
     Each target is m with the factorisation of |m|.  Classes correspond to the
     square roots z of d modulo |m|.  The continued fraction of (z + sqrt(d))/|m|
@@ -407,6 +416,8 @@ def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> 
             quotients, (p, q) = _walk_to_anchor(d, root, z, am)
             anchors.setdefault(q, set()).add(p)
             walks.append((i, m, z, quotients, (p, q)))
+    if not walks and all(abs(m) != 1 for m, _ in targets):
+        return None, [[] for _ in targets]  # no square root of d: no class, no walk
     principal, period, positions = _principal_walk(d, anchors)
     sign = -1 if period % 2 else 1  # the norm of eps
     classes = []
@@ -420,6 +431,8 @@ def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> 
         if after or before:  # the side of value m, the shorter one (in quotients) if both are
             suffix = after and (not before or period - pos <= pos - 1)
             classes.append((i, m, z, quotients, suffix, period - pos if suffix else pos - 1))
+    if not classes and all(m not in (1, sign) for m, _ in targets):
+        return None, [[] for _ in targets]  # no class on the principal cycle: eps unread
     rows: dict[int, tuple[int, int]] = {}
     x, y, s = _period_convergent(principal, period, sorted({c[-1] for c in classes}), rows)
     size = (1 if s == 1 else 2) * _log2_size(x, y, d)  # log2 of the unit U of _least_in_class

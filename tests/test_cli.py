@@ -633,6 +633,11 @@ GOLDEN_COMMANDS = {
     # Two primitive classes, gcd(N, 2D) = 1 and no representative qualifies: the
     # witness is null without a walk, whose period modulo N runs to about 10^12.
     "pell_2_999999999961_1.json": "pell -D 2 -N 999999999961 -c 1",
+    # The target 2357 has the roots +-1067, whose anchors are off the principal
+    # cycle (period 25,250): not free, and the unit is never built.
+    "cyclic_1_97704_2357.json": "cyclic -a 1 -b 97704 -c 2357",
+    # 999999999989 is not a square modulo 3: empty, with no walk of its period 1,103,497.
+    "pell_999999999989_3.json": "pell -D 999999999989 -N 3",
 }
 
 

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hopfq import cli, freeness, pell
+from hopfq import cli, freeness, hopf, pell
 from hopfq.errors import InternalInconsistencyError, ValidationError
 from hopfq.fields import (
     BiquadraticParams,
@@ -436,6 +436,26 @@ def test_pipeline_gram_matches_the_reference_in_every_case_and_type():
         _check_pipeline_grams(p, integral_basis_cyclic(p))
     for p in biquad.values():
         _check_pipeline_grams(p, integral_basis_biquadratic(p))
+
+
+def test_a_field_moves_each_row_it_reads_once(monkeypatch):
+    """A cyclic field moves sigma^2, sigma + sigma^3 and its z row; a
+    biquadratic field moves its three automorphisms, each some structure's mu,
+    and three z rows."""
+    moved = []
+
+    def counted(gram, descriptor):
+        moved.append(len(gram))
+        return change_basis(gram, descriptor)
+
+    monkeypatch.setattr(hopf, "change_basis", counted)
+    cyclic, biquad = CYCLIC_FIELDS[0], BIQUAD_FIELDS[0]
+    grams = hopf.structure_grams(cyclic, integral_basis_cyclic(cyclic))
+    hopf.structure_grams(biquad, integral_basis_biquadratic(biquad))
+    assert moved == [3, 6]
+    classical = change_basis(hopf.gram_classical(cyclic), integral_basis_cyclic(cyclic))
+    assert grams[0][1] == classical[2]
+    assert grams[0][2] == [[x + y for x, y in zip(u, v)] for u, v in zip(classical[1], classical[3])]
 
 
 # ---- report invariants ----

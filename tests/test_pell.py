@@ -20,6 +20,8 @@ from hopfq.errors import (
     NotReducedError,
     SquareDiscriminantError,
 )
+from hopfq.fields import validate_cyclic
+from hopfq.freeness import NOT_FREE, decide_cyclic
 from hopfq.pell import (
     PellSolution,
     QuadForm,
@@ -225,7 +227,7 @@ def test_walks_match_the_stepwise_references(d, m):
     x, y, s = stepwise_minimal_unit_pm(d)
     assert pell._minimal_unit_pm(d) == (x, y, s)
     minimal, [reps] = pell._primitive_class_reps(d, [(m, pell._factor(m))])
-    assert minimal == (x, y, s)
+    assert minimal == ((x, y, s) if reps else None)
     t, u = _unit_of(d, x, y, s)
     assert reps == [stepwise_canonical_in_class(PellSolution(*r), d, t, u)
                     for r in stepwise_primitive_class_reps(d, m, (x, y) if s == -1 else None)]
@@ -328,15 +330,23 @@ def test_large_unit_is_pinned(unlimited_int_digits):
         "740dc5c99e9e759104b65af623de9dd887449f7118e529975fa559896cbb69d8")
 
 
+def _unread(name: str):
+    def fail(*args):
+        pytest.fail(f"{name} ran for an answer that does not read it")
+    return fail
+
+
 @pytest.mark.parametrize("n", [3, -3])
-def test_square_roots_without_a_solution_close_their_period(n):
+def test_square_roots_without_a_solution_close_their_period(n, monkeypatch):
     """1 is a square root of 10 modulo 3, yet x^2 - 10*y^2 = +-3 has no solution:
     the walks of both roots reach an anchor off the principal cycle, whose
-    period closes without meeting q = +-1."""
+    period closes without meeting q = +-1.  Nothing reads the unit, so it is
+    not built."""
     assert (1 - 10) % 3 == 0
     assert pell._square_roots(10, 3, {3: 1}) == [-1, 1]
-    assert pell._primitive_class_reps(10, [(n, {3: 1})])[1] == [[]]
-    assert solve_all(10, n).kind == "empty"
+    monkeypatch.setattr(pell, "_period_convergent", _unread("_period_convergent"))
+    assert pell._primitive_class_reps(10, [(n, {3: 1})]) == (None, [[]])
+    assert solve_all(10, n) == pell.SolutionClassSet("empty", ())
 
 
 # ---- square roots modulo m from the factorisation ----
@@ -444,6 +454,36 @@ def test_no_class_that_cannot_change_is_walked(monkeypatch):
     assert next(divisible_solutions(17, -16, 1)) == (1, 1)
     assert list(divisible_solutions(17, -16, 7)) == []
     assert list(divisible_solutions(2, 999999999961, 1)) == []
+
+
+def test_no_unit_is_built_where_no_class_reads_it(monkeypatch):
+    # x^2 - 3y^2 = -1: the period of sqrt(3) is even.  d = 97704^2 + 2357^2
+    # has the period 25,250 and its target 2357 the roots +-1067, whose
+    # anchors are off the principal cycle: not free, with no unit.
+    assert pell._principal_walk(97704 ** 2 + 2357 ** 2, {})[1] == 25_250
+    assert pell._square_roots(97704 ** 2 + 2357 ** 2, 2357, {2357: 1}) == [-1067, 1067]
+    monkeypatch.setattr(pell, "_period_convergent", _unread("_period_convergent"))
+    assert pell._primitive_class_reps(3, [(-1, {})]) == (None, [[]])
+    assert solve_all(3, -1) == pell.SolutionClassSet("empty", ())
+    report = decide_cyclic(validate_cyclic(1, 97704, 2357))
+    assert (report.decision, report.method) == (NOT_FREE, "pell_criterion")
+
+
+def test_no_principal_walk_without_a_square_root(monkeypatch):
+    # 999999999989 = 2 mod 3 is not a square modulo 3, so no class can exist;
+    # the period of its square root runs to 1,103,497.
+    assert 999999999989 % 3 == 2
+    monkeypatch.setattr(pell, "_principal_walk", _unread("_principal_walk"))
+    monkeypatch.setattr(pell, "_period_convergent", _unread("_period_convergent"))
+    assert solve_all(999999999989, 3) == pell.SolutionClassSet("empty", ())
+    assert list(divisible_solutions(999999999989, 3, 1)) == []
+
+
+@pytest.mark.parametrize("n, rep", [(1, (1, 0)), (-1, (1, 1))])
+def test_a_target_of_one_still_carries_the_unit(n, rep):
+    scs = solve_all(2, n)
+    assert scs.kind == "indefinite" and scs.solutions == (rep,)
+    assert scs.minimal == (1, 1, -1) and scs.unit == (3, 2)
 
 
 @given(
