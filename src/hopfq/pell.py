@@ -15,15 +15,16 @@ solution exactly when the anchor lies on the principal cycle, which the
 unit's walk passes once per D, up to the middle of its palindromic period.
 The anchor splits the period in two sides, each giving an element of the
 class (the infrastructure of the principal cycle: M. J. Jacobson Jr. and
-H. C. Williams, "Solving the Pell Equation", 2009).  The smallest element of
-the class is the side of value N, the shorter one if both are; its size in
-floating point confirms it and exact comparison settles a near-tie, so no
-element is walked by the unit.  The walks keep only small states and partial
-quotients; the products, up to millions of bits, come from balanced product
-trees over half the period, which also yield every side.  They are built only
-when some class exists: one whose anchor lies on the principal cycle, or one
-of N/f^2 = +-1.  Where D is not a square modulo any |N/f^2| > 1 and no N/f^2
-is +-1, no class can exist and the principal cycle is not walked at all.
+H. C. Williams, "Solving the Pell Equation", 2009).  The class is read from
+the shorter side, or the unit times it when only the longer side has value N;
+its size in floating point confirms the smallest element and exact comparison
+settles a near-tie, so no element is walked by the unit.  The walks keep only
+small states and partial quotients; the products, up to millions of bits,
+come from one balanced product tree over half the period, which also yields
+every shorter side.  They are built only when some class exists: one whose
+anchor lies on the principal cycle, or one of N/f^2 = +-1.  Where D is not a
+square modulo any |N/f^2| > 1 and no N/f^2 is +-1, no class can exist and
+the principal cycle is not walked at all.
 """
 
 from __future__ import annotations
@@ -227,17 +228,20 @@ def _quotient_product(quotients: list[int], lo: int, hi: int, cuts: Sequence[int
 
 
 def _principal_walk(d: int, anchors: dict[int, set[int]]
-                    ) -> tuple[list[int], int, dict[tuple[int, int], int]]:
+                    ) -> tuple[list[int], int, dict[tuple[int, int], tuple[int, bool]]]:
     """Partial quotients of sqrt(d) up to the middle of its period, the period
-    length L, and where anchors lie.
+    length L, and the shorter side of each anchor met.
 
     The states after the first, (m_i + sqrt(d))/den_i, are the reduced states
     of the principal cycle; the period closes at den_L = 1, in the state
     (isqrt(d) + sqrt(d))/1.  Over a period den_i = den_(L-i) and
     m_i = m_(L+1-i), so the walk stops where m or den first repeats, at the
     middle, and the state (m_i, den_(i-1)) is the one at position L + 1 - i.
-    `anchors` maps a denominator to the numerators of the states sought; each
-    one met comes back with its position, the index of its partial quotient.
+    `anchors` maps a denominator to the numerators of the states sought.  An
+    anchor at position i, the index of its partial quotient, has the side
+    a_1, ..., a_(i-1) before it and a_i, ..., a_(L-1) after it.  It comes back
+    with (l, after) from its first meeting, at step l + 1, where the side
+    before it, or after it if mirrored, is the shorter: l <= (L-1)//2.
     """
     if d <= 0:
         raise SquareDiscriminantError(f"fundamental unit needs d > 1, got {d}")
@@ -246,24 +250,21 @@ def _principal_walk(d: int, anchors: dict[int, set[int]]
         raise SquareDiscriminantError(f"{d} is a perfect square")
     quotients = [a0]
     append = quotients.append
-    positions: dict[tuple[int, int], int] = {}
-    mirrored: dict[tuple[int, int], int] = {}
+    sides: dict[tuple[int, int], tuple[int, bool]] = {}
     m, den, a = 0, 1, a0
     while True:
         m1 = den * a - m
         den1 = (d - m1 * m1) // den
         if den1 in anchors and m1 in anchors[den1]:
-            positions[m1, den1] = len(quotients)
+            sides.setdefault((m1, den1), (len(quotients) - 1, False))
         if den in anchors and m1 in anchors[den]:
-            mirrored[m1, den] = len(quotients)
+            sides.setdefault((m1, den), (len(quotients) - 1, True))
         if m1 == m or den1 == den:
             break
         m, den = m1, den1
         a = (a0 + m) // den
         append(a)
-    period = 2 * len(quotients) - (2 if m1 == m else 1)
-    positions.update({state: period + 1 - i for state, i in mirrored.items()})
-    return quotients, period, positions
+    return quotients, 2 * len(quotients) - (2 if m1 == m else 1), sides
 
 
 def _period_convergent(quotients: list[int], period: int, lengths: Sequence[int] = (),
@@ -275,25 +276,15 @@ def _period_convergent(quotients: list[int], period: int, lengths: Sequence[int]
     their matrices is B * A^T, where A is the product over the first
     r = (L-1)//2 of them and B is A, times the middle one when L - 1 is odd.
     (x, y) is the first column of [[a0, 1], [1, 0]] * R.  For each l of the
-    ascending `lengths`, rows[l] becomes the first row of the product over
-    a_1, ..., a_l: from the tree over a_1, ..., a_r up to r, and past it
-    from the first row of B through a_r, ..., a_1, the rest of the period.
+    ascending `lengths`, all at most r, rows[1 + l] becomes the first row of
+    the product over a_1, ..., a_l, cut from the one tree that builds A.
     """
     r = (period - 1) // 2
-    split = bisect_right(lengths, r)
-    first: dict[int, tuple[int, int]] = {}
-    h, h1, k, k1 = _quotient_product(quotients, 1, r + 1, [1 + n for n in lengths[:split]], first)
+    h, h1, k, k1 = _quotient_product(quotients, 1, r + 1, [1 + n for n in lengths], rows)
     bh, bh1, bk, bk1 = h, h1, k, k1
     if period % 2 == 0:
         a = quotients[r + 1]
         bh, bh1, bk, bk1 = a * h + h1, h, a * k + k1, k
-    skip, second = period - 1 - r, {}  # skip: the quotients in B
-    if split < len(lengths):
-        top = lengths[-1] - skip
-        _quotient_product(quotients[r:r - top:-1], 0, top, [n - skip for n in lengths[split:]],
-                          second, (bh, bh1))
-    if rows is not None:
-        rows.update({n: first[1 + n] if n <= r else second[n - skip] for n in lengths})
     r11 = bh * h + bh1 * h1
     return quotients[0] * r11 + bk * h + bk1 * h1, r11, (-1) ** period
 
@@ -398,12 +389,13 @@ def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> 
     becomes purely periodic at its first reduced state, its anchor, and can
     meet q = 1 only on the principal cycle, as (isqrt(d) + sqrt(d))/1 is the
     only reduced state with q = 1; a class whose anchor is not on that cycle
-    has no solution.  An anchor at position i splits the period in two sides.
-    Continued through the quotients from i, the walk ends at an element of
-    value (-1)^steps * |m|; through the adjugate of the product before i, at
-    +-eps^-1 times it.  The side of value m, the shorter one if both are, is
-    the smallest element of the class but for a near-tie, which
-    `_least_in_class` settles.
+    has no solution.  An anchor splits the period in two sides: through the
+    quotients after it the walk ends at an element of value (-1)^steps * |m|,
+    through the adjugate of the product before it at +-eps^-1 times that.
+    The shorter side gives the class when its value is m; else, for an odd
+    period, the longer side does: at the middle of the period from the same
+    row, elsewhere as eps^-+1 times the shorter side.  That element is the
+    smallest of the class but for a near-tie, which `_least_in_class` settles.
     """
     root = isqrt(d)
     walks = []
@@ -418,37 +410,42 @@ def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> 
             walks.append((i, m, z, quotients, (p, q)))
     if not walks and all(abs(m) != 1 for m, _ in targets):
         return None, [[] for _ in targets]  # no square root of d: no class, no walk
-    principal, period, positions = _principal_walk(d, anchors)
+    principal, period, sides = _principal_walk(d, anchors)
     sign = -1 if period % 2 else 1  # the norm of eps
     classes = []
     for i, m, z, quotients, anchor in walks:
-        if anchor not in positions:
+        if anchor not in sides:
             continue
-        pos = positions[anchor]
-        # The side after the anchor has value (-1)^steps * |m|; the side before, sign times that.
-        after = (len(quotients) + period - pos) % 2 == (m < 0)
-        before = after == (sign == 1)
-        if after or before:  # the side of value m, the shorter one (in quotients) if both are
-            suffix = after and (not before or period - pos <= pos - 1)
-            classes.append((i, m, z, quotients, suffix, period - pos if suffix else pos - 1))
+        length, after = sides[anchor]
+        power = 0
+        # A side of l quotients has value (-1)^(w + l) * |m| after the anchor, w the
+        # walk's steps, and the opposite before it.
+        if (len(quotients) + length + after) % 2 != (m > 0):  # the shorter side's is -m
+            if sign == 1:
+                continue  # and so is the longer side's: no class
+            if 2 * length == period - 1:  # the middle: the other side, as long
+                after = not after
+            else:  # the longer side: +-eps^-1 * after, +-eps * before
+                power = -1 if after else 1
+        classes.append((i, m, z, quotients, length, after, power))
     if not classes and all(m not in (1, sign) for m, _ in targets):
         return None, [[] for _ in targets]  # no class on the principal cycle: eps unread
     rows: dict[int, tuple[int, int]] = {}
-    x, y, s = _period_convergent(principal, period, sorted({c[-1] for c in classes}), rows)
+    x, y, s = _period_convergent(principal, period, sorted({c[4] for c in classes}), rows)
     size = (1 if s == 1 else 2) * _log2_size(x, y, d)  # log2 of the unit U of _least_in_class
     reps: list[list] = [[(1, 0)] if m == 1 else [(x, y)] if m == -1 and s == -1 else []
                         for m, _ in targets]
-    for i, m, z, quotients, suffix, length in classes:
+    for i, m, z, quotients, length, after, power in classes:
         # (p, q) is the first row of the product over a_1, ..., a_l.  By the
         # palindrome the side after the anchor is its transpose, with first
         # column (p, q); the side before is [[a0, 1], [1, 0]] times it, whose
         # adjugate has first column (q, -p).
-        p, q = rows[length]
-        col0, col1 = (p, q) if suffix else (q, -p)
+        p, q = rows[1 + length]
+        col0, col1 = (p, q) if after else (q, -p)
         hw, hw1, kw, kw1 = _quotient_product(quotients, 0, len(quotients))
         # [[g, .], [b, .]] = [[|m|, -z], [0, 1]] times the walk's product times the column.
         b = kw * col0 + kw1 * col1
-        v = PellSolution(abs(m) * (hw * col0 + hw1 * col1) - z * b, b)
+        v = _unit_power(x, y, d, PellSolution(abs(m) * (hw * col0 + hw1 * col1) - z * b, b), power)
         reps[i].append(_least_in_class(v, m, d, x, y, s, size))
     return (x, y, s), reps
 

@@ -638,6 +638,9 @@ GOLDEN_COMMANDS = {
     "cyclic_1_97704_2357.json": "cyclic -a 1 -b 97704 -c 2357",
     # 999999999989 is not a square modulo 3: empty, with no walk of its period 1,103,497.
     "pell_999999999989_3.json": "pell -D 999999999989 -N 3",
+    # D has the period 173 and N = -2^4*7*421: every class comes from the unit
+    # times the shorter side of its anchor, the longer side having value N.
+    "pell_61409021_-47152.json": "pell -D 61409021 -N -47152",
 }
 
 

@@ -219,6 +219,14 @@ def _least_in_class(v: PellSolution, m: int, d: int, x: int, y: int, s: int) -> 
     return pell._least_in_class(v, m, d, x, y, s, pell._log2_size(*_unit_of(d, x, y, s), d))
 
 
+def _stepwise_reps(d: int, m: int) -> list[PellSolution]:
+    """The smallest element of each class of x^2 - d*y^2 = m, by the stepwise references."""
+    x, y, s = stepwise_minimal_unit_pm(d)
+    t, u = _unit_of(d, x, y, s)
+    return [stepwise_canonical_in_class(PellSolution(*r), d, t, u)
+            for r in stepwise_primitive_class_reps(d, m, (x, y) if s == -1 else None)]
+
+
 @given(nonsquare_d, class_targets)
 @settings(max_examples=300, deadline=None)
 def test_walks_match_the_stepwise_references(d, m):
@@ -229,8 +237,7 @@ def test_walks_match_the_stepwise_references(d, m):
     minimal, [reps] = pell._primitive_class_reps(d, [(m, pell._factor(m))])
     assert minimal == ((x, y, s) if reps else None)
     t, u = _unit_of(d, x, y, s)
-    assert reps == [stepwise_canonical_in_class(PellSolution(*r), d, t, u)
-                    for r in stepwise_primitive_class_reps(d, m, (x, y) if s == -1 else None)]
+    assert reps == _stepwise_reps(d, m)
     for rep in reps:
         for k in (-2, -1, 0, 1, 2):
             for sign in (1, -1):
@@ -249,14 +256,15 @@ def _stepwise_product(quotients: list[int]) -> tuple[int, int, int, int]:
 @given(nonsquare_d, class_targets)
 @settings(max_examples=200, deadline=None)
 def test_both_sides_of_an_anchor_give_the_class(d, m):
-    """An anchor at position i of the principal period splits it in two.  The
-    walk continued through the quotients from i gives an element A of value
-    (-1)^steps * |m|; through the adjugate of the product before i it gives
-    +-eps^-1 * A.  Brought to value m by eps where needed, either side reduces
-    to the smallest element of the class, the stepwise reference's."""
+    """The identity that lets `_primitive_class_reps` read every class from
+    the shorter side of its anchor.  An anchor at position i of the principal
+    period splits it in two.  The walk continued through the quotients from i
+    gives an element A of value (-1)^steps * |m|; through the adjugate of the
+    product before i it gives +-eps^-1 * A.  Brought to value m by eps where
+    needed, either side reduces to the smallest element of the class, the
+    stepwise reference's."""
     assume(abs(m) > 1)
     x, y, s = stepwise_minimal_unit_pm(d)
-    t, u = _unit_of(d, x, y, s)
     root = isqrt(d)
     principal, where = [root], {}
     p, q, a = 0, 1, root
@@ -298,8 +306,63 @@ def test_both_sides_of_an_anchor_give_the_class(d, m):
         if least:
             assert len(least) == 1
             got.append(least.pop())
-    assert got == [stepwise_canonical_in_class(PellSolution(*r), d, t, u)
-                   for r in stepwise_primitive_class_reps(d, m, (x, y) if s == -1 else None)]
+    assert got == _stepwise_reps(d, m)
+
+
+def test_every_class_comes_from_one_half_period_tree(monkeypatch):
+    """No side longer than half the period is asked of `_period_convergent`,
+    and every class of every small (d, m) is still the stepwise reference's."""
+    convergent = pell._period_convergent
+
+    def half_only(quotients, period, lengths=(), rows=None):
+        assert all(n <= (period - 1) // 2 for n in lengths)
+        return convergent(quotients, period, lengths, rows)
+
+    monkeypatch.setattr(pell, "_period_convergent", half_only)
+    for d in range(2, 80):
+        if isqrt(d) ** 2 == d:
+            continue
+        for m in itertools.chain(range(-80, -1), range(2, 81)):
+            assert pell._primitive_class_reps(d, [(m, pell._factor(m))])[1] == [
+                _stepwise_reps(d, m)]
+
+
+@pytest.mark.parametrize("m, sides, reps", [
+    (-39, [(0, True), (1, True)], [(13, 4), (-13, 4)]),
+    (-29, [(2, False), (0, False)], [(32, 9), (-32, 9)]),
+])
+def test_a_class_from_the_longer_side_of_its_anchor(m, sides, reps):
+    """sqrt(13) has period 5 and eps = (18, 5) of norm -1, so the two sides of
+    an anchor have opposite values.  For -39 the root 13's anchor has one
+    quotient after it, of value +39: the class is eps^-1 times that side, the
+    longer one.  For -29 the root -10's anchor sits at the middle, two
+    quotients on each side, and the side before it has value +29: the class
+    is the side after it, read from the same row."""
+    anchors = [pell._walk_to_anchor(13, 3, z, abs(m))[1]
+               for z in pell._square_roots(13, abs(m), pell._factor(m))]
+    sought: dict[int, set[int]] = {}
+    for p, q in anchors:
+        sought.setdefault(q, set()).add(p)
+    _, period, found = pell._principal_walk(13, sought)
+    assert period == 5 and [found[a] for a in anchors] == sides
+    assert pell._primitive_class_reps(13, [(m, pell._factor(m))])[1] == [_stepwise_reps(13, m)]
+    assert solve_all(13, m).solutions == tuple(reps) and set(_stepwise_reps(13, m)) == set(reps)
+
+
+def test_a_class_at_the_middle_of_the_period_takes_no_product(monkeypatch):
+    """Both anchors of x^2 - 29*y^2 = -5 sit at the middle of the period 5 of
+    sqrt(29), and the side met first of one of them has value +5: its class
+    is the other side, read from the same row, not the unit times it."""
+    power = pell._unit_power
+
+    def no_product(t, u, d, rep, k):
+        assert k == 0, "a class at the middle was multiplied by the unit"
+        return power(t, u, d, rep, k)
+
+    monkeypatch.setattr(pell, "_unit_power", no_product)
+    assert pell._primitive_class_reps(29, [(-5, {5: 1})]) == (
+        (70, 13, -1), [_stepwise_reps(29, -5)])
+    assert _stepwise_reps(29, -5) == [(16, 3), (-16, 3)]
 
 
 def test_canonical_step_breaks_a_tie_in_y_by_sign():
