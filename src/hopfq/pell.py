@@ -22,9 +22,10 @@ settles a near-tie, so no element is walked by the unit.  The walks keep only
 small states and partial quotients; the products, up to millions of bits,
 come from one balanced product tree over half the period, which also yields
 every shorter side.  They are built only when some class exists: one whose
-anchor lies on the principal cycle, or one of N/f^2 = +-1.  Where D is not a
-square modulo any |N/f^2| > 1 and no N/f^2 is +-1, no class can exist and
-the principal cycle is not walked at all.
+anchor lies on the principal cycle, or one of N/f^2 = +-1.  The principal
+cycle is not walked at all where no class can exist for a reason seen
+first: N is not a square modulo some odd prime of D, or D is not a square
+modulo any |N/f^2| > 1 and no N/f^2 is +-1.
 """
 
 from __future__ import annotations
@@ -340,7 +341,11 @@ def _size_key(s: PellSolution) -> tuple:
 
 
 def solve_all(d: int, n: int) -> SolutionClassSet:
-    """Full solution description of x^2 - d*y^2 = n (d, n nonzero)."""
+    """Full solution description of x^2 - d*y^2 = n (d, n nonzero).
+
+    For d > 0 nonsquare it is empty, with n not factored and no cycle walked,
+    where n is not a square modulo an odd prime of d (`_residue_obstructed`).
+    """
     if d == 0 or n == 0:
         raise ValidationError(f"Pell problem needs nonzero D and N, got D={d}, N={n}")
     s = isqrt(d) if d > 0 else 0
@@ -363,6 +368,8 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
         ordered = tuple(sorted(map(PellSolution._make, sols), key=_size_key))
         return SolutionClassSet("finite" if ordered else "empty", ordered)
 
+    if _residue_obstructed(d, n):
+        return SolutionClassSet("empty", ())  # no square root of n modulo a prime of d
     factors = _factor(n)
     divisors = _square_divisors(factors)
     minimal, reps = _primitive_class_reps(d, [(n // (f * f), rest) for f, rest in divisors])
@@ -371,6 +378,28 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
     if not found:
         return SolutionClassSet("empty", ())
     return SolutionClassSet("indefinite", tuple(sorted(found, key=_size_key)), minimal)
+
+
+def _residue_obstructed(d: int, n: int) -> bool:
+    """True where some odd prime q | d has (n/q) = -1, so x^2 - d*y^2 = n,
+    which needs x^2 = n modulo q, has no solution at all.
+
+    d's odd primes up to d^(1/4) are divided out and tested one by one where
+    they do not divide n; with gcd(r, n) = 1, (n/r) = -1 for the odd part r
+    left over shows such a q among r's primes.  The bound keeps the cost to
+    about d^(1/4)/2 divisions, against a walk of order sqrt(d).
+    """
+    r = d // (d & -d)  # the odd part of d
+    bound = isqrt(isqrt(d))
+    q = 3
+    while q <= bound and q * q <= r:
+        if r % q == 0:
+            if n % q and jacobi(n, q) == -1:
+                return True
+            while r % q == 0:
+                r //= q
+        q += 2
+    return r > 1 and gcd(r, n) == 1 and jacobi(n, r) == -1
 
 
 def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> tuple[

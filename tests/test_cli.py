@@ -634,10 +634,17 @@ GOLDEN_COMMANDS = {
     # witness is null without a walk, whose period modulo N runs to about 10^12.
     "pell_2_999999999961_1.json": "pell -D 2 -N 999999999961 -c 1",
     # The target 2357 has the roots +-1067, whose anchors are off the principal
-    # cycle (period 25,250): not free, and the unit is never built.
+    # cycle (period 25,250), but d = 0 and 2357 = 2 modulo 5, so it is not
+    # free without a walk, and the unit is never built.
     "cyclic_1_97704_2357.json": "cyclic -a 1 -b 97704 -c 2357",
+    # d = 17 * 275965589 is a square modulo the target 67233 and the target one
+    # modulo each prime of d: the walk (period 5,332) meets no class on the
+    # principal cycle, and the field is not free with no unit built.
+    "cyclic_1_13082_67233.json": "cyclic -a 1 -b 13082 -c 67233",
     # 999999999989 is not a square modulo 3: empty, with no walk of its period 1,103,497.
     "pell_999999999989_3.json": "pell -D 999999999989 -N 3",
+    # 3 is not a square modulo 5 | 999999999985: empty, with no walk of its period 397,018.
+    "pell_999999999985_3.json": "pell -D 999999999985 -N 3",
     # D has the period 173 and N = -2^4*7*421: every class comes from the unit
     # times the shorter side of its anchor, the longer side having value N.
     "pell_61409021_-47152.json": "pell -D 61409021 -N -47152",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hopfq.errors import RankDeficientError, ZeroMatrixError
 from hopfq.freeness import _factor
 from hopfq.linalg import det, hnf_integer, mat_inv
-from hopfq.pell import _square_roots, solve_all
+from hopfq.pell import _residue_obstructed, _square_roots, solve_all
 
 sympy = pytest.importorskip("sympy")
 factorint = pytest.importorskip("sympy.ntheory").factorint
@@ -136,6 +136,29 @@ def _large_pell_cases(count: int, seed: int) -> list[tuple[int, int]]:
     return cases
 
 
+def _coprime_pell_cases(count: int, seed: int) -> list[tuple[int, int]]:
+    """Nonsquare d <= 10^4, each an odd prime up to 13 times a cofactor, and
+    N coprime to d with 1 <= |N| <= 10^4.  Two N in three are uniform, often
+    a non-residue modulo a prime of d; the third is a value x^2 - d*y^2 near
+    zero, which is solvable."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        q = rng.choice((3, 5, 7, 11, 13))
+        d = q * rng.randint(1, 10**4 // q)
+        if isqrt(d) ** 2 == d:
+            continue
+        if len(cases) % 3 == 2:
+            y = rng.randint(1, 3)
+            x = isqrt(d * y * y) + rng.randint(-2, 3)
+            n = x * x - d * y * y
+        else:
+            n = rng.choice((1, -1)) * rng.randint(1, 10**4)
+        if 1 <= abs(n) <= 10**4 and gcd(n, d) == 1:
+            cases.append((d, n))
+    return cases
+
+
 def _assert_classes_match_diop_DN(cases: list[tuple[int, int]]) -> int:
     """Every fundamental solution from diop_DN lies in a class of solve_all, and
     every class of solve_all holds one of them; returns how many cases solve.
@@ -167,6 +190,15 @@ def test_solve_all_classes_match_sympy_diop_DN():
 
 def test_solve_all_classes_match_sympy_diop_DN_up_to_a_million():
     assert _assert_classes_match_diop_DN(_large_pell_cases(30, seed=2022)) >= 15
+
+
+def test_solve_all_classes_match_sympy_diop_DN_on_both_sides_of_the_residue_test():
+    """diop_DN referees the cases that the residue test rules out before any
+    walk as well as those it leaves to the class search."""
+    cases = _coprime_pell_cases(36, seed=2024)
+    obstructed = sum(_residue_obstructed(d, n) for d, n in cases)
+    assert 12 <= obstructed <= 24
+    assert _assert_classes_match_diop_DN(cases) >= 12
 
 
 def test_square_roots_match_sympy_sqrt_mod():

@@ -404,7 +404,8 @@ def test_square_roots_without_a_solution_close_their_period(n, monkeypatch):
     """1 is a square root of 10 modulo 3, yet x^2 - 10*y^2 = +-3 has no solution:
     the walks of both roots reach an anchor off the principal cycle, whose
     period closes without meeting q = +-1.  Nothing reads the unit, so it is
-    not built."""
+    not built.  solve_all walks nothing here, as +-3 is not a square modulo
+    5; the class search is called directly to reach that path."""
     assert (1 - 10) % 3 == 0
     assert pell._square_roots(10, 3, {3: 1}) == [-1, 1]
     monkeypatch.setattr(pell, "_period_convergent", _unread("_period_convergent"))
@@ -520,16 +521,30 @@ def test_no_class_that_cannot_change_is_walked(monkeypatch):
 
 
 def test_no_unit_is_built_where_no_class_reads_it(monkeypatch):
-    # x^2 - 3y^2 = -1: the period of sqrt(3) is even.  d = 97704^2 + 2357^2
-    # has the period 25,250 and its target 2357 the roots +-1067, whose
-    # anchors are off the principal cycle: not free, with no unit.
+    # x^2 - 3y^2 = -1: the period of sqrt(3) is even, so the walk finds no
+    # class; solve_all does not walk, as -1 is not a square modulo 3.
+    # d = 97704^2 + 2357^2 has the period 25,250 and its target 2357 the roots
+    # +-1067, whose anchors are off the principal cycle; solve_all does not
+    # walk either, as d = 0 and 2357 = 2 modulo 5.  d = 13082^2 + 67233^2 =
+    # 17 * 275965589 (period 5,332) is a square modulo its target 67233 and
+    # the target one modulo both primes of d: solve_all walks, meets no class
+    # on the principal cycle, and the field is not free with no unit.
     assert pell._principal_walk(97704 ** 2 + 2357 ** 2, {})[1] == 25_250
     assert pell._square_roots(97704 ** 2 + 2357 ** 2, 2357, {2357: 1}) == [-1067, 1067]
+    d = 13082 ** 2 + 67233 ** 2
+    assert pell._factor(d) == {17: 1, 275965589: 1} and pell._principal_walk(d, {})[1] == 5_332
+    assert pell.jacobi(67233, 17) == pell.jacobi(67233, 275965589) == 1
     monkeypatch.setattr(pell, "_period_convergent", _unread("_period_convergent"))
     assert pell._primitive_class_reps(3, [(-1, {})]) == (None, [[]])
     assert solve_all(3, -1) == pell.SolutionClassSet("empty", ())
     report = decide_cyclic(validate_cyclic(1, 97704, 2357))
     assert (report.decision, report.method) == (NOT_FREE, "pell_criterion")
+    walks = []
+    walk = pell._principal_walk
+    monkeypatch.setattr(pell, "_principal_walk", lambda *args: walks.append(args[0]) or walk(*args))
+    report = decide_cyclic(validate_cyclic(1, 13082, 67233))
+    assert (report.decision, report.method) == (NOT_FREE, "pell_criterion")
+    assert walks == [d]
 
 
 def test_no_principal_walk_without_a_square_root(monkeypatch):
@@ -540,6 +555,43 @@ def test_no_principal_walk_without_a_square_root(monkeypatch):
     monkeypatch.setattr(pell, "_period_convergent", _unread("_period_convergent"))
     assert solve_all(999999999989, 3) == pell.SolutionClassSet("empty", ())
     assert list(divisible_solutions(999999999989, 3, 1)) == []
+
+
+def test_no_walk_where_a_prime_of_d_rules_the_target_out(monkeypatch):
+    # 999999999985 = 5 * 7^3 * 1733 * 336463 is 1 modulo 3, a square, but 3 is
+    # not a square modulo 5: no solution, and no walk of the period 397,018.
+    assert 999999999985 % 3 == 1 and pell.jacobi(3, 5) == -1
+    monkeypatch.setattr(pell, "_principal_walk", _unread("_principal_walk"))
+    monkeypatch.setattr(pell, "_period_convergent", _unread("_period_convergent"))
+    assert solve_all(999999999985, 3) == pell.SolutionClassSet("empty", ())
+
+
+@st.composite
+def obstruction_problems(draw):
+    """(D, N) with nonsquare 2 <= D <= 10^4 and 1 <= |N| <= 10^4.  Half the
+    D are an odd prime q <= 7 times a cofactor of at least q^3, so that q lies
+    below D^(1/4) and is tested on its own; the rest are uniform, their odd
+    primes mostly left to the Jacobi symbol of what trial division leaves."""
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([3, 5, 7]))
+        d = q * draw(st.integers(q ** 3, 10**4 // q))
+    else:
+        d = draw(st.integers(2, 10**4))
+    assume(isqrt(d) ** 2 != d)
+    return d, draw(st.integers(1, 10**4)) * draw(st.sampled_from([1, -1]))
+
+
+@given(obstruction_problems())
+@settings(max_examples=300, deadline=None)
+def test_a_residue_obstruction_leaves_no_solution(problem):
+    """Where the obstruction fires, the class search without it finds no class
+    of any N/f^2, and neither the classes nor a scan put a solution in a box."""
+    d, n = problem
+    assume(pell._residue_obstructed(d, n))
+    targets = [(n // (f * f), rest) for f, rest in pell._square_divisors(pell._factor(n))]
+    assert not any(pell._primitive_class_reps(d, targets)[1])
+    assert solutions_within(d, n, 10**4) == []
+    assert not brute_solutions(d, n, 300)
 
 
 @pytest.mark.parametrize("n, rep", [(1, (1, 0)), (-1, (1, 1))])
