@@ -49,7 +49,7 @@ def is_squarefree(n: int) -> bool:
             n //= i
             if n % i == 0:
                 return False
-        i += 1
+        i += 1 if i == 2 else 2
     return not (n > 1 and isqrt(n) ** 2 == n)
 
 

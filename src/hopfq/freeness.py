@@ -152,11 +152,10 @@ def _cyclic_prescreen(p: CyclicQuarticParams,
     """
     if target == 1:
         return PrescreenVerdict(FREE, "target equals one"), solve_all(p.d, target)
-    half = p.d // 2
-    if p.d % 2 == 0 and jacobi(target % half, half) == -1:
+    if p.d % 2 == 0 and jacobi(target, p.d // 2) == -1:
         return PrescreenVerdict(NOT_FREE, "target is a quadratic non-residue modulo d/2"), None
     classes = solve_all(p.d, target)
-    if _factor(target) == {target: 1} and classes.kind != "empty":
+    if classes.kind != "empty" and _factor(target) == {target: 1}:
         return PrescreenVerdict(FREE, "prime target with solvable norm equation"), classes
     return UNDECIDED, classes
 

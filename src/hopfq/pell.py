@@ -21,11 +21,12 @@ its size in floating point confirms the smallest element and exact comparison
 settles a near-tie, so no element is walked by the unit.  The walks keep only
 small states and partial quotients; the products, up to millions of bits,
 come from one balanced product tree over half the period, which also yields
-every shorter side.  They are built only when some class exists: one whose
-anchor lies on the principal cycle, or one of N/f^2 = +-1.  The principal
+every shorter side.  They are built only when some anchor lies on the
+principal cycle; the root 0 of N/f^2 = +-1 reaches its first state in one
+step, and the fundamental unit is read from the class of 1.  The principal
 cycle is not walked at all where no class can exist for a reason seen
 first: N is not a square modulo some odd prime of D, or D is not a square
-modulo any |N/f^2| > 1 and no N/f^2 is +-1.
+modulo any |N/f^2|.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _prime_power_roots(d: int, p: int, e: int) -> list[int]:
 
 
 def _square_roots(d: int, m: int, factors: dict[int, int]) -> list[int]:
-    """Every z in (-m/2, m/2] with z^2 = d modulo m >= 2, ascending.
+    """Every z in (-m/2, m/2] with z^2 = d modulo m >= 1, ascending.
 
     `factors` is the factorisation of m; the roots modulo each prime power
     are combined by the Chinese remainder theorem.
@@ -244,11 +245,7 @@ def _principal_walk(d: int, anchors: dict[int, set[int]]
     with (l, after) from its first meeting, at step l + 1, where the side
     before it, or after it if mirrored, is the shorter: l <= (L-1)//2.
     """
-    if d <= 0:
-        raise SquareDiscriminantError(f"fundamental unit needs d > 1, got {d}")
     a0 = isqrt(d)
-    if a0 * a0 == d:
-        raise SquareDiscriminantError(f"{d} is a perfect square")
     quotients = [a0]
     append = quotients.append
     sides: dict[tuple[int, int], tuple[int, bool]] = {}
@@ -290,20 +287,19 @@ def _period_convergent(quotients: list[int], period: int, lengths: Sequence[int]
     return quotients[0] * r11 + bk * h + bk1 * h1, r11, (-1) ** period
 
 
-def _minimal_unit_pm(d: int) -> tuple[int, int, int]:
-    """Smallest (x, y, s) with x, y >= 1 and x^2 - d*y^2 = s, s in {1, -1}: the
-    convergent of sqrt(d) just before its period closes, s = (-1)^period."""
-    return _period_convergent(*_principal_walk(d, {})[:2])
-
-
 def _unit_from(x: int, y: int, s: int) -> tuple[int, int]:
     """The fundamental unit from the minimal +-1 solution: itself, or its square."""
     return (x, y) if s == 1 else (2 * x * x + 1, 2 * x * y)  # x^2 + d*y^2 = 2*x^2 + 1
 
 
 def fundamental_unit(d: int) -> tuple[int, int]:
-    """Minimal (t, u) with t, u >= 1 and t^2 - d*u^2 = 1."""
-    return _unit_from(*_minimal_unit_pm(d))
+    """Minimal (t, u) with t, u >= 1 and t^2 - d*u^2 = 1: the unit of the
+    class of 1, which `solve_all` finds like any other."""
+    if d <= 0:
+        raise SquareDiscriminantError(f"fundamental unit needs d > 1, got {d}")
+    if is_square(d):
+        raise SquareDiscriminantError(f"{d} is a perfect square")
+    return solve_all(d, 1).unit
 
 
 # ---- solution class sets ----
@@ -408,10 +404,12 @@ def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> 
     element (by _size_key) of each class of primitive solutions of
     x^2 - d*y^2 = m.
 
-    eps is built only when some target has a class: one found on the
-    principal cycle, or m = 1, or m = -1 when the period is odd.  Otherwise
-    eps is None and every list is empty; with no square root of d modulo any
-    |m| > 1 and no m = +-1, the principal cycle is not walked either.
+    eps is built only when some target has a class on the principal cycle.
+    Otherwise eps is None and every list is empty; with no square root of d
+    modulo any |m|, the principal cycle is not walked either.  m = +-1 has
+    the root 0, whose anchor (isqrt(d), d - isqrt(d)^2) is the first state
+    of the principal cycle: the class of 1 holds (1, 0), and that of -1 is
+    eps's when the period is odd.
 
     Each target is m with the factorisation of |m|.  Classes correspond to the
     square roots z of d modulo |m|.  The continued fraction of (z + sqrt(d))/|m|
@@ -430,14 +428,11 @@ def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> 
     walks = []
     anchors: dict[int, set[int]] = {}
     for i, (m, factors) in enumerate(targets):
-        am = abs(m)
-        if am == 1:
-            continue
-        for z in _square_roots(d, am, factors):
-            quotients, (p, q) = _walk_to_anchor(d, root, z, am)
+        for z in _square_roots(d, abs(m), factors):
+            quotients, (p, q) = _walk_to_anchor(d, root, z, abs(m))
             anchors.setdefault(q, set()).add(p)
             walks.append((i, m, z, quotients, (p, q)))
-    if not walks and all(abs(m) != 1 for m, _ in targets):
+    if not walks:
         return None, [[] for _ in targets]  # no square root of d: no class, no walk
     principal, period, sides = _principal_walk(d, anchors)
     sign = -1 if period % 2 else 1  # the norm of eps
@@ -457,13 +452,12 @@ def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> 
             else:  # the longer side: +-eps^-1 * after, +-eps * before
                 power = -1 if after else 1
         classes.append((i, m, z, quotients, length, after, power))
-    if not classes and all(m not in (1, sign) for m, _ in targets):
+    if not classes:
         return None, [[] for _ in targets]  # no class on the principal cycle: eps unread
     rows: dict[int, tuple[int, int]] = {}
     x, y, s = _period_convergent(principal, period, sorted({c[4] for c in classes}), rows)
     size = (1 if s == 1 else 2) * _log2_size(x, y, d)  # log2 of the unit U of _least_in_class
-    reps: list[list] = [[(1, 0)] if m == 1 else [(x, y)] if m == -1 and s == -1 else []
-                        for m, _ in targets]
+    reps: list[list] = [[] for _ in targets]
     for i, m, z, quotients, length, after, power in classes:
         # (p, q) is the first row of the product over a_1, ..., a_l.  By the
         # palindrome the side after the anchor is its transpose, with first
@@ -474,8 +468,8 @@ def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> 
         hw, hw1, kw, kw1 = _quotient_product(quotients, 0, len(quotients))
         # [[g, .], [b, .]] = [[|m|, -z], [0, 1]] times the walk's product times the column.
         b = kw * col0 + kw1 * col1
-        v = _unit_power(x, y, d, PellSolution(abs(m) * (hw * col0 + hw1 * col1) - z * b, b), power)
-        reps[i].append(_least_in_class(v, m, d, x, y, s, size))
+        v = PellSolution(abs(m) * (hw * col0 + hw1 * col1) - z * b, b)
+        reps[i].append(_least_in_class(v, power, m, d, x, y, s, size))
     return (x, y, s), reps
 
 
@@ -511,28 +505,33 @@ def _log2_size(x: int, y: int, d: int) -> float:
     return hi + log2(1 + 2.0 ** (lo - hi))
 
 
-def _least_in_class(v: PellSolution, n: int, d: int, x: int, y: int, sign: int,
+def _least_in_class(v: PellSolution, power: int, n: int, d: int, x: int, y: int, sign: int,
                     size: float) -> PellSolution:
-    """Smallest element (by _size_key) of the class {+-U^k * v} of x^2 - d*y^2 = n.
+    """Smallest element (by _size_key) of the class {+-U^k * eps^power * v} of
+    x^2 - d*y^2 = n.
 
     (x, y, sign) is the minimal +-1 solution eps; U = eps^e, e = 2 when
     sign = -1 and 1 otherwise, and size = log2(U), the same for every class.
-    With |v.x + v.y*sqrt(d)| = sqrt(|n|) * 2^s, U^k * v has s + k*size, and
-    |y| grows strictly with |s|: the smallest element has |s + k*size| <=
-    size/2, with y > 0 (x > 0 when y = 0) of the pair +-w.  s is a float from
-    the leading bits; where rounding could hide which side of a tie it lies
-    on, both neighbours are compared exactly.
+    With |v.x + v.y*sqrt(d)| = sqrt(|n|) * 2^s, U^k * eps^power * v has
+    s + (k + power/e)*size, and |y| grows strictly with its absolute value:
+    the smallest element has it at most size/2, with y > 0 (x > 0 when
+    y = 0) of the pair +-w.  s is a float from the leading bits; where
+    rounding could hide which side of a tie it lies on, both neighbours are
+    compared exactly.  Each is v times one power of eps, so where v is small
+    neither is a product of two large numbers: the class of -1, with
+    v = (-1, 0) and power 1, is always a tie between eps and -eps^-1.
     """
     e = 1 if sign == 1 else 2
     s = _log2_size(v.x, v.y, d) - log2(abs(n)) / 2
     if (v.x >= 0) != (v.y >= 0):  # |v.x + v.y*sqrt(d)| = |n| / (|v.x| + |v.y|*sqrt(d))
         s = -s
+    s += power * size / e
     k = round(-s / size)
     rest = s + k * size
     near = abs(rest) > size / 2 - 1e-9 * (size + abs(s) + 1)  # within rounding of a tie
     ks = [k, k - 1 if rest > 0 else k + 1] if near else [k]
-    return min((_normalize_sign(_unit_power(x, y, d, v, e * j) if j else v) for j in ks),
-               key=_size_key)
+    return min((_normalize_sign(_unit_power(x, y, d, v, e * j + power) if e * j + power else v)
+                for j in ks), key=_size_key)
 
 
 def _unit_power(t: int, u: int, d: int, rep: PellSolution, k: int) -> PellSolution:

@@ -32,7 +32,6 @@ from hopfq.pell import (
     PellSolution,
     QuadForm,
     _check_disc,
-    _minimal_unit_pm,
     _normalize_sign,
     _size_key,
     _unit_power,
@@ -198,7 +197,7 @@ def solutions_within(d: int, n: int, bound: int) -> list[PellSolution]:
 
 def minimal_negative_solution(d: int) -> tuple[int, int] | None:
     """Minimal positive solution of x^2 - d*y^2 = -1, if one exists."""
-    x, y, s = _minimal_unit_pm(d)
+    x, y, s = stepwise_minimal_unit_pm(d)
     return (x, y) if s == -1 else None
 
 

@@ -648,6 +648,9 @@ GOLDEN_COMMANDS = {
     # D has the period 173 and N = -2^4*7*421: every class comes from the unit
     # times the shorter side of its anchor, the longer side having value N.
     "pell_61409021_-47152.json": "pell -D 61409021 -N -47152",
+    # N = -1 walks the root 0 modulo 1 to the first state of the principal
+    # cycle; the period 5 is odd, so its class is eps = (18, 5) itself.
+    "pell_13_-1.json": "pell -D 13 -N -1",
 }
 
 
@@ -680,3 +683,24 @@ def test_command_output_matches_its_pinned_digest(name, monkeypatch):
     assert code == 0
     want = (DATA_DIR / "golden_commands" / name).read_text(encoding="utf-8").split()[0]
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+
+
+def test_ci_compares_every_golden_command_and_no_other():
+    """CI's `hopfq ... | cmp - $g/FILE` lines, `\\` continuations joined and
+    `timeout N` dropped, are GOLDEN_COMMANDS exactly, and every file under
+    golden_commands is pinned by a test.  The digests are matched by name
+    alone: CI leaves out the slowest of them."""
+    workflow = (REPO_ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    compared = {}
+    for line in workflow.replace("\\\n", " ").splitlines():
+        words = line.split()
+        if words[:1] == ["timeout"]:
+            words = words[2:]
+        if words[:1] == ["hopfq"] and words[-4:-1] == ["|", "cmp", "-"] \
+                and words[-1].startswith("$g/"):
+            name = words[-1].removeprefix("$g/")
+            assert name not in compared, name
+            compared[name] = " ".join(words[1:-4])
+    assert compared == GOLDEN_COMMANDS
+    files = {path.name for path in (DATA_DIR / "golden_commands").iterdir()}
+    assert files == set(GOLDEN_COMMANDS) | set(GOLDEN_DIGESTS)

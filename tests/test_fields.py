@@ -32,6 +32,7 @@ from hopfq.fields import (
     validate_cyclic,
 )
 from hopfq.linalg import det
+from hopfq.pell import _factor
 
 
 def naive_squarefree(n: int) -> bool:
@@ -65,6 +66,26 @@ def test_is_squarefree_rejects_zero_and_huge_inputs():
 @given(st.integers(-4000, 4000).filter(lambda n: n != 0))
 def test_is_squarefree_matches_naive(n):
     assert is_squarefree(n) == naive_squarefree(n)
+
+
+@pytest.mark.parametrize("n, squarefree", [
+    (999983 ** 2, False),
+    (999983 * 999979, True),
+    (9973 ** 2 * 10007, False),
+    (9973 * 10007 ** 2, False),
+    (9967 * 10007 ** 2, False),
+    (9973 * 10007 * 10009, True),
+    (8 * 9973 * 10007, False),
+    (10 * 9973 * 10007, True),
+    (999999999989, True),
+    (10**12, False),
+])
+def test_is_squarefree_near_its_limit_matches_the_factorisation(n, squarefree):
+    """Trial division stops at the cube root of what is left; the cofactor,
+    two primes on either side of 10^4 or one near 10^6, is squarefree unless
+    it is a square."""
+    assert is_squarefree(n) is squarefree
+    assert squarefree == all(e == 1 for e in _factor(n).values())
 
 
 # ---- cyclic validation and classification ----

@@ -564,6 +564,36 @@ def test_cyclic_divisibility_is_a_class_invariant(p):
     assert sum(map(qualifies, classes.solutions)) <= 1
 
 
+def _corpus_cyclic_fields() -> list[CyclicQuarticParams]:
+    """The valid fields among the cyclic lines of the golden corpus."""
+    fields = []
+    for line in (DATA_DIR / "golden_corpus.txt").read_text(encoding="utf-8").splitlines():
+        verb, *args = line.split() or [""]
+        if verb == "cyclic" and len(args) == 3 and all(a.lstrip("-").isdigit() for a in args):
+            if (p := _make_cyclic(*map(int, args))) is not None:
+                fields.append(p)
+    return fields
+
+
+def test_the_cyclic_decision_reads_no_unit(monkeypatch):
+    """The target and cross of the cyclic criterion are b and c of
+    d = b^2 + c^2, in one order or the other, so d = cross^2 modulo the
+    target: divisibility is the same all along a class, and the decision
+    reads the class representatives alone, never the fundamental unit."""
+    def unread(self):
+        raise AssertionError("the cyclic decision read the fundamental unit")
+
+    monkeypatch.setattr(pell.SolutionClassSet, "unit", property(unread))
+    with pytest.raises(AssertionError):
+        solve_all(2, 1).unit
+    corpus = _corpus_cyclic_fields()
+    assert len(corpus) == 76
+    for p in CYCLIC_FIELDS + corpus:
+        target, cross = _cyclic_equation(p, classify_cyclic_case(p))
+        assert (p.d - cross * cross) % target == 0, p
+        assert summary(p).structures[0].report.decision in (FREE, NOT_FREE), p
+
+
 # ---- the formulas accept every witness ----
 
 @given(st.sampled_from(CYCLIC_FIELDS))

@@ -108,11 +108,11 @@ def test_fundamental_unit_pinned_values():
 
 
 def test_fundamental_unit_rejects_squares():
-    with pytest.raises(SquareDiscriminantError):
+    with pytest.raises(SquareDiscriminantError, match="^9 is a perfect square$"):
         fundamental_unit(9)
-    with pytest.raises(SquareDiscriminantError):
+    with pytest.raises(SquareDiscriminantError, match="^4 is a perfect square$"):
         fundamental_unit(4)
-    with pytest.raises(SquareDiscriminantError):
+    with pytest.raises(SquareDiscriminantError, match="^fundamental unit needs d > 1, got -3$"):
         fundamental_unit(-3)
 
 
@@ -216,7 +216,7 @@ def _unit_of(d: int, x: int, y: int, s: int) -> tuple[int, int]:
 
 def _least_in_class(v: PellSolution, m: int, d: int, x: int, y: int, s: int) -> PellSolution:
     """`pell._least_in_class` with log2 of the unit U taken from U's own coordinates."""
-    return pell._least_in_class(v, m, d, x, y, s, pell._log2_size(*_unit_of(d, x, y, s), d))
+    return pell._least_in_class(v, 0, m, d, x, y, s, pell._log2_size(*_unit_of(d, x, y, s), d))
 
 
 def _stepwise_reps(d: int, m: int) -> list[PellSolution]:
@@ -233,7 +233,7 @@ def test_walks_match_the_stepwise_references(d, m):
     """Each class comes back as its smallest element: the stepwise
     representative, reduced by stepping through the class one unit at a time."""
     x, y, s = stepwise_minimal_unit_pm(d)
-    assert pell._minimal_unit_pm(d) == (x, y, s)
+    assert solve_all(d, 1).minimal == (x, y, s)
     minimal, [reps] = pell._primitive_class_reps(d, [(m, pell._factor(m))])
     assert minimal == ((x, y, s) if reps else None)
     t, u = _unit_of(d, x, y, s)
@@ -243,6 +243,21 @@ def test_walks_match_the_stepwise_references(d, m):
             for sign in (1, -1):
                 start = pell._unit_power(t, u, d, PellSolution(sign * rep[0], sign * rep[1]), k)
                 assert _least_in_class(start, m, d, x, y, s) == rep
+
+
+@given(st.one_of(st.integers(2, 100), st.integers(1, 1000).map(lambda k: k * k + 1),
+                 st.integers(2, 10**6)).filter(lambda d: isqrt(d) ** 2 != d))
+@settings(max_examples=200, deadline=None)
+def test_plus_and_minus_one_take_the_anchor_path(d):
+    """N = +-1 has the square root 0 modulo 1, whose anchor is the first state
+    of the principal cycle (for d = k^2 + 1, of period 1, also its last): the
+    class of 1 is (1, 0), that of -1 is eps's when the period is odd, and the
+    fundamental unit is the one of the class of 1."""
+    x, y, s = stepwise_minimal_unit_pm(d)
+    one = solve_all(d, 1)
+    assert one.solutions == ((1, 0),) and one.minimal == (x, y, s)
+    assert solve_all(d, -1).solutions == (((x, y),) if s == -1 else ())
+    assert fundamental_unit(d) == _unit_of(d, x, y, s)
 
 
 def _stepwise_product(quotients: list[int]) -> tuple[int, int, int, int]:
@@ -365,6 +380,24 @@ def test_a_class_at_the_middle_of_the_period_takes_no_product(monkeypatch):
     assert _stepwise_reps(29, -5) == [(16, 3), (-16, 3)]
 
 
+def test_the_class_of_minus_one_multiplies_only_the_empty_side(monkeypatch):
+    """sqrt(13) has the odd period 5.  The root 0 of -1 has its anchor at the
+    first state of the principal cycle, so the side before it is empty,
+    (-1, 0) of value +1, and the class is eps times it.  eps and -eps^-1 tie
+    in size: both come from (-1, 0) by one power of eps, and no product of
+    two large numbers is taken."""
+    power = pell._unit_power
+    calls = []
+
+    def logged(t, u, d, rep, k):
+        calls.append((tuple(rep), k))
+        return power(t, u, d, rep, k)
+
+    monkeypatch.setattr(pell, "_unit_power", logged)
+    assert solve_all(13, -1).solutions == ((18, 5),)
+    assert calls == [((-1, 0), 1), ((-1, 0), -1)]
+
+
 def test_canonical_step_breaks_a_tie_in_y_by_sign():
     """For d = 2 the class of norm -1 holds (1, 1) and U^-1 * (1, 1) = (-1, 1)
     with the same |y|: the tie goes to the positive x, from every start."""
@@ -387,7 +420,7 @@ def test_quotient_product_matches_the_stepwise_convergents():
 
 
 def test_large_unit_is_pinned(unlimited_int_digits):
-    x, y, s = pell._minimal_unit_pm(9_556_797_337)
+    x, y, s = solve_all(9_556_797_337, 1).minimal
     assert x.bit_length() == 184_216 and s == -1
     assert hashlib.sha256(repr((x, y, s)).encode()).hexdigest() == (
         "740dc5c99e9e759104b65af623de9dd887449f7118e529975fa559896cbb69d8")
