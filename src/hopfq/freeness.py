@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, combinations_with_replacement
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Sequence
 
 from .errors import InternalInconsistencyError, ValidationError
@@ -44,7 +44,7 @@ from .hopf import (
     structures_for,
     test_generator,
 )
-from .linalg import content_primitive
+from .linalg import content_primitive, quotient
 from .pell import SolutionClassSet, _divisible_solutions_from, _factor, jacobi, solve_all
 
 FieldParams = CyclicQuarticParams | BiquadraticParams
@@ -303,10 +303,12 @@ def decide_biquadratic(
 
 # ---- exhaustive oracle ----
 
-# Largest box half-width the oracle accepts.  The scan visits the rows
-# (beta_3, beta_4) >= (0, 0), about 20,000 at this limit, and the 2 * bound + 1
-# points of beta_2 only on the rows where the factor R of the determinant can
-# divide the target: a fraction of a second per structure.
+# Largest box half-width the oracle accepts.  Of the about 20,000 rows
+# (beta_3, beta_4) >= (0, 0) at this limit the scan visits only those where the
+# gcd of R's coefficients in beta_2 can divide the target (on the benchmark's
+# fields about 20, at most 201), and the 2 * bound + 1 points of beta_2 only
+# where the gcd of R's coefficients on the row does: a millisecond or less per
+# structure.
 ORACLE_BOUND_LIMIT = 100
 
 
@@ -317,8 +319,15 @@ def check_oracle_bound(bound: int) -> None:
             f"scan bound must lie in [0, {ORACLE_BOUND_LIMIT}], got {bound}")
 
 
-def _quartic_coefficients(action: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
-    """Monomial coefficients of det(sum_j beta_j * block_j) for an integer action.
+# The ten block pairs j <= k, each with the base-5 key of beta_j * beta_k, and the
+# exponents of beta for the key of each product of two such monomials.
+_PAIRS = tuple((j, k, 5**j + 5**k) for j, k in combinations_with_replacement(range(4), 2))
+_EXPONENTS = {a + b: tuple((a + b) // 5**i % 5 for i in range(4))
+              for _, _, a in _PAIRS for _, _, b in _PAIRS}
+
+
+def _quartic_coefficients(action: Sequence[Sequence]) -> dict[tuple[int, ...], int]:
+    """Monomial coefficients of det(sum_j beta_j * block_j) for an action of ints or Fractions.
 
     Laplace expansion: the signed sum of six products of a 2x2 minor of rows
     0, 1 and the complementary minor of rows 2, 3, each a quadratic form in beta
@@ -328,12 +337,12 @@ def _quartic_coefficients(action: Sequence[Sequence[int]]) -> dict[tuple[int, ..
 
     def minor_form(r: int, s: int, p: int, q: int) -> dict[int, int]:
         form = {}
-        for j, k in combinations_with_replacement(range(4), 2):
+        for j, k, key in _PAIRS:
             c = blocks[j][r][p] * blocks[k][s][q] - blocks[j][r][q] * blocks[k][s][p]
             if j != k:  # the (k, j) term has the same monomial
                 c += blocks[k][r][p] * blocks[j][s][q] - blocks[k][r][q] * blocks[j][s][p]
             if c:
-                form[5**j + 5**k] = c
+                form[key] = c
         return form
 
     coeffs: dict[int, int] = defaultdict(int)
@@ -344,7 +353,7 @@ def _quartic_coefficients(action: Sequence[Sequence[int]]) -> dict[tuple[int, ..
         for a, u in upper.items():
             for b, v in lower.items():
                 coeffs[a + b] += sign * u * v
-    return {tuple(key // 5**i % 5 for i in range(4)): c for key, c in coeffs.items() if c}
+    return {_EXPONENTS[key]: c for key, c in coeffs.items() if c}
 
 
 def _split(coeffs: dict[tuple[int, ...], int]
@@ -386,6 +395,87 @@ def _split(coeffs: dict[tuple[int, ...], int]
     return content, factor, linear
 
 
+def _primitive(poly: list[int]) -> list[int]:
+    """poly over its content with a positive leading coefficient, [] for zero.
+
+    A polynomial in one variable is the list of its coefficients from the
+    constant up; zero leading coefficients are dropped.
+    """
+    while poly and not poly[-1]:
+        poly = poly[:-1]
+    c = gcd(*poly) if poly and poly[-1] > 0 else -gcd(*poly)
+    return [x // c for x in poly]
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd in Z[t] of two nonzero polynomials, by pseudo-remainders."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        while len(a) >= len(b):  # cancel a's leading term against lc(b) * a
+            shift, top = len(a) - len(b), a[-1]
+            a = [b[-1] * x for x in a]
+            for j, y in enumerate(b):
+                a[shift + j] -= top * y
+            a = _primitive(a)
+        a, b = b, a
+    return a
+
+
+def _solutions(poly: list[int], values: set[int], xs: range) -> list[int]:
+    """The x in xs with poly(x) in values, for poly of degree 1 or 2: one
+    division per value at degree 1, a discriminant and its square root at 2."""
+    found = []
+    for v in values:
+        if len(poly) == 2:
+            nums, den = (v - poly[0],), poly[1]
+        else:
+            c, b, a = poly
+            disc = b * b - 4 * a * (c - v)
+            if disc < 0 or isqrt(disc)**2 != disc:
+                continue
+            nums, den = {-b - isqrt(disc), -b + isqrt(disc)}, 2 * a
+        for num in nums:
+            x, r = divmod(num, den)
+            if not r and x in xs:
+                found.append(x)
+    return found
+
+
+def _candidate_rows(forms: list[list[int]], bound: int, target: int):
+    """(beta_3, the beta_4 of its rows that can hold a point) for beta_3 in [0, bound].
+
+    forms[e] holds the coefficients of the binary form r_e of degree 3 - e in
+    R = sum_e beta_2^e * r_e(beta_3, beta_4), from beta_3^(3 - e) up to
+    beta_4^(3 - e).  Their primitive gcd G in Z[beta_3, beta_4] is the power
+    of beta_3 they all share times the homogenised primitive gcd of the
+    nonzero r_e(1, t).  By Gauss's lemma G divides every r_e, so a row that
+    holds a point has G(beta_3, beta_4) = +-t for a divisor t of target, and
+    only those beta_4 are yielded (`_solutions`).  Where G has degree 3 in
+    beta_4, or target exceeds (2 * bound + 1)^2, whose divisors cost more to
+    find than a row to scan, every beta_4 is.  Only the rows (beta_3, beta_4)
+    >= (0, 0) are considered.
+    """
+    primitives = [_primitive(form) for form in forms]
+    shift = min(len(form) - len(poly) for form, poly in zip(forms, primitives) if poly)
+    g = reduce(_primitive_gcd, filter(None, primitives))
+    degree = shift + len(g) - 1
+    values = None
+    if target <= (2 * bound + 1)**2:
+        values = {v for t in range(1, isqrt(target) + 1) if not target % t
+                  for v in (t, -t, target // t, -target // t)}
+    span = range(-bound, bound + 1)
+    for b3 in range(bound + 1):
+        b4s = span if b3 else range(bound + 1)
+        # G(b3, beta_4) from the constant up; at b3 = 0 it is zero or a monomial.
+        row = [c * b3**(degree - j) for j, c in enumerate(g)]
+        if values is None or len(row) == 4:
+            yield b3, b4s
+        elif len(row) == 1 or not row[-1]:  # constant along the row
+            yield b3, b4s if row[-1] in values else ()
+        else:
+            yield b3, _solutions(row, values, b4s)
+
+
 def _first_point(content: int, factor: dict[tuple[int, ...], int],
                  linear: dict[tuple[int, ...], int], bound: int,
                  target: int) -> tuple[int, int, int, int] | None:
@@ -397,10 +487,12 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
     solves exactly when -beta does, and the box is symmetric: only the rows
     (beta_3, beta_4) >= (0, 0) are scanned, and each point found stands for
     the smaller of it and -beta, so the least of them is the first of the
-    box.  R's coefficients are expanded for each beta_3, then for each row
-    beta_4, and R is evaluated in beta_2 by Horner's rule.  Every value of R
-    on a row is a multiple of the gcd of the row's coefficients, so a row
-    whose gcd does not divide target is skipped whole.
+    box.  Of those rows only the ones where the gcd G of R's coefficients in
+    beta_2 is a divisor of target are visited (`_candidate_rows`), about 3 of
+    313 at bound 12.  R's coefficients are expanded for each beta_3 with such
+    a row, then for each row beta_4, and R is evaluated in beta_2 by Horner's
+    rule.  Every value of R on a row is a multiple of the gcd of the row's
+    coefficients, so a row whose gcd does not divide target is skipped whole.
     """
     # forms[e2][e4]: coefficient of beta_2^e2 * beta_3^(3 - e2 - e4) * beta_4^e4 in R.
     forms = [[0] * (4 - e2) for e2 in range(4)]
@@ -409,12 +501,14 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
     s2, s3, s4 = (linear.get(key, 0) for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     span = range(-bound, bound + 1)
     found = []
-    for b3 in range(bound + 1):
+    for b3, b4s in _candidate_rows(forms, bound, target):
+        if not b4s:
+            continue
         powers = (1, b3, b3 * b3, b3**3)
         # Coefficients of beta_2^e2 * beta_4^j once beta_3 is fixed.
         (r00, r01, r02, r03), (r10, r11, r12), (r20, r21), (r3,) = (
             [r * powers[len(form) - 1 - j] for j, r in enumerate(form)] for form in forms)
-        for b4 in span if b3 else range(bound + 1):
+        for b4 in b4s:
             # Coefficients of beta_2^e2 once beta_4 is fixed as well.
             r0 = ((r03 * b4 + r02) * b4 + r01) * b4 + r00
             r1 = (r12 * b4 + r11) * b4 + r10
@@ -440,26 +534,26 @@ def brute_force_generator(report: ReductionReport, action: Sequence[Sequence],
 
     The lexicographically smallest beta whose determinant test passes, found
     by an exact scan of the determinant polynomial and confirmed by the matrix
-    test.  The polynomial and the target are those of the primitive part of
-    the action: its determinants and its index are content^4 times smaller.
-    The polynomial must split as (c * beta_1 + S) * R (`_split`), as every
-    determinant the pipeline builds does; any other raises
-    InternalInconsistencyError.  As q(-beta) = q(beta), the scan visits only
-    the rows (beta_3, beta_4) >= (0, 0) on which R can divide the target, and
-    keeps the smaller of each point found and its mirror (`_first_point`).
+    test.  The scan reads the polynomial over the content of its coefficients,
+    which holds the action's content^4, and the index over the same content;
+    where that quotient is no integer no point qualifies.  The polynomial must
+    split as (c * beta_1 + S) * R (`_split`), as every determinant the
+    pipeline builds does; any other raises InternalInconsistencyError.  As
+    q(-beta) = q(beta), the scan visits only the rows (beta_3, beta_4) >=
+    (0, 0) on which the gcd of R's coefficients in beta_2 divides the target,
+    and keeps the smaller of each point found and its mirror (`_first_point`).
     The bound must lie in [0, ORACLE_BOUND_LIMIT].
     """
     check_oracle_bound(bound)
-    content, primitive = content_primitive(action)
-    coeffs = _quartic_coefficients(primitive)
+    coeffs = _quartic_coefficients(action)
     if not coeffs:
         return None
-    common = gcd(*coeffs.values())
-    split = _split({key: c // common for key, c in coeffs.items()})
-    target = report.index // content**4
-    if target % common:
+    common, (values,) = content_primitive([list(coeffs.values())])
+    split = _split(dict(zip(coeffs, values)))
+    target = quotient(report.index, common)
+    if not isinstance(target, int):
         return None
-    beta = _first_point(*split, bound, target // common)
+    beta = _first_point(*split, bound, target)
     if beta is not None and not test_generator(report, action, beta):
         raise InternalInconsistencyError(
             f"polynomial and matrix determinants disagree at {beta}")

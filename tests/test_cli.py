@@ -672,6 +672,9 @@ GOLDEN_DIGESTS = {
     "cyclic_1_56724_79619.sha256": "cyclic -a 1 -b 56724 -c 79619",
     "cyclic_1_602827_647340.sha256": "cyclic -a 1 -b 602827 -c 647340",
     "oracle_space_corpus.sha256": "corpus tests/data/oracle_space.txt --verify-oracle",
+    # The same fields at a second bound, where more rows hold no candidate.
+    "oracle_space_corpus_30.sha256":
+        "corpus tests/data/oracle_space.txt --verify-oracle --oracle-bound 30",
 }
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
+import math
 import random
 import time
 from contextlib import redirect_stdout
@@ -719,6 +720,103 @@ def test_half_scan_matches_the_full_box_on_the_oracle_space():
             assert freeness._first_point(*split, bound, target) == want
             mirrored += want is not None and (want[2] < 0 or want[2] == 0 and want[3] < 0)
     assert mirrored >= 100
+
+
+def _evaluate(poly, point):
+    """Value at point of a polynomial keyed by its exponents."""
+    return sum(c * math.prod(x**e for x, e in zip(point, key)) for key, c in poly.items())
+
+
+def _times(g, cofactor):
+    """G * cofactor keyed by the exponents of (beta_2, beta_3, beta_4), where G is
+    the binary form sum_j g[j] * beta_3^(len(g) - 1 - j) * beta_4^j."""
+    product = {}
+    for j, c in enumerate(g):
+        for (e2, e3, e4), d in cofactor.items():
+            key = (e2, e3 + len(g) - 1 - j, e4 + j)
+            product[key] = product.get(key, 0) + c * d
+    return {key: r for key, r in product.items() if r}
+
+
+@st.composite
+def _synthetic_scans(draw):
+    """(split, bound, target) whose R is G times a cofactor.
+
+    G is a binary form in (beta_3, beta_4) of degree 0 to 3 whose coefficients,
+    the leading one included, may be negative or zero (a zero coefficient of
+    beta_4^degree makes G vanish at beta_3 = 0); the cofactor is a form in
+    (beta_2, beta_3, beta_4) of the degree left.  Where q at a drawn point of
+    the box lies in [1, 60], that is the target, so many scans find a point.
+    """
+    coefficient = st.integers(-2, 2)
+    degree = draw(st.integers(0, 3))
+    g = draw(st.lists(coefficient, min_size=degree + 1, max_size=degree + 1))
+    monomials = [key for key in itertools.product(range(4 - degree), repeat=3)
+                 if sum(key) == 3 - degree]
+    cofactor = draw(st.lists(coefficient, min_size=len(monomials), max_size=len(monomials)))
+    for form in (g, cofactor):  # neither may vanish
+        form[0] = form[0] if any(form) else 1
+    factor = _times(g, dict(zip(monomials, cofactor)))
+    content = draw(st.integers(1, 3))
+    linear = {key: draw(coefficient) for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+    bound = draw(st.integers(0, 12))
+    beta = draw(st.tuples(*[st.integers(-min(bound, 2), min(bound, 2))] * 4))
+    value = abs((content * beta[0] + _evaluate(linear, beta[1:])) * _evaluate(factor, beta[1:]))
+    target = value if 1 <= value <= 60 else draw(st.integers(1, 60))
+    return (content, factor, linear), bound, target
+
+
+@given(_synthetic_scans())
+@settings(max_examples=400, deadline=None)
+def test_row_content_scan_matches_the_full_box(scan):
+    """`_first_point` visits only the rows where the gcd G of R's coefficients
+    in beta_2 is +-t for a divisor t of the target; the full box agrees."""
+    split, bound, target = scan
+    assert freeness._first_point(*split, bound, target) == full_box_first_point(*split, bound, target)
+
+
+def _forms(factor):
+    """R's coefficients in beta_2 as `_first_point` lays them out."""
+    forms = [[0] * (4 - e2) for e2 in range(4)]
+    for (e2, _, e4), r in factor.items():
+        forms[e2][e4] = r
+    return forms
+
+
+def test_candidate_rows_hold_every_row_the_gcd_test_accepts():
+    """At the largest bound the candidate rows hold every row (beta_3, beta_4)
+    >= (0, 0) whose coefficients in beta_2 have a gcd dividing the target, and
+    number at most 2 * tau(target) * (K + 1): on oracle-space scans, and on R
+    = G * cofactor with G of degree at most 1 in beta_4 and targets of many
+    divisors, where G = beta_3^k takes whole rows at the beta_3 with beta_3^k
+    dividing the target and none at beta_3 = 0."""
+    bound = ORACLE_BOUND_LIMIT
+    rng = random.Random(31)
+    lines = (DATA_DIR / "oracle_space.txt").read_text().splitlines()
+    fields = [validate_cyclic(*map(int, w[1:])) if w[0] == "cyclic"
+              else canonicalize_biquadratic(*map(int, w[1:]))
+              for w in map(str.split, rng.sample(lines, 8))]
+    scans = [(split[1], target) for p in fields for entry in summary(p).structures
+             if (scan := _oracle_scan_input(entry.action, entry.reduction.index))
+             for split, target in [scan]]
+    assert len(scans) >= 8
+    quadratic = {(2, 0, 0): 1, (0, 1, 1): -1, (0, 0, 2): 3}
+    linear = {(1, 0, 0): 1, (0, 0, 1): -2}
+    for g in ([1, 0], [1, 2], [1, 0, 0], [3, -1, 0], [0, -2, 0]):
+        factor = _times(g, quadratic if len(g) == 2 else linear)
+        scans += [(factor, target) for target in (1, 12, 60)]
+    for factor, target in scans:
+        forms = _forms(factor)
+        candidates = {(b3, b4) for b3, b4s in freeness._candidate_rows(forms, bound, target)
+                      for b4 in b4s}
+        tau = sum(not target % t for t in range(1, target + 1))
+        assert len(candidates) <= 2 * tau * (bound + 1)
+        for b3 in range(bound + 1):
+            for b4 in range(-bound if b3 else 0, bound + 1):
+                row = gcd(*(sum(r * b3**(len(form) - 1 - j) * b4**j for j, r in enumerate(form))
+                            for form in forms))
+                if row and not target % row:
+                    assert (b3, b4) in candidates
 
 
 def test_brute_force_rejects_a_polynomial_of_degree_two_in_beta_1():
