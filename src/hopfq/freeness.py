@@ -198,20 +198,6 @@ def _equation_table(p: BiquadraticParams, kind: str):
     return ((p.m, 2 * p.d), (p.n, 2 * p.d), (p.k, 2 * (p.n // p.d)))
 
 
-def _viable_targets(a: int, base: int) -> tuple[int, ...]:
-    """Both signs of the target unless the mod-8 obstruction rules one out.
-
-    When a is 1 mod 4 and the target is twice an odd number, every solution
-    of x^2 + a*y^2 = +-target has x, y odd, so the value is 1 + a mod 8 and
-    at most one sign can match.
-    """
-    g = abs(base) // 2
-    if a % 4 == 1 and g % 2 == 1 and abs(base) == 2 * g:
-        residue = (1 + a) % 8
-        return tuple(t for t in (abs(base), -abs(base)) if t % 8 == residue)
-    return (base, -base)
-
-
 def prescreen_biquadratic(
         p: BiquadraticParams) -> tuple[PrescreenVerdict, PrescreenVerdict, PrescreenVerdict]:
     """Fast rules for the three biquadratic structures, in canonical order."""
@@ -272,15 +258,16 @@ def _biquad_generator(kind: str, idx: int, p: BiquadraticParams,
 
 
 def _biquadratic_witness(equation: tuple[int, int] | None) -> tuple[int, int, int] | None:
-    """First class representative of the first viable target that has a solution.
+    """First class representative of the first target, +-base in turn, that has a solution.
 
     Any solution of x^2 + a*y^2 = +-target yields a generator, so the first
-    one decides.
+    one decides.  Where a = 1 mod 4 and base is twice an odd number, the
+    mod-8 rule of `pell.solve_all` leaves exactly one sign.
     """
     if equation is None:
         return None
     a, base = equation
-    for target in _viable_targets(a, base):
+    for target in (base, -base):
         classes = solve_all(-a, target)
         if classes.kind != "empty":
             rep = classes.solutions[0]
@@ -306,9 +293,8 @@ def decide_biquadratic(
 # Largest box half-width the oracle accepts.  Of the about 20,000 rows
 # (beta_3, beta_4) >= (0, 0) at this limit the scan visits only those where the
 # gcd of R's coefficients in beta_2 can divide the target (on the benchmark's
-# fields about 20, at most 201), and the 2 * bound + 1 points of beta_2 only
-# where the gcd of R's coefficients on the row does: a millisecond or less per
-# structure.
+# fields about 20, at most 201), and on each row it solves for the beta_2 where
+# R does: about half a millisecond per structure.
 ORACLE_BOUND_LIMIT = 100
 
 
@@ -421,19 +407,32 @@ def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _solutions(poly: list[int], values: set[int], xs: range) -> list[int]:
-    """The x in xs with poly(x) in values, for poly of degree 1 or 2: one
-    division per value at degree 1, a discriminant and its square root at 2."""
+def _roots(poly: list[int], target: int, values: set[int] | None, xs: range) -> list[int]:
+    """The x in xs at which poly, its coefficients from the constant up, is a
+    nonzero divisor of target.
+
+    Where poly has degree 1 or 2 and `values`, the divisors of target and
+    their negatives, are listed, poly(x) = v is solved for each v: one
+    division, or a discriminant and its square root.  Otherwise every x in xs
+    is tried.
+    """
+    degree = len(poly) - 1
+    while degree > 0 and not poly[degree]:
+        degree -= 1
+    if values is None or not 1 <= degree <= 2:
+        return [x for x in xs if (v := sum(c * x**j for j, c in enumerate(poly)))
+                and not target % v]
     found = []
     for v in values:
-        if len(poly) == 2:
+        if degree == 1:
             nums, den = (v - poly[0],), poly[1]
         else:
-            c, b, a = poly
+            c, b, a = poly[:3]
             disc = b * b - 4 * a * (c - v)
-            if disc < 0 or isqrt(disc)**2 != disc:
+            root = isqrt(disc) if disc >= 0 else -1
+            if root * root != disc:
                 continue
-            nums, den = {-b - isqrt(disc), -b + isqrt(disc)}, 2 * a
+            nums, den = {-b - root, -b + root}, 2 * a
         for num in nums:
             x, r = divmod(num, den)
             if not r and x in xs:
@@ -441,7 +440,7 @@ def _solutions(poly: list[int], values: set[int], xs: range) -> list[int]:
     return found
 
 
-def _candidate_rows(forms: list[list[int]], bound: int, target: int):
+def _candidate_rows(forms: list[list[int]], bound: int, target: int, values: set[int] | None):
     """(beta_3, the beta_4 of its rows that can hold a point) for beta_3 in [0, bound].
 
     forms[e] holds the coefficients of the binary form r_e of degree 3 - e in
@@ -450,30 +449,18 @@ def _candidate_rows(forms: list[list[int]], bound: int, target: int):
     of beta_3 they all share times the homogenised primitive gcd of the
     nonzero r_e(1, t).  By Gauss's lemma G divides every r_e, so a row that
     holds a point has G(beta_3, beta_4) = +-t for a divisor t of target, and
-    only those beta_4 are yielded (`_solutions`).  Where G has degree 3 in
-    beta_4, or target exceeds (2 * bound + 1)^2, whose divisors cost more to
-    find than a row to scan, every beta_4 is.  Only the rows (beta_3, beta_4)
-    >= (0, 0) are considered.
+    only those beta_4 are yielded (`_roots`, given the signed divisors
+    `values`).  Only the rows (beta_3, beta_4) >= (0, 0) are considered.
     """
     primitives = [_primitive(form) for form in forms]
     shift = min(len(form) - len(poly) for form, poly in zip(forms, primitives) if poly)
     g = reduce(_primitive_gcd, filter(None, primitives))
     degree = shift + len(g) - 1
-    values = None
-    if target <= (2 * bound + 1)**2:
-        values = {v for t in range(1, isqrt(target) + 1) if not target % t
-                  for v in (t, -t, target // t, -target // t)}
     span = range(-bound, bound + 1)
     for b3 in range(bound + 1):
-        b4s = span if b3 else range(bound + 1)
         # G(b3, beta_4) from the constant up; at b3 = 0 it is zero or a monomial.
         row = [c * b3**(degree - j) for j, c in enumerate(g)]
-        if values is None or len(row) == 4:
-            yield b3, b4s
-        elif len(row) == 1 or not row[-1]:  # constant along the row
-            yield b3, b4s if row[-1] in values else ()
-        else:
-            yield b3, _solutions(row, values, b4s)
+        yield b3, _roots(row, target, values, span if b3 else range(bound + 1))
 
 
 def _first_point(content: int, factor: dict[tuple[int, ...], int],
@@ -489,19 +476,24 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
     the smaller of it and -beta, so the least of them is the first of the
     box.  Of those rows only the ones where the gcd G of R's coefficients in
     beta_2 is a divisor of target are visited (`_candidate_rows`), about 3 of
-    313 at bound 12.  R's coefficients are expanded for each beta_3 with such
-    a row, then for each row beta_4, and R is evaluated in beta_2 by Horner's
-    rule.  Every value of R on a row is a multiple of the gcd of the row's
-    coefficients, so a row whose gcd does not divide target is skipped whole.
+    313 at bound 12, and on each only the beta_2 where R is one, found by the
+    same rule (`_roots`): solved where R has degree 1 or 2 in beta_2, as on
+    every row the pipeline builds.  R's coefficients are expanded for each
+    beta_3 with such a row, then for each row beta_4.  The signed divisors of
+    target are listed once, unless target exceeds (2 * bound + 1)^2: they then
+    cost more to find than a row to scan.
     """
     # forms[e2][e4]: coefficient of beta_2^e2 * beta_3^(3 - e2 - e4) * beta_4^e4 in R.
     forms = [[0] * (4 - e2) for e2 in range(4)]
     for (e2, _, e4), r in factor.items():
         forms[e2][e4] = r
     s2, s3, s4 = (linear.get(key, 0) for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    values = None if target > (2 * bound + 1)**2 else {
+        v for t in range(1, isqrt(target) + 1) if not target % t
+        for v in (t, -t, target // t, -target // t)}
     span = range(-bound, bound + 1)
     found = []
-    for b3, b4s in _candidate_rows(forms, bound, target):
+    for b3, b4s in _candidate_rows(forms, bound, target, values):
         if not b4s:
             continue
         powers = (1, b3, b3 * b3, b3**3)
@@ -513,14 +505,9 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
             r0 = ((r03 * b4 + r02) * b4 + r01) * b4 + r00
             r1 = (r12 * b4 + r11) * b4 + r10
             r2 = r21 * b4 + r20
-            row = gcd(r0, r1, r2, r3)
-            if not row or target % row:
-                continue
             s_row = s3 * b3 + s4 * b4
-            for b2 in span:
+            for b2 in _roots([r0, r1, r2, r3], target, values, span):
                 value = ((r3 * b2 + r2) * b2 + r1) * b2 + r0
-                if not value or target % value:
-                    continue
                 for t in (target // value, -target // value):
                     b1, r = divmod(t - s2 * b2 - s_row, content)
                     if not r and -bound <= b1 <= bound:

@@ -25,8 +25,8 @@ every shorter side.  They are built only when some anchor lies on the
 principal cycle; the root 0 of N/f^2 = +-1 reaches its first state in one
 step, and the fundamental unit is read from the class of 1.  The principal
 cycle is not walked at all where no class can exist for a reason seen
-first: N is not a square modulo some odd prime of D, or D is not a square
-modulo any |N/f^2|.
+first: the equation has no solution modulo 8 or modulo some odd prime of D
+(one local test), or D is not a square modulo any |N/f^2|.
 """
 
 from __future__ import annotations
@@ -340,7 +340,8 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
     """Full solution description of x^2 - d*y^2 = n (d, n nonzero).
 
     For d > 0 nonsquare it is empty, with n not factored and no cycle walked,
-    where n is not a square modulo an odd prime of d (`_residue_obstructed`).
+    where d = 3 and n = 2 mod 4 but n != 1 - d mod 8, or n is not a square
+    modulo an odd prime of d (`_residue_obstructed`).
     """
     if d == 0 or n == 0:
         raise ValidationError(f"Pell problem needs nonzero D and N, got D={d}, N={n}")
@@ -377,14 +378,19 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
 
 
 def _residue_obstructed(d: int, n: int) -> bool:
-    """True where some odd prime q | d has (n/q) = -1, so x^2 - d*y^2 = n,
-    which needs x^2 = n modulo q, has no solution at all.
+    """True where x^2 - d*y^2 = n has no solution modulo 8 or modulo an odd
+    prime of d, so none at all.
 
-    d's odd primes up to d^(1/4) are divided out and tested one by one where
-    they do not divide n; with gcd(r, n) = 1, (n/r) = -1 for the odd part r
-    left over shows such a q among r's primes.  The bound keeps the cost to
-    about d^(1/4)/2 divisions, against a walk of order sqrt(d).
+    Where d = 3 and n = 2 modulo 4, x^2 + y^2 = 2 modulo 4 makes x and y odd,
+    so n = 1 - d modulo 8.  Otherwise some odd prime q | d with (n/q) = -1
+    rules n out, as x^2 = n modulo q.  d's odd primes up to d^(1/4) are
+    divided out and tested one by one where they do not divide n; with
+    gcd(r, n) = 1, (n/r) = -1 for the odd part r left over shows such a q
+    among r's primes.  The bound keeps the cost to about d^(1/4)/2
+    divisions, against a walk of order sqrt(d).
     """
+    if d % 4 == 3 and n % 4 == 2 and (n + d - 1) % 8:
+        return True
     r = d // (d & -d)  # the odd part of d
     bound = isqrt(isqrt(d))
     q = 3

@@ -645,6 +645,9 @@ GOLDEN_COMMANDS = {
     "pell_999999999989_3.json": "pell -D 999999999989 -N 3",
     # 3 is not a square modulo 5 | 999999999985: empty, with no walk of its period 397,018.
     "pell_999999999985_3.json": "pell -D 999999999985 -N 3",
+    # D = 3 mod 4 and N = -2 * 429101 with 429101 | D: N is not 1 - D mod 8,
+    # so empty with no walk of its period 788,380.
+    "pell_535543364959_-858202.json": "pell -D 535543364959 -N -858202",
     # D has the period 173 and N = -2^4*7*421: every class comes from the unit
     # times the shorter side of its anchor, the longer side having value N.
     "pell_61409021_-47152.json": "pell -D 61409021 -N -47152",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -159,6 +159,22 @@ def _coprime_pell_cases(count: int, seed: int) -> list[tuple[int, int]]:
     return cases
 
 
+
+def _mod8_pell_cases(count: int, seed: int) -> list[tuple[int, int]]:
+    """Squarefree d = 3 mod 4 up to 10^4 and N = +-2g for an odd divisor g of
+    d, the shape of the biquadratic equations: x and y would be odd, so only
+    N = 1 - d modulo 8 can solve, and the odd primes of N all divide d."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        d = 4 * rng.randint(0, 2499) + 3
+        factors = _factor(d)
+        if max(factors.values()) == 1:
+            g = prod(q for q in factors if rng.random() < 0.5)
+            cases.append((d, rng.choice((1, -1)) * 2 * g))
+    return cases
+
+
 def _assert_classes_match_diop_DN(cases: list[tuple[int, int]]) -> int:
     """Every fundamental solution from diop_DN lies in a class of solve_all, and
     every class of solve_all holds one of them; returns how many cases solve.
@@ -199,6 +215,16 @@ def test_solve_all_classes_match_sympy_diop_DN_on_both_sides_of_the_residue_test
     obstructed = sum(_residue_obstructed(d, n) for d, n in cases)
     assert 12 <= obstructed <= 24
     assert _assert_classes_match_diop_DN(cases) >= 12
+
+
+def test_solve_all_classes_match_sympy_diop_DN_on_both_sides_of_the_mod8_test():
+    """diop_DN referees the N that the mod-8 test rules out before any walk as
+    well as those it leaves to the class search."""
+    cases = _mod8_pell_cases(40, seed=2025)
+    ruled_out = sum((n + d - 1) % 8 != 0 for d, n in cases)
+    assert 10 <= ruled_out <= 30
+    assert all(_residue_obstructed(d, n) for d, n in cases if (n + d - 1) % 8)
+    assert _assert_classes_match_diop_DN(cases) >= 5
 
 
 def test_square_roots_match_sympy_sqrt_mod():

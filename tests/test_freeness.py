@@ -13,6 +13,7 @@ import io
 import itertools
 import math
 import random
+import sys
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -58,7 +59,6 @@ from hopfq.freeness import (
     _factor,
     _quartic_coefficients,
     _split,
-    _viable_targets,
 )
 from hopfq.hopf import (
     action_matrix,
@@ -328,13 +328,21 @@ def test_mod8_rule_fixes_witness_sign():
     assert reports[1].witness_target == -2   # 11 is 3 mod 8
 
 
-def test_viable_targets_eliminates_exactly_one_sign():
-    assert _viable_targets(-3, 2) == (-2,)
-    assert _viable_targets(-7, 2) == (2,)
-    assert _viable_targets(-7, 14) == (-14,)
-    assert _viable_targets(5, 10) == (-10,)
-    # no elimination without the 1 mod 4 hypothesis
-    assert _viable_targets(-6, 4) == (4, -4)
+def test_mod8_rule_eliminates_exactly_one_sign():
+    """x^2 + a*y^2 = +-target with a = 1 mod 4 and target twice an odd number
+    has x, y odd, so only the sign with target = 1 + a mod 8 can solve:
+    `pell._residue_obstructed` rules the other out, the last three where the
+    target's odd part divides a, so that no odd prime of -a tests it."""
+    for a, viable in ((-3, -2), (-7, 2), (-7, -14), (-3, 6), (-15, -6)):
+        assert not pell._residue_obstructed(-a, viable)
+        assert pell._residue_obstructed(-a, -viable)
+        assert solve_all(-a, viable).kind == "indefinite"
+        assert solve_all(-a, -viable).kind == "empty"
+    # no elimination without the 1 mod 4 hypothesis: -a = 10 is 2 mod 4, and
+    # 6 and -6 are squares modulo 5, so both signs solve.
+    for target in (6, -6):
+        assert not pell._residue_obstructed(10, target)
+        assert solve_all(10, target).kind == "indefinite"
 
 
 # ---- prescreens ----
@@ -807,9 +815,10 @@ def test_candidate_rows_hold_every_row_the_gcd_test_accepts():
         scans += [(factor, target) for target in (1, 12, 60)]
     for factor, target in scans:
         forms = _forms(factor)
-        candidates = {(b3, b4) for b3, b4s in freeness._candidate_rows(forms, bound, target)
+        values = {v for t in range(1, target + 1) if not target % t for v in (t, -t)}
+        candidates = {(b3, b4) for b3, b4s in freeness._candidate_rows(forms, bound, target, values)
                       for b4 in b4s}
-        tau = sum(not target % t for t in range(1, target + 1))
+        tau = len(values) // 2
         assert len(candidates) <= 2 * tau * (bound + 1)
         for b3 in range(bound + 1):
             for b4 in range(-bound if b3 else 0, bound + 1):
@@ -817,6 +826,48 @@ def test_candidate_rows_hold_every_row_the_gcd_test_accepts():
                             for form in forms))
                 if row and not target % row:
                     assert (b3, b4) in candidates
+
+
+class _Watched:
+    """A range that logs each time `_roots` iterates it, that is, scans it."""
+
+    def __init__(self, xs, log):
+        self.xs, self.log = xs, log
+
+    def __contains__(self, x):
+        return x in self.xs
+
+    def __iter__(self):
+        self.log.append(len(self.xs))
+        return iter(self.xs)
+
+
+def test_no_candidate_row_is_scanned_point_by_point_on_the_oracle_space(monkeypatch):
+    """At the largest bound R has degree 1 or 2 in beta_2 on every candidate
+    row of an oracle-space scan, so `_first_point` solves for beta_2 on each
+    and scans none; the rows are the ones found from G by `_candidate_rows`."""
+    bound = ORACLE_BOUND_LIMIT
+    rng = random.Random(37)
+    lines = (DATA_DIR / "oracle_space.txt").read_text().splitlines()
+    fields = [validate_cyclic(*map(int, w[1:])) if w[0] == "cyclic"
+              else canonicalize_biquadratic(*map(int, w[1:]))
+              for w in map(str.split, rng.sample(lines, 40))]
+    scans = [scan for p in fields for entry in summary(p).structures
+             if (scan := _oracle_scan_input(entry.action, entry.reduction.index))]
+    assert len(scans) >= 40
+    roots, rows, scanned = freeness._roots, [], []
+
+    def watched_roots(poly, target, values, xs):
+        if sys._getframe(1).f_code.co_name == "_first_point":
+            rows.append(poly)
+            xs = _Watched(xs, scanned)
+        return roots(poly, target, values, xs)
+
+    monkeypatch.setattr(freeness, "_roots", watched_roots)
+    found = sum(freeness._first_point(*split, bound, target) is not None
+                for split, target in scans)
+    assert found >= 10 and len(rows) >= 10 * len(scans)
+    assert scanned == []
 
 
 def test_brute_force_rejects_a_polynomial_of_degree_two_in_beta_1():

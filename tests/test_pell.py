@@ -599,17 +599,34 @@ def test_no_walk_where_a_prime_of_d_rules_the_target_out(monkeypatch):
     assert solve_all(999999999985, 3) == pell.SolutionClassSet("empty", ())
 
 
+def test_no_walk_where_the_target_fails_the_mod8_test(monkeypatch):
+    # D = 535543364959 = 429101 * 1248059 is 3 mod 4 and N = -2 * 429101 is 2
+    # mod 4, so x and y would be odd and N = 1 - D mod 8; it is 4 more.  The
+    # prime 429101 of N divides D and the Jacobi symbol leaves it alone.
+    d, n = 535543364959, -858202
+    assert d % 4 == 3 and (n + d - 1) % 8 == 4 and d % 429101 == 0 == n % 429101
+    monkeypatch.setattr(pell, "_principal_walk", _unread("_principal_walk"))
+    monkeypatch.setattr(pell, "_period_convergent", _unread("_period_convergent"))
+    assert solve_all(d, n) == pell.SolutionClassSet("empty", ())
+
+
 @st.composite
 def obstruction_problems(draw):
-    """(D, N) with nonsquare 2 <= D <= 10^4 and 1 <= |N| <= 10^4.  Half the
-    D are an odd prime q <= 7 times a cofactor of at least q^3, so that q lies
-    below D^(1/4) and is tested on its own; the rest are uniform, their odd
-    primes mostly left to the Jacobi symbol of what trial division leaves."""
-    if draw(st.booleans()):
+    """(D, N) with nonsquare 2 <= D <= 10^4 and 1 <= |N| <= 10^4, three kinds
+    in equal shares.  D is an odd prime q <= 7 times a cofactor of at least
+    q^3, so that q lies below D^(1/4) and is tested on its own; or uniform,
+    its odd primes mostly left to the Jacobi symbol of what trial division
+    leaves; or 3 mod 4 with N twice an odd number, where the mod-8 test rules
+    out half the N: about a third of the examples kept by the test below."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
         q = draw(st.sampled_from([3, 5, 7]))
         d = q * draw(st.integers(q ** 3, 10**4 // q))
-    else:
+    elif kind == 1:
         d = draw(st.integers(2, 10**4))
+    else:
+        d = 4 * draw(st.integers(0, 2499)) + 3
+        return d, (4 * draw(st.integers(0, 2499)) + 2) * draw(st.sampled_from([1, -1]))
     assume(isqrt(d) ** 2 != d)
     return d, draw(st.integers(1, 10**4)) * draw(st.sampled_from([1, -1]))
 
