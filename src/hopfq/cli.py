@@ -4,11 +4,12 @@ Every command prints a single JSON document (the ``corpus`` command prints
 one JSON record per input line).  All numeric values in the output are exact:
 integers stay JSON integers and non-integer rationals are encoded as
 ``"p/q"`` strings, so a document survives a JSON round trip losslessly.
-``encode_number``/``decode_number`` are the two halves of that contract.
+``encode_number`` writes it; the tests decode it with ``tests/helpers.py``.
 
-Exit codes: 0 on success, 2 when the input fails validation, 3 when a
-computed result contradicts an independent ground-truth check.  The log
-level is taken from the ``HOPFQ_LOG`` environment variable.
+Exit codes: 0 on success, 2 when the input fails validation (an error
+document; argparse's own usage errors print usage to stderr and no
+document), 3 when a computed result contradicts an independent ground-truth
+check.  The log level is taken from the ``HOPFQ_LOG`` environment variable.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .hopf import (
     action_matrix,
     generator_determinant,
     parse_gram_text,
-    parse_rational,
     reduction_report,
     test_generator,
 )
@@ -65,20 +65,6 @@ def encode_number(value: Any) -> int | str:
     if f.denominator == 1:
         return f.numerator
     return f"{f.numerator}/{f.denominator}"
-
-
-def decode_number(value: Any) -> Fraction:
-    """Inverse of :func:`encode_number`; raises ValidationError on junk."""
-    if isinstance(value, bool):
-        raise ValidationError(f"not a rational value: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a rational value: {value!r}") from exc
-    raise ValidationError(f"not a rational value: {value!r}")
 
 
 @contextmanager

@@ -45,7 +45,9 @@ from .hopf import (
     test_generator,
 )
 from .linalg import content_primitive, quotient
-from .pell import SolutionClassSet, _divisible_solutions_from, _factor, jacobi, solve_all
+from .pell import (
+    SolutionClassSet, _divisible_solutions_from, _factor, _signed_divisors, jacobi, solve_all,
+)
 
 FieldParams = CyclicQuarticParams | BiquadraticParams
 
@@ -488,9 +490,7 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
     for (e2, _, e4), r in factor.items():
         forms[e2][e4] = r
     s2, s3, s4 = (linear.get(key, 0) for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    values = None if target > (2 * bound + 1)**2 else {
-        v for t in range(1, isqrt(target) + 1) if not target % t
-        for v in (t, -t, target // t, -target // t)}
+    values = None if target > (2 * bound + 1)**2 else _signed_divisors(target)
     span = range(-bound, bound + 1)
     found = []
     for b3, b4s in _candidate_rows(forms, bound, target, values):

@@ -27,12 +27,7 @@ from itertools import product
 from operator import mul
 from typing import Sequence, Union
 
-from .errors import (
-    GramFormatError,
-    RankDeficientError,
-    SingularDescriptorError,
-    ZeroMatrixError,
-)
+from .errors import GramFormatError, SingularDescriptorError, ZeroMatrixError
 from .fields import BiquadraticParams, CyclicQuarticParams
 from .linalg import content_primitive, det, det_adjugate_4x4, hnf, quotient
 
@@ -41,7 +36,6 @@ FieldParams = Union[CyclicQuarticParams, BiquadraticParams]
 Vec = list  # length-4 list of ints; Fractions only from a rational Gram file or descriptor
 GramMatrix = list  # 4x4 nested list of Vec
 
-CLASSICAL = "classical"
 CYCLIC_NONCLASSICAL = "cyclic_nonclassical"
 BIQUAD_H1 = "biquad_H1"
 BIQUAD_H2 = "biquad_H2"
@@ -126,31 +120,27 @@ def multiply(u: Sequence, v: Sequence, table: list) -> Vec:
 def gram_classical(field: FieldParams) -> GramMatrix:
     """Gram matrix of the Galois group action over the reference basis.
 
-    Cyclic rows are 1, sigma, sigma^2, sigma^3 with sigma = (z, w, -z, -w);
-    biquadratic rows are 1, sigma, tau, sigma*tau acting by sign flips on the
-    three radicals.
+    Each automorphism is listed as one (position, sign) pair per basis
+    element j: it sends e_j to sign * e_position.  Cyclic rows are 1, sigma,
+    sigma^2, sigma^3 with sigma = (z, w, -z, -w); biquadratic rows are 1,
+    sigma, tau, sigma*tau acting by sign flips on the three radicals.
     """
     if isinstance(field, CyclicQuarticParams):
-        signatures = [
+        automorphisms = [
             [(0, 1), (1, 1), (2, 1), (3, 1)],
             [(0, 1), (1, -1), (3, 1), (2, -1)],
             [(0, 1), (1, 1), (2, -1), (3, -1)],
             [(0, 1), (1, -1), (3, -1), (2, 1)],
         ]
-        rows = []
-        for sig in signatures:
-            rows.append([[s if t == pos else 0 for t in range(4)] for pos, s in sig])
-        return rows
-    sign_rows = [
-        [1, 1, 1, 1],
-        [1, -1, 1, -1],
-        [1, 1, -1, -1],
-        [1, -1, -1, 1],
-    ]
-    return [
-        [[signs[j] if t == j else 0 for t in range(4)] for j in range(4)]
-        for signs in sign_rows
-    ]
+    else:
+        automorphisms = [
+            [(0, 1), (1, 1), (2, 1), (3, 1)],
+            [(0, 1), (1, -1), (2, 1), (3, -1)],
+            [(0, 1), (1, 1), (2, -1), (3, -1)],
+            [(0, 1), (1, -1), (2, -1), (3, 1)],
+        ]
+    return [[[s if t == pos else 0 for t in range(4)] for pos, s in automorphism]
+            for automorphism in automorphisms]
 
 
 # For each non-classical family: the classical row acting as mu, the rows
@@ -203,18 +193,6 @@ def _row_sum(u: list, v: list) -> list:
     return [[x + y for x, y in zip(a, b)] for a, b in zip(u, v)]
 
 
-def invert_descriptor(descriptor: Sequence[Sequence]) -> tuple[list, int, list]:
-    """(P, det P, adjugate(P)) for the primitive part P of a basis descriptor."""
-    try:
-        _, primitive = content_primitive(descriptor)
-    except ZeroMatrixError as exc:
-        raise SingularDescriptorError("basis descriptor is singular") from exc
-    denominator, adj = det_adjugate_4x4(primitive)
-    if denominator == 0:
-        raise SingularDescriptorError("basis descriptor is singular")
-    return primitive, denominator, adj
-
-
 def change_basis(gram: GramMatrix, descriptor: Sequence[Sequence]) -> GramMatrix:
     """Re-express a Gram matrix in the integral basis given by the descriptor.
 
@@ -223,9 +201,15 @@ def change_basis(gram: GramMatrix, descriptor: Sequence[Sequence]) -> GramMatrix
     columns), and every resulting element is rewritten in integral-basis
     coordinates.  For descriptor = content * P the content cancels: each
     combination u of old columns by a row of P maps to u * adjugate(P) / det P.
-    Any number of rows may be moved at once, against one inverse.
+    Any number of rows may be moved at once, against one inverse (from P's 2x2 minors).
     """
-    primitive, denominator, adj = invert_descriptor(descriptor)
+    try:
+        _, primitive = content_primitive(descriptor)
+    except ZeroMatrixError as exc:
+        raise SingularDescriptorError("basis descriptor is singular") from exc
+    denominator, adj = det_adjugate_4x4(primitive)
+    if denominator == 0:
+        raise SingularDescriptorError("basis descriptor is singular")
     adj_columns = list(zip(*adj))
     out = []
     for row in gram:
@@ -263,13 +247,12 @@ class ReductionReport:
 def reduction_report(action: Sequence[Sequence]) -> ReductionReport:
     """Hermite form, index and order basis of a 16x4 action matrix.
 
-    D = content * H, H the integer Hermite form.  Column i of adjugate(H) solves
-    H x = det(H) * e_i by exact back substitution; D^{-1} e_i = x / (content * det H).
+    D = content * H, H the integer Hermite form (4x4: `hnf` raises RankDeficientError
+    short of full rank).  Column i of adjugate(H) solves H x = det(H) * e_i by exact
+    back substitution; D^{-1} e_i = x / (content * det H).
     """
     result = hnf(action)
     d_matrix, h = result.hnf, result.primitive
-    if len(d_matrix) != 4:
-        raise RankDeficientError("action matrix does not have full column rank")
     index = d_matrix[0][0] * d_matrix[1][1] * d_matrix[2][2] * d_matrix[3][3]
     det_h = h[0][0] * h[1][1] * h[2][2] * h[3][3]
     den = result.content * det_h

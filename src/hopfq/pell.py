@@ -25,8 +25,8 @@ every shorter side.  They are built only when some anchor lies on the
 principal cycle; the root 0 of N/f^2 = +-1 reaches its first state in one
 step, and the fundamental unit is read from the class of 1.  The principal
 cycle is not walked at all where no class can exist for a reason seen
-first: the equation has no solution modulo 8 or modulo some odd prime of D
-(one local test), or D is not a square modulo any |N/f^2|.
+first: no solution modulo 8, modulo an odd prime of D or modulo q^2 at an
+odd q dividing D and N once each, or D not a square modulo any |N/f^2|.
 """
 
 from __future__ import annotations
@@ -86,6 +86,12 @@ def _factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _signed_divisors(n: int) -> set[int]:
+    """Every divisor of n != 0 and its negative, from the pairs t, |n|/t with t <= sqrt|n|."""
+    m = abs(n)
+    return {v for t in range(1, isqrt(m) + 1) if not m % t for v in (t, -t, m // t, -(m // t))}
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -339,9 +345,12 @@ def _size_key(s: PellSolution) -> tuple:
 def solve_all(d: int, n: int) -> SolutionClassSet:
     """Full solution description of x^2 - d*y^2 = n (d, n nonzero).
 
-    For d > 0 nonsquare it is empty, with n not factored and no cycle walked,
-    where d = 3 and n = 2 mod 4 but n != 1 - d mod 8, or n is not a square
-    modulo an odd prime of d (`_residue_obstructed`).
+    For d > 0 nonsquare it is empty, with no cycle walked, where d = 3 and
+    n = 2 mod 4 but n != 1 - d mod 8, or n is not a square modulo an odd
+    prime of d (`_residue_obstructed`, before n is factored), or an odd prime
+    q divides d and n once each with (-(d/q)*(n/q) | q) = -1: q | x, so
+    q*x'^2 - (d/q)*y^2 = n/q with q not dividing y.  That test reads n's
+    primes, which may lie far above the d^(1/4) where the first one stops.
     """
     if d == 0 or n == 0:
         raise ValidationError(f"Pell problem needs nonzero D and N, got D={d}, N={n}")
@@ -355,19 +364,19 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
                     x = isqrt(r)
                     sols.update({(x, y), (-x, y), (x, -y), (-x, -y)})
         else:  # (x - s*y)(x + s*y) = n: pair up divisors of matching parity.
-            for e in range(1, isqrt(abs(n)) + 1):
-                if n % e:
-                    continue
-                for e_signed in {e, -e, n // e, -(n // e)}:
-                    f = n // e_signed
-                    if (e_signed + f) % 2 == 0 and (f - e_signed) % (2 * s) == 0:
-                        sols.add(((e_signed + f) // 2, (f - e_signed) // (2 * s)))
+            for e in _signed_divisors(n):
+                f = n // e
+                if (e + f) % 2 == 0 and (f - e) % (2 * s) == 0:
+                    sols.add(((e + f) // 2, (f - e) // (2 * s)))
         ordered = tuple(sorted(map(PellSolution._make, sols), key=_size_key))
         return SolutionClassSet("finite" if ordered else "empty", ordered)
 
     if _residue_obstructed(d, n):
         return SolutionClassSet("empty", ())  # no square root of n modulo a prime of d
     factors = _factor(n)
+    if any(e == 1 and q > 2 and d % q == 0 and (d // q) % q
+           and jacobi(-(d // q) * (n // q), q) == -1 for q, e in factors.items()):
+        return SolutionClassSet("empty", ())  # no solution modulo q^2 at a q || d, n
     divisors = _square_divisors(factors)
     minimal, reps = _primitive_class_reps(d, [(n // (f * f), rest) for f, rest in divisors])
     found = {PellSolution(f * x, f * y) for (f, _), class_reps in zip(divisors, reps)

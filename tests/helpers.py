@@ -1,4 +1,4 @@
-"""Matrix, Gram-matrix, Pell and quadratic-form helpers used only by the tests."""
+"""Matrix, Gram-matrix, Pell, quadratic-form and JSON-number helpers used only by the tests."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from hopfq.fields import CyclicQuarticParams, classify_biquadratic_type, classif
 from hopfq.freeness import FieldParams
 from hopfq.hopf import (
     _NONCLASSICAL_RECIPE,
-    CLASSICAL,
     CYCLIC_NONCLASSICAL,
     GramMatrix,
     StructureId,
@@ -19,6 +18,7 @@ from hopfq.hopf import (
     gram_classical,
     mult_table,
     multiply,
+    parse_rational,
     structures_for,
 )
 from hopfq.errors import (
@@ -40,6 +40,20 @@ from hopfq.pell import (
     rho,
     solve_all,
 )
+
+
+def decode_number(value) -> Fraction:
+    """Inverse of `hopfq.cli.encode_number`; raises ValidationError on junk."""
+    if isinstance(value, bool):
+        raise ValidationError(f"not a rational value: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"not a rational value: {value!r}") from exc
+    raise ValidationError(f"not a rational value: {value!r}")
 
 
 def mat(rows) -> list[list[Fraction]]:
@@ -74,6 +88,9 @@ def mat_eq(a, b) -> bool:
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+CLASSICAL = "classical"
 
 
 def classical_structure(field) -> StructureId:

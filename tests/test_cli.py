@@ -22,13 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfq import cli, pell
-from hopfq.cli import decode_number, encode_number
+from hopfq.cli import encode_number
 from hopfq.errors import ValidationError
 from hopfq.fields import SQUAREFREE_LIMIT
 from hopfq.freeness import ORACLE_BOUND_LIMIT
 from hopfq.hopf import action_matrix, parse_gram_text, reduction_report
 
-from helpers import format_gram_text
+from helpers import decode_number, format_gram_text
 
 DATA_DIR = Path(__file__).parent / "data"
 POWER_GRAM_PATH = DATA_DIR / "power_basis_gram.txt"
@@ -206,6 +206,17 @@ def test_pell_divisor_override():
     # the -b override is gone: -N b gives the same divisibility search
     code, _ = invoke(["pell", "-D", "10", "-N", "-1", "-c", "1", "-b", "3"])
     assert code == 2
+
+
+def test_an_argument_argparse_rejects_exits_2_with_usage_and_no_document():
+    """Unlike a validation error, argparse's own error prints its usage message
+    to stderr and no JSON document, and exits 2 through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.main(["cyclic", "-a", "1", "-b", "x", "-c", "5"])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("usage: ") and "invalid int value: 'x'" in err.getvalue()
 
 
 def test_pell_zero_input_exits_2():
@@ -608,105 +619,47 @@ def test_corpus_output_matches_the_golden_file_byte_for_byte():
         pytest.fail(f"corpus output differs from the golden file (first differing record: {first})")
 
 
-# Single-document commands, run from the repository root, and the files in
-# tests/data/golden_commands that pin their output.
-GOLDEN_COMMANDS = {
-    "cyclic_1_9_5_oracle.json": "cyclic -a 1 -b 9 -c 5 --verify-oracle",
-    "biquadratic_-3_-7_oracle.json": "biquadratic -m -3 -n -7 --verify-oracle",
-    "biquadratic_-3_-7_oracle_100.json":
-        "biquadratic -m -3 -n -7 --verify-oracle --oracle-bound 100",
-    # The oracle's generator (-1, -1, -17, 10) lies in a row (beta_3, beta_4) < (0, 0):
-    # the half scan reaches it only as the mirror of (1, 1, 17, -10).
-    "cyclic_1_9_5_oracle_100.json": "cyclic -a 1 -b 9 -c 5 --verify-oracle --oracle-bound 100",
-    "pell_106_9_5.json": "pell -D 106 -N 9 -c 5",
-    "form_cycle_15_14_-15.json": "form-cycle 15 14 -15",
-    "gram_file_power_basis.json":
-        "gram-file --gram tests/data/power_basis_gram.txt --beta 1,1,1,0",
-    # Content 1/6: the Hermite form and the index are rational.
-    "gram_file_rational.json":
-        "gram-file --gram tests/data/rational_gram.txt --beta 1,1,1,0",
-    "biquadratic_-10000019_-20000038.json": "biquadratic -m -10000019 -n -20000038",
-    "cyclic_1_999999_4.json": "cyclic -a 1 -b 999999 -c 4",
-    "pell_3994_9699690_48148.json": "pell -D 3994 -N 9699690 -c 48148",
-    # No class representative meets 16 | x - 3*y: the witness comes from the unit walk.
-    "pell_2_-16_3.json": "pell -D 2 -N -16 -c 3",
-    # Two primitive classes, gcd(N, 2D) = 1 and no representative qualifies: the
-    # witness is null without a walk, whose period modulo N runs to about 10^12.
-    "pell_2_999999999961_1.json": "pell -D 2 -N 999999999961 -c 1",
-    # The target 2357 has the roots +-1067, whose anchors are off the principal
-    # cycle (period 25,250), but d = 0 and 2357 = 2 modulo 5, so it is not
-    # free without a walk, and the unit is never built.
-    "cyclic_1_97704_2357.json": "cyclic -a 1 -b 97704 -c 2357",
-    # d = 17 * 275965589 is a square modulo the target 67233 and the target one
-    # modulo each prime of d: the walk (period 5,332) meets no class on the
-    # principal cycle, and the field is not free with no unit built.
-    "cyclic_1_13082_67233.json": "cyclic -a 1 -b 13082 -c 67233",
-    # 999999999989 is not a square modulo 3: empty, with no walk of its period 1,103,497.
-    "pell_999999999989_3.json": "pell -D 999999999989 -N 3",
-    # 3 is not a square modulo 5 | 999999999985: empty, with no walk of its period 397,018.
-    "pell_999999999985_3.json": "pell -D 999999999985 -N 3",
-    # D = 3 mod 4 and N = -2 * 429101 with 429101 | D: N is not 1 - D mod 8,
-    # so empty with no walk of its period 788,380.
-    "pell_535543364959_-858202.json": "pell -D 535543364959 -N -858202",
-    # D has the period 173 and N = -2^4*7*421: every class comes from the unit
-    # times the shorter side of its anchor, the longer side having value N.
-    "pell_61409021_-47152.json": "pell -D 61409021 -N -47152",
-    # N = -1 walks the root 0 modulo 1 to the first state of the principal
-    # cycle; the period 5 is odd, so its class is eps = (18, 5) itself.
-    "pell_13_-1.json": "pell -D 13 -N -1",
-}
+GOLDEN_DIR = DATA_DIR / "golden_commands"
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def golden_manifest() -> dict[str, list[str]]:
+    """Golden file -> argv, from golden_commands/manifest.txt, whose lines read
+    `FILE SECONDS ARGV...` (`#` starts a comment line).  CI runs each line
+    under `timeout SECONDS`; in process the budget is not enforced."""
+    manifest = {}
+    for line in (GOLDEN_DIR / "manifest.txt").read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, budget, *argv = line.split()
+            assert name not in manifest and int(budget) > 0 and argv, line
+            manifest[name] = argv
+    return manifest
+
+
+GOLDEN = golden_manifest()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN if n.endswith(".json")))
 def test_command_output_matches_its_golden_file_byte_for_byte(name, monkeypatch):
     """A difference is a change of output; mend the code, never the file."""
     monkeypatch.chdir(REPO_ROOT)
-    code, text = invoke(GOLDEN_COMMANDS[name].split())
+    code, text = invoke(GOLDEN[name])
     assert code == 0
-    assert text.encode("utf-8") == (DATA_DIR / "golden_commands" / name).read_bytes()
+    assert text.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
 
 
-# Commands whose output runs to megabytes, run from the repository root and
-# pinned by the SHA-256 of their output: each file in tests/data/golden_commands
-# holds one `sha256sum` line for standard input, so CI checks it with
-# `hopfq ... | sha256sum -c FILE`.  oracle_space.txt holds the 3,163 valid
-# fields the oracle-verify benchmark samples from.
-GOLDEN_DIGESTS = {
-    "cyclic_1_56724_79619.sha256": "cyclic -a 1 -b 56724 -c 79619",
-    "cyclic_1_602827_647340.sha256": "cyclic -a 1 -b 602827 -c 647340",
-    "oracle_space_corpus.sha256": "corpus tests/data/oracle_space.txt --verify-oracle",
-    # The same fields at a second bound, where more rows hold no candidate.
-    "oracle_space_corpus_30.sha256":
-        "corpus tests/data/oracle_space.txt --verify-oracle --oracle-bound 30",
-}
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN if n.endswith(".sha256")))
 def test_command_output_matches_its_pinned_digest(name, monkeypatch):
     """A difference is a change of output; mend the code, never the file."""
     monkeypatch.chdir(REPO_ROOT)
-    code, text = invoke(GOLDEN_DIGESTS[name].split())
+    code, text = invoke(GOLDEN[name])
     assert code == 0
-    want = (DATA_DIR / "golden_commands" / name).read_text(encoding="utf-8").split()[0]
+    want = (GOLDEN_DIR / name).read_text(encoding="utf-8").split()[0]
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
 
 
-def test_ci_compares_every_golden_command_and_no_other():
-    """CI's `hopfq ... | cmp - $g/FILE` lines, `\\` continuations joined and
-    `timeout N` dropped, are GOLDEN_COMMANDS exactly, and every file under
-    golden_commands is pinned by a test.  The digests are matched by name
-    alone: CI leaves out the slowest of them."""
-    workflow = (REPO_ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
-    compared = {}
-    for line in workflow.replace("\\\n", " ").splitlines():
-        words = line.split()
-        if words[:1] == ["timeout"]:
-            words = words[2:]
-        if words[:1] == ["hopfq"] and words[-4:-1] == ["|", "cmp", "-"] \
-                and words[-1].startswith("$g/"):
-            name = words[-1].removeprefix("$g/")
-            assert name not in compared, name
-            compared[name] = " ".join(words[1:-4])
-    assert compared == GOLDEN_COMMANDS
-    files = {path.name for path in (DATA_DIR / "golden_commands").iterdir()}
-    assert files == set(GOLDEN_COMMANDS) | set(GOLDEN_DIGESTS)
+def test_golden_files_are_exactly_the_manifest():
+    """Every file under golden_commands is the manifest or a line of it, and
+    every line names a file there with a known kind."""
+    files = {path.name for path in GOLDEN_DIR.iterdir()} - {"manifest.txt"}
+    assert files == set(GOLDEN)
+    assert all(name.endswith((".json", ".sha256")) for name in GOLDEN)

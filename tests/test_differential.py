@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hopfq.errors import RankDeficientError, ZeroMatrixError
 from hopfq.freeness import _factor
 from hopfq.linalg import det, hnf_integer, mat_inv
-from hopfq.pell import _residue_obstructed, _square_roots, solve_all
+from hopfq.pell import _residue_obstructed, _square_roots, jacobi, solve_all
 
 sympy = pytest.importorskip("sympy")
 factorint = pytest.importorskip("sympy.ntheory").factorint
@@ -175,6 +175,30 @@ def _mod8_pell_cases(count: int, seed: int) -> list[tuple[int, int]]:
     return cases
 
 
+def _shared_prime_pell_cases(count: int, seed: int) -> list[tuple[int, int, int]]:
+    """(d, N, q): nonsquare d < 5,000 with an odd prime q <= 13 dividing it
+    once, and N = +-q*m with q not dividing m and |N| <= 10^4.  Two N in three
+    are uniform; the third is a value x^2 - d*y^2 with q | x and q not dividing
+    y, which is solvable."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        q = rng.choice((3, 5, 7, 11, 13))
+        c = rng.randint(1, 4999 // q)
+        if c % q == 0:
+            continue
+        d = q * c
+        if len(cases) % 3 == 2:
+            y = rng.randint(1, 2)
+            x = q * (isqrt(d * y * y) // q + rng.randint(0, 1))
+            n = x * x - d * y * y
+        else:
+            n = rng.choice((1, -1)) * q * rng.randint(1, 10**4 // q)
+        if 1 <= abs(n) <= 10**4 and n % q == 0 and (n // q) % q:
+            cases.append((d, n, q))
+    return cases
+
+
 def _assert_classes_match_diop_DN(cases: list[tuple[int, int]]) -> int:
     """Every fundamental solution from diop_DN lies in a class of solve_all, and
     every class of solve_all holds one of them; returns how many cases solve.
@@ -215,6 +239,18 @@ def test_solve_all_classes_match_sympy_diop_DN_on_both_sides_of_the_residue_test
     obstructed = sum(_residue_obstructed(d, n) for d, n in cases)
     assert 12 <= obstructed <= 24
     assert _assert_classes_match_diop_DN(cases) >= 12
+
+
+def test_solve_all_classes_match_sympy_diop_DN_on_both_sides_of_the_shared_prime_test():
+    """diop_DN referees the cases that the test at a prime q dividing d and N
+    once each rules out before any square root, those the residue test rules
+    out first, and those left to the class search."""
+    cases = _shared_prime_pell_cases(60, seed=2026)
+    fires = [jacobi(-(d // q) * (n // q), q) == -1 for d, n, q in cases]
+    silent = [not _residue_obstructed(d, n) for d, n, _ in cases]
+    assert sum(f and r for f, r in zip(fires, silent)) >= 10  # ended by the shared prime
+    assert sum(r and not f for f, r in zip(fires, silent)) >= 15  # left to the class search
+    assert _assert_classes_match_diop_DN([(d, n) for d, n, _ in cases]) >= 15
 
 
 def test_solve_all_classes_match_sympy_diop_DN_on_both_sides_of_the_mod8_test():

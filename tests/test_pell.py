@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 from math import isqrt, prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from hopfq.errors import (
     NotReducedError,
     SquareDiscriminantError,
 )
-from hopfq.fields import validate_cyclic
-from hopfq.freeness import NOT_FREE, decide_cyclic
+from hopfq.fields import canonicalize_biquadratic, validate_cyclic
+from hopfq.freeness import FREE, NOT_FREE, decide_cyclic, summary
 from hopfq.pell import (
     PellSolution,
     QuadForm,
@@ -642,6 +643,57 @@ def test_a_residue_obstruction_leaves_no_solution(problem):
     assert not any(pell._primitive_class_reps(d, targets)[1])
     assert solutions_within(d, n, 10**4) == []
     assert not brute_solutions(d, n, 300)
+
+
+@st.composite
+def shared_prime_problems(draw):
+    """(D, N, q) with D = q*c and N = +-q*m for an odd prime q <= 13 dividing
+    neither c nor m, and c, m <= 10^4 / q.  The test at q fires where
+    (-c*m | q) = -1: on about half the examples, and with the residue test
+    silent on about 30% of them, the ones the test below keeps."""
+    q = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    c = draw(st.integers(1, 10**4 // q).filter(lambda c: c % q))
+    m = draw(st.integers(1, 10**4 // q).filter(lambda m: m % q))
+    return q * c, q * m * draw(st.sampled_from([1, -1])), q
+
+
+@given(shared_prime_problems())
+@settings(max_examples=200, deadline=None)
+def test_a_shared_prime_obstruction_leaves_no_solution(problem):
+    """Where q divides D and N once each and -(D/q)*(N/q) is not a square
+    modulo q, solve_all ends before any square root is taken, the class
+    search without the test finds no class of any N/f^2, and a scan finds no
+    solution in a box."""
+    d, n, q = problem
+    assume(jacobi(-(d // q) * (n // q), q) == -1 and not pell._residue_obstructed(d, n))
+    with mock.patch.object(pell, "_square_roots", _unread("_square_roots")):
+        assert solve_all(d, n) == pell.SolutionClassSet("empty", ())
+    targets = [(n // (f * f), rest) for f, rest in pell._square_divisors(pell._factor(n))]
+    assert not any(pell._primitive_class_reps(d, targets)[1])
+    assert not brute_solutions(d, n, 300)
+
+
+def test_a_shared_prime_decides_a_biquadratic_structure_without_a_walk(monkeypatch):
+    """The field (-6219803503, 135957049) has the derived radicand
+    k = -845626129627742647, whose principal cycle has about 10^9 steps.  Its
+    structure solves x^2 - |k|*y^2 = +-2*135957049: the residue test rules out
+    the sign -, and the prime 135957049, dividing k and the target once each,
+    rules out the sign +.  So it is not free with no walk of sqrt(|k|)."""
+    walk = pell._principal_walk
+
+    def bounded(d, anchors):
+        assert d <= 10**12, f"walked the principal cycle of sqrt({d})"
+        return walk(d, anchors)
+
+    monkeypatch.setattr(pell, "_principal_walk", bounded)
+    d, n, q = 845626129627742647, 2 * 135957049, 135957049
+    assert d % q == 0 and (d // q) % q and jacobi(-(d // q) * (n // q), q) == -1
+    assert pell._residue_obstructed(d, -n) and not pell._residue_obstructed(d, n)
+    fs = summary(canonicalize_biquadratic(-6219803503, 135957049))
+    reports = {e.structure.subfield_tag: e.report for e in fs.structures}
+    derived = reports["sqrt(-845626129627742647)"]
+    assert (derived.decision, derived.method, derived.witness) == (NOT_FREE, "pell_criterion", None)
+    assert reports["sqrt(-6219803503)"].decision == FREE
 
 
 @pytest.mark.parametrize("n, rep", [(1, (1, 0)), (-1, (1, 1))])
