@@ -9,7 +9,8 @@ integers stay JSON integers and non-integer rationals are encoded as
 Exit codes: 0 on success, 2 when the input fails validation (an error
 document; argparse's own usage errors print usage to stderr and no
 document), 3 when a computed result contradicts an independent ground-truth
-check.  The log level is taken from the ``HOPFQ_LOG`` environment variable.
+check.  A reader that closes standard output early gets exit 2 and nothing
+on stderr.  The log level is taken from the ``HOPFQ_LOG`` environment variable.
 """
 
 from __future__ import annotations
@@ -385,11 +386,20 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _emit_error(exc: Exception, exit_code: int) -> None:
-    _print_document({
-        "schema_version": SCHEMA_VERSION,
-        "error": {"type": type(exc).__name__, "message": str(exc), "exit_code": exit_code},
-    })
+def _run(args: argparse.Namespace) -> int:
+    """The command's exit code; an error it raises becomes an error document."""
+    try:
+        return args.handler(args)
+    except BrokenPipeError:
+        raise  # no document reaches a closed reader
+    except (ValidationError, OSError, InternalInconsistencyError) as exc:
+        code = 3 if isinstance(exc, InternalInconsistencyError) else 2
+        log.log(logging.ERROR if code == 3 else logging.INFO, "%s: %s", type(exc).__name__, exc)
+        _print_document({
+            "schema_version": SCHEMA_VERSION,
+            "error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code},
+        })
+        return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -397,19 +407,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     log.debug("dispatching %s", args.command)
     try:
-        return args.handler(args)
-    except ValidationError as exc:
-        log.info("validation error: %s", exc)
-        _emit_error(exc, 2)
+        code = _run(args)
+        sys.stdout.flush()  # a closed reader raises here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: the exit flush goes to devnull
+        log.info("stdout closed by its reader")
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 2
-    except OSError as exc:
-        log.info("i/o error: %s", exc)
-        _emit_error(exc, 2)
-        return 2
-    except InternalInconsistencyError as exc:
-        log.error("internal inconsistency: %s", exc)
-        _emit_error(exc, 3)
-        return 3
 
 
 if __name__ == "__main__":

@@ -20,8 +20,9 @@ the shorter side, or the unit times it when only the longer side has value N;
 its size in floating point confirms the smallest element and exact comparison
 settles a near-tie, so no element is walked by the unit.  The walks keep only
 small states and partial quotients; the products, up to millions of bits,
-come from one balanced product tree over half the period, which also yields
-every shorter side.  They are built only when some anchor lies on the
+come from half the period cut at the shorter sides: a balanced product tree
+per segment, whose running product reads every shorter side at its cut and
+ends at the half period.  They are built only when some anchor lies on the
 principal cycle; the root 0 of N/f^2 = +-1 reaches its first state in one
 step, and the fundamental unit is read from the class of 1.  The principal
 cycle is not walked at all where no class can exist for a reason seen
@@ -31,7 +32,6 @@ odd q dividing D and N once each, or D not a square modulo any |N/f^2|.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, inf, isqrt, log2
@@ -202,37 +202,29 @@ def _square_divisors(factors: dict[int, int]) -> list[tuple[int, dict[int, int]]
 _PRODUCT_LEAF = 16
 
 
-def _quotient_product(quotients: list[int], lo: int, hi: int, cuts: Sequence[int] = (),
-                      rows: dict[int, tuple[int, int]] | None = None,
-                      row: tuple[int, int] = (1, 0)) -> tuple[int, int, int, int]:
+def _times(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """The product m * n of 2x2 matrices, each written (h, h', k, k') for [[h, h'], [k, k']]."""
+    a, b, c, e = m
+    f, g, i, j = n
+    return a * f + b * i, a * g + b * j, c * f + e * i, c * g + e * j
+
+
+def _quotient_product(quotients: list[int], lo: int, hi: int) -> tuple[int, int, int, int]:
     """Entries (h, h', k, k') of the product of [[a, 1], [1, 0]] over quotients[lo:hi].
 
     The first column (h, k) is the last convergent of [a_lo; ..., a_(hi-1)] and
     the second column the one before it.  Halves are multiplied recursively
     (binary splitting), so the big products come last and are balanced; short
-    runs are multiplied one quotient at a time.  For each c of the ascending
-    `cuts` in [lo, hi], rows[c] becomes `row` times the product over
-    quotients[lo:c]: a cut in a right half takes the row through the left
-    half once, shared by every cut there.
+    runs are multiplied one quotient at a time.
     """
     if hi - lo <= _PRODUCT_LEAF:
-        for c in cuts:
-            p, q = row
-            for a in quotients[lo:c]:
-                p, q = a * p + q, p
-            rows[c] = p, q
         h, h1, k, k1 = 1, 0, 0, 1
         for a in quotients[lo:hi]:
             h, h1 = a * h + h1, h
             k, k1 = a * k + k1, k
         return h, h1, k, k1
     mid = (lo + hi) // 2
-    split = bisect_right(cuts, mid)
-    a, b, c, e = _quotient_product(quotients, lo, mid, cuts[:split], rows, row)
-    if split < len(cuts):
-        row = row[0] * a + row[1] * c, row[0] * b + row[1] * e
-    f, g, i, j = _quotient_product(quotients, mid, hi, cuts[split:], rows, row)
-    return a * f + b * i, a * g + b * j, c * f + e * i, c * g + e * j
+    return _times(_quotient_product(quotients, lo, mid), _quotient_product(quotients, mid, hi))
 
 
 def _principal_walk(d: int, anchors: dict[int, set[int]]
@@ -279,16 +271,18 @@ def _period_convergent(quotients: list[int], period: int, lengths: Sequence[int]
     L = `period`.  a_1, ..., a_(L-1) is a palindrome, so the product R of
     their matrices is B * A^T, where A is the product over the first
     r = (L-1)//2 of them and B is A, times the middle one when L - 1 is odd.
-    (x, y) is the first column of [[a0, 1], [1, 0]] * R.  For each l of the
-    ascending `lengths`, all at most r, rows[1 + l] becomes the first row of
-    the product over a_1, ..., a_l, cut from the one tree that builds A.
+    (x, y) is the first column of [[a0, 1], [1, 0]] * R.  The ascending
+    `lengths`, all at most r, cut a_1, ..., a_r in segments; A is the running
+    product of their trees, and for each l, rows[1 + l] becomes the first row
+    of that product over a_1, ..., a_l.
     """
     r = (period - 1) // 2
-    h, h1, k, k1 = _quotient_product(quotients, 1, r + 1, [1 + n for n in lengths], rows)
-    bh, bh1, bk, bk1 = h, h1, k, k1
-    if period % 2 == 0:
-        a = quotients[r + 1]
-        bh, bh1, bk, bk1 = a * h + h1, h, a * k + k1, k
+    prefix, lo = (1, 0, 0, 1), 1
+    for n in lengths:
+        prefix, lo = _times(prefix, _quotient_product(quotients, lo, 1 + n)), 1 + n
+        rows[lo] = prefix[:2]
+    h, h1, k, k1 = a = _times(prefix, _quotient_product(quotients, lo, r + 1))
+    bh, bh1, bk, bk1 = _times(a, (quotients[r + 1], 1, 1, 0)) if period % 2 == 0 else a
     r11 = bh * h + bh1 * h1
     return quotients[0] * r11 + bk * h + bk1 * h1, r11, (-1) ** period
 

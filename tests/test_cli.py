@@ -481,6 +481,29 @@ def test_verify_oracle_runs_without_numpy():
     assert json.loads(result.stdout)["structures"][0]["oracle"]["bound"] == 12
 
 
+@pytest.mark.parametrize("command", ["cyclic", "corpus"])
+def test_a_reader_that_closes_stdout_early_gets_exit_2_and_no_traceback(command, tmp_path):
+    """The cyclic document fits the output buffer, so the closed pipe is met
+    at the last flush; the corpus records outgrow it and meet it while
+    being written."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("cyclic 1 9 5\nbiquadratic -3 -7\n" * 5, encoding="utf-8")
+    argv = {"cyclic": ["cyclic", "-a", "1", "-b", "9", "-c", "5"],
+            "corpus": ["corpus", str(corpus)]}[command]
+    script = "import sys\nfrom hopfq.cli import main\nsys.exit(main())\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-c", script, *argv], env=env, stdout=write,
+                                stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+
+
 # ---- corpus command ----
 
 def test_corpus_with_a_byte_order_mark_reads_as_without(tmp_path):

@@ -325,6 +325,35 @@ def test_both_sides_of_an_anchor_give_the_class(d, m):
     assert got == _stepwise_reps(d, m)
 
 
+def _stepwise_rows(quotients: list[int], lengths: list[int]) -> dict[int, tuple[int, int]]:
+    """{1 + l: the first row of the product over quotients[1:1 + l]} for the
+    ascending lengths, one quotient at a time."""
+    rows, h, h1, lo = {}, 1, 0, 1
+    for n in lengths:
+        for a in quotients[lo:1 + n]:
+            h, h1 = a * h + h1, h
+        rows[1 + n], lo = (h, h1), 1 + n
+    return rows
+
+
+@pytest.mark.parametrize("d", [1366, 1381, 61409021, 2147483647, 999999937])
+def test_period_convergent_rows_are_the_stepwise_rows(d):
+    """Each cut of the half period gives the first row of the product before
+    it, for seeded random ascending lengths that hold 0 and the half period r
+    and cut it in up to 202 segments, and the convergent is the minimal
+    +-1 solution.  Every r here spans more than two leaves of the tree."""
+    quotients, period, _ = pell._principal_walk(d, {})
+    r = (period - 1) // 2
+    assert r > 2 * pell._PRODUCT_LEAF
+    rng = random.Random(d)
+    for _ in range(5):
+        lengths = sorted({0, r, *rng.sample(range(1, r), rng.randint(0, min(r - 1, 200)))})
+        rows: dict[int, tuple[int, int]] = {}
+        assert pell._period_convergent(quotients, period, lengths, rows) == \
+            stepwise_minimal_unit_pm(d)
+        assert rows == _stepwise_rows(quotients, lengths)
+
+
 def test_every_class_comes_from_one_half_period_tree(monkeypatch):
     """No side longer than half the period is asked of `_period_convergent`,
     and every class of every small (d, m) is still the stepwise reference's."""
