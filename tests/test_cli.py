@@ -12,7 +12,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -640,6 +642,139 @@ def test_corpus_output_matches_the_golden_file_byte_for_byte():
         pairs = zip(got.splitlines(), want.splitlines())
         first = next((n for n, (a, b) in enumerate(pairs, start=1) if a != b), None)
         pytest.fail(f"corpus output differs from the golden file (first differing record: {first})")
+
+
+# ---- corpus workers ----
+
+def _counting_forks(monkeypatch) -> list[int]:
+    """Patch os.fork to record the pid of each child it starts."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _no_worker_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _unforkable():
+    raise AssertionError("os.fork called")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_corpus_output_is_the_golden_file_at_every_worker_count(cpus, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    forks = _counting_forks(monkeypatch)
+    code, text = invoke(["corpus", str(GOLDEN_CORPUS_PATH)])
+    assert code == 2
+    assert text.encode("utf-8") == (DATA_DIR / "golden_corpus.jsonl").read_bytes()
+    assert len(forks) == cpus - 1  # its 200 lines fill 12 workers
+    _no_worker_left()
+
+
+@pytest.mark.parametrize("count", [1, 2 * cli.MIN_LINES_PER_WORKER - 1])
+def test_a_corpus_too_short_for_two_workers_forks_none(count, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(os, "fork", _unforkable)
+    path = tmp_path / "corpus.txt"
+    path.write_text("cyclic 1 9 5\n" * count, encoding="utf-8")
+    code, text = invoke(["corpus", str(path)])
+    assert code == 0
+    assert [json.loads(record)["line"] for record in text.splitlines()] == list(range(1, count + 1))
+
+
+def test_a_corpus_run_beside_another_thread_forks_no_worker(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(os, "fork", _unforkable)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = invoke(["corpus", str(GOLDEN_CORPUS_PATH)])
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert code == 2
+    assert text.encode("utf-8") == (DATA_DIR / "golden_corpus.jsonl").read_bytes()
+
+
+def _corpus_failing_at(monkeypatch, tmp_path,
+                       failures: dict[int, Exception]) -> tuple[list[str], list[int]]:
+    """Argv of a 40-line corpus over two workers, whose record raises
+    failures[line], and the list of forks: the parent decides the odd lines
+    and its one worker the even ones."""
+    def record(lineno, line, verify, bound):
+        if lineno in failures:
+            raise failures[lineno]
+        return {"line": lineno}
+
+    monkeypatch.setattr(cli, "_corpus_record", record)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    forks = _counting_forks(monkeypatch)
+    path = tmp_path / "corpus.txt"
+    path.write_text("cyclic 1 9 5\n" * 40, encoding="utf-8")
+    return ["corpus", str(path)], forks
+
+
+@pytest.mark.parametrize("lines", [(7, 4), (3, 10), (12, 16)])
+def test_the_lowest_internal_inconsistency_of_all_workers_is_the_one_reported(
+        lines, monkeypatch, tmp_path):
+    """The lower line lies in the worker, in the parent, or both in the worker."""
+    argv, forks = _corpus_failing_at(monkeypatch, tmp_path, {
+        n: cli.InternalInconsistencyError(f"contradiction on line {n}") for n in lines})
+    code, text = invoke(argv)
+    assert code == 3
+    doc = json.loads(text)  # the error document and nothing else
+    assert doc["error"]["type"] == "InternalInconsistencyError"
+    assert doc["error"]["message"] == f"contradiction on line {min(lines)}"
+    assert len(forks) == 1
+    _no_worker_left()
+
+
+def test_an_unexpected_error_in_a_worker_reaches_the_caller(monkeypatch, tmp_path):
+    argv, forks = _corpus_failing_at(monkeypatch, tmp_path, {
+        6: RuntimeError("injected"), 9: ValueError("later")})
+    with pytest.raises(RuntimeError, match="RuntimeError on corpus line 6: injected"):
+        cli.main(argv)
+    assert len(forks) == 1
+    _no_worker_left()
+
+
+def test_a_worker_whose_parent_is_gone_decides_no_line(monkeypatch):
+    monkeypatch.setattr(cli, "_corpus_record", _unforkable)  # would be the failure
+    args = cli.build_parser().parse_args(["corpus", "unread.txt"])
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        cli._worker([(1, "cyclic 1 9 5")], args, -1, write_fd)  # -1 is no process's parent
+    os.close(write_fd)
+    with os.fdopen(read_fd, encoding="utf-8") as pipe:
+        assert cli._read_worker(pipe) == ([], None)
+    assert os.waitpid(pid, 0)[1] == 0
+    _no_worker_left()
+
+
+def test_a_worker_that_dies_without_its_status_is_an_error(monkeypatch, tmp_path):
+    argv, forks = _corpus_failing_at(monkeypatch, tmp_path, {})
+    record = cli._corpus_record
+    monkeypatch.setattr(cli, "_corpus_record", lambda lineno, *rest: (
+        os._exit(1) if lineno == 8 else record(lineno, *rest)))
+    with pytest.raises(RuntimeError, match="without its status line"):
+        cli.main(argv)
+    assert len(forks) == 1
+    _no_worker_left()
 
 
 GOLDEN_DIR = DATA_DIR / "golden_commands"

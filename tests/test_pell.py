@@ -629,6 +629,55 @@ def test_no_walk_where_a_prime_of_d_rules_the_target_out(monkeypatch):
     assert solve_all(999999999985, 3) == pell.SolutionClassSet("empty", ())
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2 ... 13, exact below 3.4 * 10^12."""
+    bases = (2, 3, 5, 7, 11, 13)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        for _ in range(r):
+            if x in (1, n - 1):
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _largest_prime_below(bound: int, residue: int, modulus: int) -> int:
+    return next(p for p in range(bound - 1, 1, -1) if p % modulus == residue and _is_prime(p))
+
+
+def test_legendre_at_the_domain_edge_for_a_prime_7_mod_8():
+    """Legendre: for a prime p = 7 mod 8, x^2 - p*y^2 = 2 is solvable, while
+    -2 (not a square modulo p) and -1 (p = 3 mod 4) are not, so the least
+    unit has norm +1."""
+    p = _largest_prime_below(10**12, 7, 8)
+    assert p == 999999999959
+    plus = solve_all(p, 2)
+    assert plus.kind == "indefinite" and plus.solutions
+    assert all(x * x - p * y * y == 2 for x, y in plus.solutions)
+    assert plus.minimal[2] == 1
+    assert solve_all(p, -2) == pell.SolutionClassSet("empty", ())
+    assert solve_all(p, -1) == pell.SolutionClassSet("empty", ())
+
+
+def test_legendre_at_the_domain_edge_for_a_prime_1_mod_4():
+    """Legendre: for a prime p = 1 mod 4, x^2 - p*y^2 = -1 is solvable, so the
+    least unit has norm -1, and it is the one class of -1."""
+    p = _largest_prime_below(10**12, 1, 4)
+    assert p == 999999999989
+    minus = solve_all(p, -1)
+    x, y, s = minus.minimal
+    assert s == -1 and x * x - p * y * y == -1  # about 1.9 million bits each
+    assert minus.kind == "indefinite"
+    assert [(abs(a), abs(b)) for a, b in minus.solutions] == [(x, y)]
+
+
 def test_no_walk_where_the_target_fails_the_mod8_test(monkeypatch):
     # D = 535543364959 = 429101 * 1248059 is 3 mod 4 and N = -2 * 429101 is 2
     # mod 4, so x and y would be odd and N = 1 - D mod 8; it is 4 more.  The
