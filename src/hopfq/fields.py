@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import (
     DegenerateProductError,
@@ -28,6 +28,7 @@ from .errors import (
     NotSquarefreeError,
     ValidationError,
 )
+from .pell import _trial_division, is_square
 
 SQUAREFREE_LIMIT = 10**12
 
@@ -35,7 +36,7 @@ SQUAREFREE_LIMIT = 10**12
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides |n|.
 
-    Trial division up to the cube root; the remaining cofactor has at most two
+    `pell._trial_division` up to the cube root; the rest has at most two
     prime factors, so it is squarefree unless it is a perfect square.
     """
     if n == 0:
@@ -43,14 +44,8 @@ def is_squarefree(n: int) -> bool:
     n = abs(n)
     if n > SQUAREFREE_LIMIT:
         raise ValidationError(f"squarefree test supports |n| <= {SQUAREFREE_LIMIT}, got {n}")
-    i = 2
-    while i * i * i <= n:
-        if n % i == 0:
-            n //= i
-            if n % i == 0:
-                return False
-        i += 1 if i == 2 else 2
-    return not (n > 1 and isqrt(n) ** 2 == n)
+    primes, rest = _trial_division(n, int(n ** (1 / 3)) + 1)
+    return sum(primes.values()) == len(primes) and not (rest > 1 and is_square(rest))
 
 
 # ---- cyclic quartic fields ----

@@ -409,19 +409,18 @@ def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _roots(poly: list[int], target: int, values: set[int] | None, xs: range) -> list[int]:
+def _roots(poly: list[int], target: int, values: set[int], xs: range) -> list[int]:
     """The x in xs at which poly, its coefficients from the constant up, is a
     nonzero divisor of target.
 
-    Where poly has degree 1 or 2 and `values`, the divisors of target and
-    their negatives, are listed, poly(x) = v is solved for each v: one
-    division, or a discriminant and its square root.  Otherwise every x in xs
-    is tried.
+    Where poly has degree 1 or 2, poly(x) = v is solved for each v in
+    `values`, the divisors of target and their negatives: one division, or a
+    discriminant and its square root.  Otherwise every x in xs is tried.
     """
     degree = len(poly) - 1
     while degree > 0 and not poly[degree]:
         degree -= 1
-    if values is None or not 1 <= degree <= 2:
+    if not 1 <= degree <= 2:
         return [x for x in xs if (v := sum(c * x**j for j, c in enumerate(poly)))
                 and not target % v]
     found = []
@@ -442,7 +441,7 @@ def _roots(poly: list[int], target: int, values: set[int] | None, xs: range) -> 
     return found
 
 
-def _candidate_rows(forms: list[list[int]], bound: int, target: int, values: set[int] | None):
+def _candidate_rows(forms: list[list[int]], bound: int, target: int, values: set[int]):
     """(beta_3, the beta_4 of its rows that can hold a point) for beta_3 in [0, bound].
 
     forms[e] holds the coefficients of the binary form r_e of degree 3 - e in
@@ -451,8 +450,8 @@ def _candidate_rows(forms: list[list[int]], bound: int, target: int, values: set
     of beta_3 they all share times the homogenised primitive gcd of the
     nonzero r_e(1, t).  By Gauss's lemma G divides every r_e, so a row that
     holds a point has G(beta_3, beta_4) = +-t for a divisor t of target, and
-    only those beta_4 are yielded (`_roots`, given the signed divisors
-    `values`).  Only the rows (beta_3, beta_4) >= (0, 0) are considered.
+    only those beta_4 are yielded (`_roots`, given all the signed divisors
+    `values` of target).  Only rows (beta_3, beta_4) >= (0, 0) are considered.
     """
     primitives = [_primitive(form) for form in forms]
     shift = min(len(form) - len(poly) for form, poly in zip(forms, primitives) if poly)
@@ -482,15 +481,14 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
     same rule (`_roots`): solved where R has degree 1 or 2 in beta_2, as on
     every row the pipeline builds.  R's coefficients are expanded for each
     beta_3 with such a row, then for each row beta_4.  The signed divisors of
-    target are listed once, unless target exceeds (2 * bound + 1)^2: they then
-    cost more to find than a row to scan.
+    target are listed once, from its factorisation.
     """
     # forms[e2][e4]: coefficient of beta_2^e2 * beta_3^(3 - e2 - e4) * beta_4^e4 in R.
     forms = [[0] * (4 - e2) for e2 in range(4)]
     for (e2, _, e4), r in factor.items():
         forms[e2][e4] = r
     s2, s3, s4 = (linear.get(key, 0) for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    values = None if target > (2 * bound + 1)**2 else _signed_divisors(target)
+    values = _signed_divisors(target)
     span = range(-bound, bound + 1)
     found = []
     for b3, b4s in _candidate_rows(forms, bound, target, values):

@@ -4,7 +4,8 @@ Solves x^2 - D*y^2 = N exactly over the integers for any nonzero D, N:
 finitely many solutions when D < 0 or D is a perfect square, otherwise
 finitely many solution classes closed under multiplication by the fundamental
 unit.  Also provides the divisibility-constrained search behind
-`hopfq pell -c`, reduction cycles of indefinite forms, and the Jacobi symbol.
+`hopfq pell -c`, reduction cycles of indefinite forms, the Jacobi symbol, and
+the one trial division of the package, `_trial_division`.
 
 The class search follows K. Matthews, "The Diophantine equation
 x^2 - Dy^2 = N, D > 0", Expo. Math. 18, 2000, with the square roots of D
@@ -73,25 +74,38 @@ def jacobi(a: int, n: int) -> int:
 
 # ---- factorisation and square roots modulo m ----
 
-def _factor(n: int) -> dict[int, int]:
-    """Prime factorisation {p: e} of |n| by trial division; {} for |n| <= 1."""
+def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """({p: e} for the primes p <= bound of |n|, what is left of |n|): the one
+    trial division of the package; the odd f stop once f^2 exceeds the rest."""
     n = abs(n)
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    primes: dict[int, int] = {}
+    if bound > 1 and n and not n & 1:  # 2, read off the bits
+        primes[2] = e = (n & -n).bit_length() - 1
+        n >>= e
+    root = isqrt(n)
+    for f in range(3, bound + 1, 2):
+        if f > root:
+            break
+        if not n % f:
+            while not n % f:
+                n //= f
+                primes[f] = primes.get(f, 0) + 1
+            root = isqrt(n)
+    return primes, n
+
+
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of |n| by `_trial_division`; {} for |n| <= 1."""
+    primes, rest = _trial_division(n, abs(n))
+    return primes | {rest: 1} if rest > 1 else primes
 
 
 def _signed_divisors(n: int) -> set[int]:
-    """Every divisor of n != 0 and its negative, from the pairs t, |n|/t with t <= sqrt|n|."""
-    m = abs(n)
-    return {v for t in range(1, isqrt(m) + 1) if not m % t for v in (t, -t, m // t, -(m // t))}
+    """Every divisor of n != 0 and its negative, from the factorisation of n."""
+    divisors = [1]
+    for p, e in _factor(n).items():
+        divisors = [t * p**k for t in divisors for k in range(e + 1)]
+    return {v for t in divisors for v in (t, -t)}
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -387,24 +401,16 @@ def _residue_obstructed(d: int, n: int) -> bool:
     Where d = 3 and n = 2 modulo 4, x^2 + y^2 = 2 modulo 4 makes x and y odd,
     so n = 1 - d modulo 8.  Otherwise some odd prime q | d with (n/q) = -1
     rules n out, as x^2 = n modulo q.  d's odd primes up to d^(1/4) are
-    divided out and tested one by one where they do not divide n; with
-    gcd(r, n) = 1, (n/r) = -1 for the odd part r left over shows such a q
-    among r's primes.  The bound keeps the cost to about d^(1/4)/2
-    divisions, against a walk of order sqrt(d).
+    divided out by `_trial_division` and tested one by one where they do not
+    divide n; with gcd(r, n) = 1, (n/r) = -1 for the odd part r left over
+    shows such a q among r's primes.  The bound keeps the cost to about
+    d^(1/4)/2 divisions, against a walk of order sqrt(d).
     """
     if d % 4 == 3 and n % 4 == 2 and (n + d - 1) % 8:
         return True
-    r = d // (d & -d)  # the odd part of d
-    bound = isqrt(isqrt(d))
-    q = 3
-    while q <= bound and q * q <= r:
-        if r % q == 0:
-            if n % q and jacobi(n, q) == -1:
-                return True
-            while r % q == 0:
-                r //= q
-        q += 2
-    return r > 1 and gcd(r, n) == 1 and jacobi(n, r) == -1
+    primes, r = _trial_division(d // (d & -d), isqrt(isqrt(d)))  # d's odd part
+    return (any(n % q and jacobi(n, q) == -1 for q in primes)
+            or r > 1 and gcd(r, n) == 1 and jacobi(n, r) == -1)
 
 
 def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> tuple[

@@ -1,5 +1,7 @@
 """Differential tests of hopfq.linalg, hopfq.pell (classes, square roots
-modulo m) and the factorisation against sympy.
+modulo m, Legendre's families at the domain edge) and the trial division
+behind the factorisation, the divisors, the residue test and the squarefree
+test against sympy.
 
 sympy is an optional test dependency; without it the module is skipped.
 """
@@ -7,7 +9,9 @@ sympy is an optional test dependency; without it the module is skipped.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, prod
 
 import pytest
@@ -15,11 +19,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfq.errors import RankDeficientError, ZeroMatrixError
+from hopfq.fields import is_squarefree
 from hopfq.freeness import _factor
 from hopfq.linalg import det, hnf_integer, mat_inv
-from hopfq.pell import _residue_obstructed, _square_roots, jacobi, solve_all
+from hopfq.pell import (
+    SolutionClassSet, _residue_obstructed, _signed_divisors, _square_roots, _trial_division, jacobi,
+    solve_all,
+)
 
 sympy = pytest.importorskip("sympy")
+sympy_random = pytest.importorskip("sympy.core.random")
 factorint = pytest.importorskip("sympy.ntheory").factorint
 sqrt_mod = pytest.importorskip("sympy.ntheory").sqrt_mod
 hermite_normal_form = pytest.importorskip("sympy.matrices.normalforms").hermite_normal_form
@@ -292,10 +301,46 @@ def test_square_roots_match_sympy_sqrt_mod():
         assert _square_roots(d, m, _factor(m)) == want, (d, m)
 
 
+# ---- the one trial division, through each of its callers ----
+
+@cache
+def _cube_root_shapes(seed: int = 2028) -> tuple[int, ...]:
+    """Seeded n <= 10^12 of the shapes p^2, p^2*q and p*q*r for primes p, q, r:
+    with the squared p below the cube root of n, above it, and at it, where q
+    is the twin prime p + 2 and floor(cbrt(n)) = p is the last prime the
+    squarefree test must divide out."""
+    rng = random.Random(seed)
+
+    def prime(lo: int, hi: int) -> int:
+        return int(sympy.nextprime(rng.randrange(lo, hi)))
+
+    values = []
+    for _ in range(15):
+        p = prime(2, 10**6 - 100)
+        values.append(p * p)
+        p = prime(2, 9000)
+        values.append(p * p * prime(p + 1, 10**12 // p**2 - 1000))  # p below the cube root
+        p = prime(3, 10**5)
+        q = int(sympy.prevprime(rng.randrange(3, min(p, 10**12 // p**2) + 1)))
+        values.append(p * p * q)  # p above it
+        p = prime(5, 9000)
+        while not sympy.isprime(p + 2):
+            p = int(sympy.nextprime(p))
+        values.append(p * p * (p + 2))  # p at it
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        values.append(prime(2, 10**a) * prime(2, 10**b) * prime(2, 10 ** (11 - a - b)))
+        p = prime(2, 9900)
+        q = int(sympy.nextprime(p))
+        values.append(p * q * int(sympy.nextprime(q)))  # three primes about the cube root
+    assert all(1 < n <= 10**12 for n in values)
+    return tuple(values)
+
+
 def test_factor_matches_sympy_factorint():
     """Seeded values: small and signed ones, primes and prime squares near the
     largest d = b^2 + c^2 of the benchmark (b, c up to 10^5), products of two
-    primes near its square root, and sums of two squares."""
+    primes near its square root, sums of two squares, and the shapes about
+    the cube root that the squarefree test meets."""
     rng = random.Random(2021)
     top = 2 * 10**10
     values = list(range(-40, 41)) + [2**33, 3**20, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
@@ -304,6 +349,132 @@ def test_factor_matches_sympy_factorint():
                int(sympy.prevprime(isqrt(top))) * int(sympy.nextprime(isqrt(top)))]
     values += [rng.randint(1, 10**5) ** 2 + rng.randint(1, 10**5) ** 2 for _ in range(40)]
     values += [rng.randint(-top, top) for _ in range(20)]
+    values += [sign * n for n in _cube_root_shapes() for sign in (1, -1)]
     for n in values:
         want = {} if abs(n) <= 1 else {int(p): e for p, e in factorint(abs(n)).items()}
         assert _factor(n) == want, n
+
+
+def test_trial_division_splits_n_at_its_bound():
+    """The primes it returns are those of n up to the bound, with their
+    exponents, and the rest holds every other prime: all above the bound,
+    or one prime alone where f^2 passed the rest first."""
+    for n in _cube_root_shapes() + (2, 4, 6, 9, 2**40, 3**25, 2**20 * 3**3 * 5):
+        want = {int(p): e for p, e in factorint(n).items()}
+        roots = (int(sympy.integer_nthroot(n, k)[0]) for k in (4, 3, 2))
+        for bound in (0, 1, 2, 3, *roots, n):
+            primes, rest = _trial_division(n, bound)
+            assert _trial_division(-n, bound) == (primes, rest), (n, bound)
+            assert all(p <= bound and want[p] == e for p, e in primes.items()), (n, bound)
+            assert prod(p**e for p, e in primes.items()) * rest == n, (n, bound)
+            left = {p: e for p, e in want.items() if p not in primes}
+            assert all(p > bound for p in left) or list(left.values()) == [1], (n, bound)
+
+
+def test_is_squarefree_matches_sympy_factorint_about_the_cube_root():
+    sides = Counter()
+    for n in _cube_root_shapes():
+        root = int(sympy.integer_nthroot(n, 3)[0])
+        squared = [int(p) for p, e in factorint(n).items() if e > 1]
+        sides.update("at" if p == root else "below" if p < root else "above" for p in squared)
+        assert is_squarefree(n) is is_squarefree(-n) is (not squared), n
+    assert min(sides["below"], sides["at"], sides["above"]) >= 10, sides
+
+
+def test_signed_divisors_match_sympy_divisors_about_the_cube_root():
+    for n in _cube_root_shapes():
+        want = {int(t) for t in sympy.divisors(n)}
+        assert _signed_divisors(n) == _signed_divisors(-n) == want | {-t for t in want}, n
+
+
+def _reference_obstructed(d: int, n: int) -> bool:
+    """The residue test read off factorint: the mod-8 line, then each odd
+    prime q <= floor(d^(1/4)) of d not dividing n on its own, then the Jacobi
+    symbol of what is left of d's odd part where it is coprime to n."""
+    if d % 4 == 3 and n % 4 == 2 and (n + d - 1) % 8:
+        return True
+    bound = int(sympy.integer_nthroot(d, 4)[0])
+    rest = d // (d & -d)
+    for q, e in factorint(rest).items():
+        if q <= bound:
+            if n % q and sympy.jacobi_symbol(n % q, q) == -1:
+                return True
+            rest //= q**e
+    return rest > 1 and gcd(rest, n) == 1 and sympy.jacobi_symbol(n % rest, rest) == -1
+
+
+def _quartic_root_shapes(count: int, seed: int) -> list[tuple[int, int]]:
+    """(d, N) with d = q*m for primes q <= 997 and m, m in [q^3, (q+1)^4/q), so
+    that floor(d^(1/4)) = q: the last prime the residue test takes on its own.
+    In every other case (N/q) = (N/m) = -1, so the Jacobi symbol of q*m cannot
+    see q; the rest draw N uniformly."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        q = int(sympy.nextprime(rng.randrange(2, 996)))
+        m = int(sympy.nextprime(rng.randrange(q**3, q**3 + 2 * q * q)))
+        d = q * m
+        if int(sympy.integer_nthroot(d, 4)[0]) != q:
+            continue
+        n = rng.choice((1, -1)) * rng.randint(1, 10**6)
+        if len(cases) % 2 and not (n % q and n % m and jacobi(n, q) == jacobi(n, m) == -1):
+            continue
+        cases.append((d, n))
+    return cases
+
+
+def test_residue_obstructed_matches_a_reference_from_sympy_factorint():
+    """Every d of the cube-root shapes against four N each (uniform, twice an
+    odd number, a multiple of a prime of d, a value x^2 - d*y^2), and d = q*m
+    with q = floor(d^(1/4))."""
+    rng = random.Random(2029)
+    cases = _quartic_root_shapes(60, seed=2030)
+    for d in _cube_root_shapes():
+        x, y = rng.randint(1, 10**6), rng.randint(1, 3)
+        cases += [(d, rng.choice((1, -1)) * rng.randint(1, 10**6)),
+                  (d, rng.choice((1, -1)) * 2 * (2 * rng.randint(0, 10**5) + 1)),
+                  (d, rng.choice(sorted(factorint(d))) * rng.randint(-10**3, 10**3) or 1),
+                  (d, x * x - d * y * y or 1)]
+    verdicts = Counter(_residue_obstructed(d, n) for d, n in cases)
+    for d, n in cases:
+        assert _residue_obstructed(d, n) == _reference_obstructed(d, n), (d, n)
+    assert min(verdicts.values()) >= 60, verdicts
+
+
+# ---- Legendre's families at the domain edge ----
+
+def _legendre_edge_primes(seed: int = 2028) -> dict[int, int]:
+    """The first prime of each Legendre family (1 mod 4, 3 mod 8, 7 mod 8)
+    that sympy's randprime draws from [10^11, 10^12) under a fixed seed,
+    keyed by its residue; sympy's generator is restored afterwards."""
+    state = sympy_random.rng.getstate()
+    sympy_random.seed(seed)
+    try:
+        primes: dict[int, int] = {}
+        while len(primes) < 3:
+            p = int(sympy.randprime(10**11, 10**12))
+            primes.setdefault(1 if p % 4 == 1 else p % 8, p)
+    finally:
+        sympy_random.rng.setstate(state)
+    return primes
+
+
+@pytest.mark.parametrize("family, solvable, empty, sign", [
+    (1, -1, (), -1),
+    (3, -2, (2, -1), 1),
+    (7, 2, (-2, -1), 1),
+], ids=["1mod4", "3mod8", "7mod8"])
+def test_legendre_families_hold_at_the_domain_edge(family, solvable, empty, sign):
+    """Legendre: for a prime p = 1 mod 4, x^2 - p*y^2 = -1 is solvable; for
+    p = 3 mod 8, -2 is and 2 and -1 are not; for p = 7 mod 8, 2 is and -2 and
+    -1 are not.  So the least unit has norm -1 exactly for p = 1 mod 4."""
+    p = _legendre_edge_primes()[family]
+    assert 10**11 <= p < 10**12 and sympy.isprime(p)
+    assert (p % 4 if family == 1 else p % 8) == family
+    classes = solve_all(p, solvable)
+    assert classes.kind == "indefinite" and classes.solutions
+    assert all(x * x - p * y * y == solvable for x, y in classes.solutions)
+    x, y, s = classes.minimal
+    assert s == sign and x * x - p * y * y == sign
+    for target in empty:
+        assert solve_all(p, target) == SolutionClassSet("empty", ())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
 from math import isqrt, prod
 from unittest import mock
 
@@ -668,7 +669,12 @@ def test_legendre_at_the_domain_edge_for_a_prime_7_mod_8():
 
 def test_legendre_at_the_domain_edge_for_a_prime_1_mod_4():
     """Legendre: for a prime p = 1 mod 4, x^2 - p*y^2 = -1 is solvable, so the
-    least unit has norm -1, and it is the one class of -1."""
+    least unit has norm -1, and it is the one class of -1.
+
+    Its digits run past Python's limit on int-to-text conversion, so `repr`
+    raises.  The README's recipe (lift the limit, print, restore it) is shown
+    on the class of -1 at the prime 999999937, also past the limit: printing
+    the edge result itself takes about 6 s a number on Python 3.11."""
     p = _largest_prime_below(10**12, 1, 4)
     assert p == 999999999989
     minus = solve_all(p, -1)
@@ -676,6 +682,20 @@ def test_legendre_at_the_domain_edge_for_a_prime_1_mod_4():
     assert s == -1 and x * x - p * y * y == -1  # about 1.9 million bits each
     assert minus.kind == "indefinite"
     assert [(abs(a), abs(b)) for a, b in minus.solutions] == [(x, y)]
+
+    limit = sys.get_int_max_str_digits()
+    smaller = solve_all(_largest_prime_below(10**9, 1, 4), -1)
+    for result in (minus, minus.solutions[0], smaller, smaller.solutions[0]) if limit else ():
+        with pytest.raises(ValueError, match="limit"):
+            repr(result)
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(abs(smaller.minimal[0]))
+        assert len(digits) > 4300
+        assert digits in repr(smaller) and digits in repr(smaller.solutions[0])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_no_walk_where_the_target_fails_the_mod8_test(monkeypatch):
