@@ -2,7 +2,8 @@
 
 Every command prints a single JSON document (the ``corpus`` command prints
 one JSON record per input line, in input order, once forked workers, one per
-usable CPU, have decided every line).  All numeric values in the output are
+usable CPU, have decided every line; the parent decides any line a worker did
+not, so a failure reads as on one CPU).  All numeric values in the output are
 exact: integers stay JSON integers and non-integer rationals are encoded as
 ``"p/q"`` strings, so a document survives a JSON round trip losslessly.
 ``encode_number`` writes it; the tests decode it with ``tests/helpers.py``.
@@ -291,45 +292,35 @@ def _corpus_record(lineno: int, line: str, verify_oracle: bool, oracle_bound: in
         }
 
 
-def _decide_lines(lines: Iterable[tuple[int, str]],
-                  args: argparse.Namespace) -> tuple[list, tuple | None]:
-    """(line number, error flag, JSON text) of each line in order until one
-    raises, and that line's (number, exception), or None."""
-    records = []
-    for lineno, line in lines:
-        try:
+def _decide_lines(lines: Iterable[tuple[int, str]], args: argparse.Namespace,
+                  stop: Any = Exception) -> Iterator[tuple[int, bool, str]]:
+    """(line number, error flag, JSON text) of each line in order, up to the
+    first line that raises `stop`; with ``stop=()`` that line raises."""
+    try:
+        for lineno, line in lines:
             record = _corpus_record(lineno, line, args.verify_oracle, args.oracle_bound)
             with _exact_integers():
-                records.append((lineno, "error" in record, json.dumps(record, default=encode_number)))
-        except Exception as exc:  # the lowest failing line of all chunks is raised
-            return records, (lineno, exc)
-    return records, None
+                text = json.dumps(record, default=encode_number)
+            yield lineno, "error" in record, text
+    except stop:  # the parent decides that line again, and it raises there
+        return
 
 
 def _worker(lines: list, args: argparse.Namespace, parent: int, fd: int) -> NoReturn:
-    """Forked child: decide `lines` while `parent` lives, write each record and
-    then a status line (ok, or the failure) to `fd`, and never return."""
+    """Forked child: decide `lines` while `parent` lives, write each record to
+    `fd` as `LINE FLAG JSON`, and never return."""
     try:
-        records, failure = _decide_lines(takewhile(lambda _: os.getppid() == parent, lines), args)
+        records = list(_decide_lines(takewhile(lambda _: os.getppid() == parent, lines), args))
         with os.fdopen(fd, "w", encoding="utf-8") as pipe:
             pipe.writelines(f"{lineno} {int(error)} {text}\n" for lineno, error, text in records)
-            pipe.write("ok\n" if failure is None else "raise " + json.dumps(
-                [failure[0], type(failure[1]).__name__, str(failure[1])]) + "\n")
     finally:
         os._exit(0)
 
 
-def _read_worker(pipe: TextIO) -> tuple[list, tuple | None]:
-    """A worker's records and failure, as `_decide_lines` returned them in the child."""
-    *entries, status = pipe.read().splitlines() or [""]
-    records = [(int(n), flag == "1", text) for n, flag, text in (e.split(" ", 2) for e in entries)]
-    if status == "ok":
-        return records, None
-    if not status.startswith("raise "):
-        raise RuntimeError("a corpus worker ended without its status line")
-    lineno, name, message = json.loads(status.removeprefix("raise "))
-    return records, (lineno, InternalInconsistencyError(message) if name == "InternalInconsistencyError"
-                     else RuntimeError(f"{name} on corpus line {lineno}: {message}"))
+def _read_worker(pipe: TextIO) -> list:
+    """A worker's records, less a last one that the worker's end cut short."""
+    *entries, _ = pipe.read().split("\n")
+    return [(int(n), flag == "1", text) for n, flag, text in (e.split(" ", 2) for e in entries)]
 
 
 def _usable_cpus() -> int:
@@ -337,11 +328,12 @@ def _usable_cpus() -> int:
 
 
 def _run_corpus(args: argparse.Namespace) -> int:
-    # Records are printed once every line is processed, so an internal
-    # inconsistency aborts with the error document alone: that of the lowest
-    # failing line, as a loop over the lines would.  A bad oracle bound is
-    # rejected the same way, before any line is read.  The lines are dealt
-    # round-robin to k chunks, and forked children decide all but the first.
+    # Records are printed once every line is decided, so an internal
+    # inconsistency aborts with the error document alone; a bad oracle bound
+    # is rejected before any line is read.  Lines are dealt round-robin to k
+    # chunks; forked children decide all but the first, each process up to its
+    # first line that raises.  Then the parent decides, in line order, each line
+    # no process reported, so the lowest failing line raises as on one CPU.
     if args.verify_oracle:
         check_oracle_bound(args.oracle_bound)
     text = _read_text(args.path)
@@ -354,24 +346,30 @@ def _run_corpus(args: argparse.Namespace) -> int:
     parent, workers = os.getpid(), []
     try:
         for chunk in range(1, k):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            fds: tuple[int, ...] = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError as exc:
+                log.info("corpus chunks %d to %d left to the parent: %s", chunk, k - 1, exc)
+                for fd in fds:
+                    os.close(fd)
+                break
             if pid == 0:
-                os.close(read_fd)
-                _worker(lines[chunk::k], args, parent, write_fd)
-            os.close(write_fd)
-            workers.append((pid, os.fdopen(read_fd, encoding="utf-8")))
-        results = [_decide_lines(lines[::k], args)] + [_read_worker(pipe) for _, pipe in workers]
+                os.close(fds[0])
+                _worker(lines[chunk::k], args, parent, fds[1])
+            os.close(fds[1])
+            workers.append((pid, os.fdopen(fds[0], encoding="utf-8")))
+        records = list(_decide_lines(lines[::k], args))
+        records += (record for _, pipe in workers for record in _read_worker(pipe))
     finally:  # a worker whose pipe was read to its end has nothing left to do
         for pid, pipe in workers:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    records = sorted(record for decided, _ in results for record in decided)
-    for _, _, record in records:
+    reported = {lineno for lineno, _, _ in records}
+    records += _decide_lines((entry for entry in lines if entry[0] not in reported), args, stop=())
+    for _, _, record in sorted(records):
         print(record)
     return 2 if any(error for _, error, _ in records) else 0
 

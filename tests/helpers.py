@@ -451,6 +451,27 @@ def full_box_first_point(content: int, factor: dict[tuple[int, ...], int],
     return best
 
 
+# ---- primes for the theorems at the domain edge ----
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2 ... 13, exact below 3.4 * 10^12."""
+    bases = (2, 3, 5, 7, 11, 13)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        for _ in range(r):
+            if x in (1, n - 1):
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 # ---- closed-form generator determinants, the cross-check of hopfq.freeness ----
 
 def closed_form_determinant(p: FieldParams, structure: StructureId,

@@ -6,6 +6,7 @@ so every test sees both the exit code and the parsed JSON document.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -709,46 +710,66 @@ def test_a_corpus_run_beside_another_thread_forks_no_worker(monkeypatch):
     assert text.encode("utf-8") == (DATA_DIR / "golden_corpus.jsonl").read_bytes()
 
 
-def _corpus_failing_at(monkeypatch, tmp_path,
-                       failures: dict[int, Exception]) -> tuple[list[str], list[int]]:
-    """Argv of a 40-line corpus over two workers, whose record raises
-    failures[line], and the list of forks: the parent decides the odd lines
-    and its one worker the even ones."""
+THREE_CHUNKS = 3 * cli.MIN_LINES_PER_WORKER  # lines enough for k = 3
+EVERY_LINE = "".join(f'{{"line": {n}}}\n' for n in range(1, THREE_CHUNKS + 1))
+
+
+def _corpus_failing_at(monkeypatch, tmp_path, failures: dict[int, Exception]) -> list[str]:
+    """Argv of a THREE_CHUNKS-line corpus whose record raises failures[line]
+    and is otherwise that line's record in EVERY_LINE.  At k = 2 the parent
+    decides the odd lines and its one worker the even ones; at k = 3 the
+    parent decides 1, 4, 7, ... and the workers 2, 5, ... and 3, 6, ..."""
     def record(lineno, line, verify, bound):
         if lineno in failures:
             raise failures[lineno]
         return {"line": lineno}
 
     monkeypatch.setattr(cli, "_corpus_record", record)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    forks = _counting_forks(monkeypatch)
     path = tmp_path / "corpus.txt"
-    path.write_text("cyclic 1 9 5\n" * 40, encoding="utf-8")
-    return ["corpus", str(path)], forks
+    path.write_text("cyclic 1 9 5\n" * THREE_CHUNKS, encoding="utf-8")
+    return ["corpus", str(path)]
+
+
+def _at_each_worker_count(monkeypatch, run) -> list:
+    """run() at k = 1, 2 and 3 usable CPUs; each forks k - 1 workers and leaves none."""
+    outcomes = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        forks = _counting_forks(monkeypatch)
+        outcomes.append(run())
+        assert len(forks) == cpus - 1
+        _no_worker_left()
+    return outcomes
 
 
 @pytest.mark.parametrize("lines", [(7, 4), (3, 10), (12, 16)])
 def test_the_lowest_internal_inconsistency_of_all_workers_is_the_one_reported(
         lines, monkeypatch, tmp_path):
-    """The lower line lies in the worker, in the parent, or both in the worker."""
-    argv, forks = _corpus_failing_at(monkeypatch, tmp_path, {
+    """At k = 2 the lower line lies in the worker, in the parent, or both in
+    the worker; k = 1, 2 and 3 give the same exit 3 and error document."""
+    argv = _corpus_failing_at(monkeypatch, tmp_path, {
         n: cli.InternalInconsistencyError(f"contradiction on line {n}") for n in lines})
-    code, text = invoke(argv)
+    outcomes = _at_each_worker_count(monkeypatch, lambda: invoke(argv))
+    assert outcomes == [outcomes[0]] * 3
+    code, text = outcomes[0]
     assert code == 3
-    doc = json.loads(text)  # the error document and nothing else
-    assert doc["error"]["type"] == "InternalInconsistencyError"
-    assert doc["error"]["message"] == f"contradiction on line {min(lines)}"
-    assert len(forks) == 1
-    _no_worker_left()
+    assert json.loads(text) == {"schema_version": cli.SCHEMA_VERSION, "error": {  # and nothing else
+        "type": "InternalInconsistencyError", "message": f"contradiction on line {min(lines)}",
+        "exit_code": 3}}
 
 
 def test_an_unexpected_error_in_a_worker_reaches_the_caller(monkeypatch, tmp_path):
-    argv, forks = _corpus_failing_at(monkeypatch, tmp_path, {
-        6: RuntimeError("injected"), 9: ValueError("later")})
-    with pytest.raises(RuntimeError, match="RuntimeError on corpus line 6: injected"):
-        cli.main(argv)
-    assert len(forks) == 1
-    _no_worker_left()
+    """Line 6 is a worker's at k = 2 and 3; line 9 is the parent's at k = 2,
+    and decided after line 6 at k = 3.  Each k raises line 6's own exception."""
+    injected = RuntimeError("injected")
+    argv = _corpus_failing_at(monkeypatch, tmp_path, {6: injected, 9: ValueError("later")})
+
+    def raised():
+        with pytest.raises(Exception) as info:
+            cli.main(argv)
+        return info.value
+
+    assert all(exc is injected for exc in _at_each_worker_count(monkeypatch, raised))
 
 
 def test_a_worker_whose_parent_is_gone_decides_no_line(monkeypatch):
@@ -761,19 +782,64 @@ def test_a_worker_whose_parent_is_gone_decides_no_line(monkeypatch):
         cli._worker([(1, "cyclic 1 9 5")], args, -1, write_fd)  # -1 is no process's parent
     os.close(write_fd)
     with os.fdopen(read_fd, encoding="utf-8") as pipe:
-        assert cli._read_worker(pipe) == ([], None)
+        assert cli._read_worker(pipe) == []
     assert os.waitpid(pid, 0)[1] == 0
     _no_worker_left()
 
 
-def test_a_worker_that_dies_without_its_status_is_an_error(monkeypatch, tmp_path):
-    argv, forks = _corpus_failing_at(monkeypatch, tmp_path, {})
-    record = cli._corpus_record
+def test_a_worker_that_dies_leaves_its_lines_to_the_parent(monkeypatch, tmp_path):
+    """A worker exits on line 8, the fourth of its chunk at k = 2; the parent
+    decides that line again, so the exit is taken only in a child."""
+    argv = _corpus_failing_at(monkeypatch, tmp_path, {})
+    parent, record = os.getpid(), cli._corpus_record
     monkeypatch.setattr(cli, "_corpus_record", lambda lineno, *rest: (
-        os._exit(1) if lineno == 8 else record(lineno, *rest)))
-    with pytest.raises(RuntimeError, match="without its status line"):
-        cli.main(argv)
-    assert len(forks) == 1
+        os._exit(1) if lineno == 8 and os.getpid() != parent else record(lineno, *rest)))
+    assert _at_each_worker_count(monkeypatch, lambda: invoke(argv)) == [(0, EVERY_LINE)] * 3
+
+
+def test_a_record_that_a_dying_worker_cut_short_is_decided_again(monkeypatch, tmp_path):
+    """Each worker writes its records but the last five bytes, and exits."""
+    argv = _corpus_failing_at(monkeypatch, tmp_path, {})
+
+    def cut_short(lines, args, parent, fd):
+        text = "".join(f"{n} {int(e)} {t}\n" for n, e, t in cli._decide_lines(lines, args))
+        os.write(fd, text[:-5].encode("utf-8"))
+        os._exit(1)
+
+    monkeypatch.setattr(cli, "_worker", cut_short)
+    assert _at_each_worker_count(monkeypatch, lambda: invoke(argv)) == [(0, EVERY_LINE)] * 3
+
+
+def _open_fds() -> list[str] | None:
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("cpus, broken, call", [(2, "fork", 1), (3, "fork", 2), (3, "pipe", 2)])
+def test_a_worker_that_cannot_be_forked_leaves_its_lines_to_the_parent(
+        cpus, broken, call, monkeypatch, tmp_path):
+    """os.fork or os.pipe fails with EAGAIN, as under a process limit, on its
+    call-th call: the parent decides the chunks left and closes what it opened."""
+    path = tmp_path / "corpus.txt"
+    path.write_text("cyclic 1 9 5\n" * THREE_CHUNKS, encoding="utf-8")
+    argv = ["corpus", str(path)]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    want = invoke(argv)
+    assert want[0] == 0 and len(want[1].splitlines()) == THREE_CHUNKS
+
+    calls, real = [], getattr(os, broken)
+
+    def failing():
+        calls.append(broken)
+        if len(calls) == call:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, broken, failing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    fds = _open_fds()
+    assert invoke(argv) == want
+    assert len(calls) == call
+    assert _open_fds() == fds
     _no_worker_left()
 
 

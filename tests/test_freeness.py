@@ -85,6 +85,7 @@ from helpers import (
     full_box_first_point,
     gram_nonclassical,
     identity,
+    is_prime,
 )
 
 
@@ -1019,6 +1020,39 @@ def test_summary_biquadratic_orders_by_input_labels():
     origins = [e.origin for e in fs.structures]
     assert origins == ["first input", "second input", "derived"]
     assert [e.report.decision for e in fs.structures] == [NOT_FREE, FREE, NOT_FREE]
+
+
+def _legendre_primes(seed: int, per_class: int = 3) -> list[int]:
+    """Seeded primes p in [10^5, 10^8), per_class of them = 3 mod 8 and as
+    many = 7 mod 8."""
+    rng, found = random.Random(seed), {3: [], 7: []}
+    while min(len(primes) for primes in found.values()) < per_class:
+        p = rng.randrange(10**5 + 3, 10**8, 4)  # p = 3 mod 4
+        if is_prime(p) and len(found[p % 8]) < per_class:
+            found[p % 8].append(p)
+    return sorted(found[3] + found[7])
+
+
+@pytest.mark.parametrize("n", [5, -3, 13, -7])
+def test_summary_frees_h1_of_legendres_biquadratic_family(n):
+    """Legendre: for a prime p = 3 mod 4, x^2 - p*y^2 = 2 is solvable when
+    p = 7 mod 8, and -2 is when p = 3 mod 8.  With m = -p and n = 1 mod 4
+    prime to p the field is of the third type, and its H1 structure (that of
+    sqrt(-p), the first input) has the norm equation x^2 - p*y^2 = +-2, so H1
+    is free with that target; the closed-form determinant, a route apart
+    from the Pell solver and the matrices, checks the generator."""
+    for p in _legendre_primes(2029):
+        assert gcd(p, n) == 1
+        field = canonicalize_biquadratic(-p, n)
+        fs = summary(field)
+        assert fs.classification == "third"
+        entry = fs.structures[0]
+        assert (entry.structure.subfield_tag, entry.origin) == (f"sqrt({-p})", "first input")
+        report, target = entry.report, 2 if p % 8 == 7 else -2
+        assert (report.decision, report.witness_target) == (FREE, target)
+        x, y = report.witness
+        assert x * x - p * y * y == target
+        assert abs(closed_form_determinant(field, entry.structure, report.generator)) == report.index
 
 
 def test_each_structure_is_analysed_once(monkeypatch):

@@ -41,6 +41,7 @@ from hopfq.pell import (
 )
 
 from helpers import (
+    is_prime,
     minimal_negative_solution,
     representation_of_one,
     solutions_within,
@@ -630,27 +631,8 @@ def test_no_walk_where_a_prime_of_d_rules_the_target_out(monkeypatch):
     assert solve_all(999999999985, 3) == pell.SolutionClassSet("empty", ())
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2 ... 13, exact below 3.4 * 10^12."""
-    bases = (2, 3, 5, 7, 11, 13)
-    if n < 2 or any(n % q == 0 for q in bases):
-        return n in bases
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in bases:
-        x = pow(a, d, n)
-        for _ in range(r):
-            if x in (1, n - 1):
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
 def _largest_prime_below(bound: int, residue: int, modulus: int) -> int:
-    return next(p for p in range(bound - 1, 1, -1) if p % modulus == residue and _is_prime(p))
+    return next(p for p in range(bound - 1, 1, -1) if p % modulus == residue and is_prime(p))
 
 
 def test_legendre_at_the_domain_edge_for_a_prime_7_mod_8():
