@@ -773,17 +773,21 @@ def test_an_unexpected_error_in_a_worker_reaches_the_caller(monkeypatch, tmp_pat
 
 
 def test_a_worker_whose_parent_is_gone_decides_no_line(monkeypatch):
-    monkeypatch.setattr(cli, "_corpus_record", _unforkable)  # would be the failure
+    """A decided line would reach the pipe as its record; the worker sends
+    one only while the parent it was given is its parent."""
+    monkeypatch.setattr(cli, "_corpus_record", lambda lineno, *rest: {"line": lineno})
     args = cli.build_parser().parse_args(["corpus", "unread.txt"])
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        cli._worker([(1, "cyclic 1 9 5")], args, -1, write_fd)  # -1 is no process's parent
-    os.close(write_fd)
-    with os.fdopen(read_fd, encoding="utf-8") as pipe:
-        assert cli._read_worker(pipe) == []
-    assert os.waitpid(pid, 0)[1] == 0
+    # -1 is no process's parent
+    for parent, decided in [(-1, []), (os.getpid(), [(1, False, '{"line": 1}')])]:
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            cli._worker([(1, "cyclic 1 9 5")], args, parent, write_fd)
+        os.close(write_fd)
+        with os.fdopen(read_fd, encoding="utf-8") as pipe:
+            assert cli._read_worker(pipe) == decided
+        assert os.waitpid(pid, 0)[1] == 0
     _no_worker_left()
 
 
