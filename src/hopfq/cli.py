@@ -220,11 +220,8 @@ def _run_form_cycle(args: argparse.Namespace) -> int:
 
 
 def _parse_beta(text: str) -> tuple[int, int, int, int]:
-    parts = [part.strip() for part in text.split(",")]
-    if len(parts) != 4:
-        raise ValidationError(f"--beta needs four comma-separated integers, got {text!r}")
-    try:
-        b1, b2, b3, b4 = (int(part) for part in parts)
+    try:  # a wrong count fails the unpacking, a bad part `int`; `int` strips spaces itself
+        b1, b2, b3, b4 = map(int, text.split(","))
     except ValueError as exc:
         raise ValidationError(f"--beta needs four comma-separated integers, got {text!r}") from exc
     return (b1, b2, b3, b4)

@@ -11,7 +11,8 @@ Two families of quartic Galois extensions of the rationals are handled:
 
 Each family splits into congruence classes (five cyclic cases, three
 biquadratic types) with a known integral basis, returned here as rational
-coordinate rows over the reference basis.
+coordinate rows over the reference basis.  One residue rule, `_residue_rule`,
+gives both a biquadratic field's type and the canonical order of its radicands.
 """
 
 from __future__ import annotations
@@ -139,15 +140,36 @@ def _check_radicand(value: int, label: str) -> None:
         raise NotSquarefreeError(value)
 
 
+def _residue_rule(radicands: tuple[int, int, int]) -> tuple[str, int]:
+    """The type of a radicand triple and the residue mod 4 of its lead radicand.
+
+    The type counts the radicands that are 1 mod 4: none (first type), one
+    (second) or all three (third).  The lead is the first radicand that is
+    1 mod 4, or 3 mod 4 where none is.  Write m = d*m', n = d*n' with
+    d = gcd(|m|, |n|) and k = m'*n'.  Where all three are odd, d is odd and
+    k = m*n mod 4, so an even number of them are 3 mod 4; where one of m, n
+    is even, so is k; where both are, k is odd.  A field's triple thus has
+    none, one or three radicands that are 1 mod 4, and where none is, exactly
+    one is odd, and it is 3 mod 4.  A count of two comes only from a
+    hand-built `BiquadraticParams`.
+    """
+    ones = sum(1 for v in radicands if v % 4 == 1)
+    if ones == 2:
+        raise ValidationError(f"two of the radicands {radicands} are 1 mod 4, as in no field")
+    return {0: "first", 1: "second", 3: "third"}[ones], 1 if ones else 3
+
+
 def canonicalize_biquadratic(m_in: int, n_in: int) -> BiquadraticParams:
     """Order the three quadratic subfield radicands into canonical (m, n, k).
 
-    The derived third radicand is m_in*n_in divided by the square of their
-    (adjusted) gcd.  Canonical m is the radicand that determines the type:
-    the one congruent to 1 mod 4 when there is exactly one, the one congruent
-    to 3 mod 4 when none is; when all three are 1 mod 4 the input order is
-    kept.  Remaining slots take the other user inputs in input order, with
-    the derived radicand last.
+    The derived radicand is k0 = m_in*n_in/d0^2 with d0 = gcd(|m_in|, |n_in|).
+    Canonical m is the lead radicand of `_residue_rule`, so a third-type triple
+    keeps input order; the other slots take the other inputs in input order,
+    the derived radicand last.  Distinct squarefree inputs other than 0 and 1
+    need no further check: with m_in = d0*m', n_in = d0*n', k0 = m'*n' is 1 only
+    where m' = n' = +-1, that is m_in = n_in; and each radicand is the product
+    of the other two over the square of their gcd (m_in*k0 = m'^2*n_in and
+    gcd(|m_in|, |k0|) = |m'| as n_in is squarefree), so every order has m*n = d^2*k.
     """
     _check_radicand(m_in, "m")
     _check_radicand(n_in, "n")
@@ -155,42 +177,17 @@ def canonicalize_biquadratic(m_in: int, n_in: int) -> BiquadraticParams:
         raise DegenerateProductError(f"radicands must be distinct, got {m_in} twice")
     d0 = gcd(abs(m_in), abs(n_in))
     k0 = (m_in * n_in) // (d0 * d0)
-    if k0 in (0, 1):
-        raise DegenerateProductError(f"third radicand degenerates to {k0}")
-
-    labelled = [(m_in, FIRST_INPUT), (n_in, SECOND_INPUT), (k0, DERIVED)]
-    ones = [item for item in labelled if item[0] % 4 == 1]
-    if len(ones) == 3:
-        ordered = labelled
-    elif len(ones) == 1:
-        lead = ones[0]
-        ordered = [lead] + [item for item in labelled if item is not lead]
-    else:
-        threes = [item for item in labelled if item[0] % 4 == 3]
-        if len(threes) != 1 or len(ones) != 0:
-            raise ValidationError(
-                f"radicands {[v for v, _ in labelled]} fit no residue pattern mod 4"
-            )
-        lead = threes[0]
-        ordered = [lead] + [item for item in labelled if item is not lead]
-
+    _, lead = _residue_rule((m_in, n_in, k0))
+    # A stable sort: the first radicand with the lead residue, then the rest in input order.
+    ordered = sorted([(m_in, FIRST_INPUT), (n_in, SECOND_INPUT), (k0, DERIVED)],
+                     key=lambda item: item[0] % 4 != lead)
     m, n, k = (v for v, _ in ordered)
-    d = gcd(abs(m), abs(n))
-    if m * n != d * d * k:
-        raise ValidationError(f"inconsistent radicand triple {(m, n, k)}")
-    return BiquadraticParams(m, n, k, d, tuple(o for _, o in ordered))
+    return BiquadraticParams(m, n, k, gcd(abs(m), abs(n)), tuple(o for _, o in ordered))
 
 
 def classify_biquadratic_type(p: BiquadraticParams) -> str:
-    """Type by count of radicands congruent to 1 mod 4 (0, 1, or all 3)."""
-    ones = sum(1 for v in p.radicands if v % 4 == 1)
-    if ones == 0:
-        return "first"
-    if ones == 1:
-        return "second"
-    if ones == 3:
-        return "third"
-    raise ValidationError(f"radicands {p.radicands} fit no residue pattern mod 4")
+    """The type of `_residue_rule`: how many radicands are 1 mod 4 (0, 1, or all 3)."""
+    return _residue_rule(p.radicands)[0]
 
 
 def integral_basis_biquadratic(p: BiquadraticParams) -> list[list[Fraction]]:

@@ -259,15 +259,15 @@ def _biquad_generator(kind: str, idx: int, p: BiquadraticParams,
     return ((t + t % 4 - 2) // 4, (y - 1) // 2, (x - k) // (2 * nd), 1)
 
 
-def _biquadratic_witness(equation: tuple[int, int] | None) -> tuple[int, int, int] | None:
+def _biquadratic_witness(equation: tuple[int, int]) -> tuple[int, int, int] | None:
     """First class representative of the first target, +-base in turn, that has a solution.
 
-    Any solution of x^2 + a*y^2 = +-target yields a generator, so the first
-    one decides.  Where a = 1 mod 4 and base is twice an odd number, the
-    mod-8 rule of `pell.solve_all` leaves exactly one sign.
+    `equation` is (a, base) of x^2 + a*y^2 = +-base.  Any solution yields a
+    generator, so the first one decides.  Where a = 1 mod 4 and base is twice
+    an odd number, the mod-8 rule of `pell.solve_all` leaves exactly one sign.
+    Second-type H2 and H3 have no equation and never reach here: their
+    prescreen always reads not free (`STRUCTURAL_RULE`).
     """
-    if equation is None:
-        return None
     a, base = equation
     for target in (base, -base):
         classes = solve_all(-a, target)

@@ -354,11 +354,12 @@ def test_gram_file_scaled_gram_scales_index_by_fourth_power(tmp_path, factor, in
 
 
 def test_gram_file_bad_beta_exits_2():
-    code, doc = invoke_json([
-        "gram-file", "--gram", str(POWER_GRAM_PATH), "--beta", "1,2,3",
-    ])
-    assert code == 2
-    assert doc["error"]["type"] == "ValidationError"
+    for beta in ("1,2,3", "1,2,x,4"):  # a wrong count, then a bad part
+        code, doc = invoke_json(["gram-file", "--gram", str(POWER_GRAM_PATH), "--beta", beta])
+        assert code == 2
+        assert doc["error"]["type"] == "ValidationError"
+        assert doc["error"]["message"] == (
+            f"--beta needs four comma-separated integers, got {beta!r}")
 
 
 def test_gram_file_missing_file_exits_2(tmp_path):
@@ -427,6 +428,18 @@ def test_verify_oracle_not_free_field():
     (structure,) = doc["structures"]
     assert structure["freeness"]["decision"] == "not_free"
     assert structure["oracle"]["generator"] is None
+
+
+def test_verify_oracle_exits_3_when_the_oracle_finds_a_point_for_a_not_free_structure(
+        monkeypatch):
+    monkeypatch.setattr(cli, "brute_force_generator", lambda *args: (1, 0, 0, 0))
+    code, doc = invoke_json([
+        "cyclic", "-a", "1", "-b", "3", "-c", "1", "--verify-oracle", "--oracle-bound", "3",
+    ])
+    assert code == 3
+    assert doc["error"]["type"] == "InternalInconsistencyError"
+    assert doc["error"]["exit_code"] == 3
+    assert "(1, 0, 0, 0)" in doc["error"]["message"]
 
 
 def test_oracle_bound_above_the_limit_exits_2():

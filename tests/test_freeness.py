@@ -44,6 +44,7 @@ from hopfq.freeness import (
     UNDECIDED,
     UNKNOWN,
     FreenessReport,
+    PrescreenVerdict,
     brute_force_generator,
     decide_biquadratic,
     decide_cyclic,
@@ -121,7 +122,8 @@ def _pell_only_cyclic(p: CyclicQuarticParams) -> FreenessReport:
 def _pell_only_biquadratic(p: BiquadraticParams) -> list[FreenessReport]:
     """The three biquadratic decisions with the prescreen left out."""
     kind = classify_biquadratic_type(p)
-    return [_decide(*_biquad_setup(p, idx), UNDECIDED, _biquadratic_witness(equation),
+    return [_decide(*_biquad_setup(p, idx), UNDECIDED,
+                    None if equation is None else _biquadratic_witness(equation),
                     partial(_biquad_generator, kind, idx, p))
             for idx, equation in enumerate(_equation_table(p, kind))]
 
@@ -406,6 +408,19 @@ def test_prescreen_biquadratic_never_contradicts_decision(p):
             assert report.decision == verdict.outcome
 
 
+def test_decide_raises_on_a_free_verdict_without_a_witness():
+    _, structure, action, red = _cyclic_setup(validate_cyclic(3, 2, 1))
+    with pytest.raises(InternalInconsistencyError, match="has no solution"):
+        _decide(structure, action, red, PrescreenVerdict(FREE, "forced"), None,
+                lambda x, y: (1, 0, 0, 0))
+
+
+def test_decide_raises_where_the_generator_formula_does_not_verify():
+    _, structure, action, red = _cyclic_setup(validate_cyclic(3, 2, 1))
+    with pytest.raises(InternalInconsistencyError, match="does not verify"):
+        _decide(structure, action, red, UNDECIDED, (1, 0, 1), lambda x, y: (0, 0, 0, 0))
+
+
 # ---- shared Gram matrices ----
 
 def _typed(gram):
@@ -660,6 +675,13 @@ def test_brute_force_examples():
     p = validate_cyclic(1, 3, 1)
     _, _, action, red = _cyclic_setup(p)
     assert brute_force_generator(red, action, 15) is None
+
+
+def test_brute_force_raises_where_polynomial_and_matrix_determinants_disagree(monkeypatch):
+    _, _, action, red = _cyclic_setup(validate_cyclic(3, 2, 1))
+    monkeypatch.setattr(freeness, "test_generator", lambda *args: False)
+    with pytest.raises(InternalInconsistencyError, match="disagree at"):
+        brute_force_generator(red, action, 1)
 
 
 @pytest.mark.parametrize("factor", [2, Fraction(1, 2)])

@@ -289,6 +289,8 @@ def test_change_basis_rejects_singular_descriptor():
     desc = mat([[1, 0, 0, 0], [2, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(SingularDescriptorError):
         change_basis(g, desc)
+    with pytest.raises(SingularDescriptorError):  # no content to divide out
+        change_basis(g, mat([[0] * 4 for _ in range(4)]))
 
 
 def test_change_basis_case_two_galois_image_of_half_trace_element():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq.errors import HopfqError, RankDeficientError, ZeroMatrixError
+from hopfq.errors import HopfqError, RankDeficientError, ValidationError, ZeroMatrixError
 from hopfq.linalg import (
     adjugate,
     content_primitive,
@@ -234,6 +234,11 @@ def cofactor_det(m):
 def test_det_matches_cofactor_expansion(rows):
     assert det_int(rows) == cofactor_det(rows)
     assert det(mat(rows)) == cofactor_det(rows)
+
+
+def test_det_int_rejects_a_non_square_matrix():
+    with pytest.raises(ValidationError):
+        det_int([[1, 2, 3], [4, 5, 6]])
 
 
 def test_det_rational_scaling():

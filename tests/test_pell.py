@@ -21,6 +21,7 @@ from hopfq.errors import (
     InternalInconsistencyError,
     NotReducedError,
     SquareDiscriminantError,
+    ValidationError,
 )
 from hopfq.fields import canonicalize_biquadratic, validate_cyclic
 from hopfq.freeness import FREE, NOT_FREE, decide_cyclic, summary
@@ -526,6 +527,11 @@ def test_divisible_solutions_are_valid_and_normalized():
         assert y > 0 or (y == 0 and x > 0)
 
 
+def test_divisible_solutions_reject_a_zero_target():
+    with pytest.raises(ValidationError):
+        divisible_solutions(2, 0, 1)
+
+
 def test_divisible_solutions_of_a_finite_set_are_each_listed_once():
     # x^2 + y^2 = 25: (0, 5) and (0, -5) normalize to the same witness.
     assert list(divisible_solutions(-1, 25, 0)) == [(0, 5)]
@@ -852,6 +858,21 @@ def test_form_cycle_rejects_unreduced_and_bad_discriminant():
         form_cycle(QuadForm(1, 0, -1))
     with pytest.raises(BadDiscriminantError):
         represents_one(QuadForm(2, 4, 2))
+
+
+def test_principal_form_rejects_a_discriminant_2_mod_4():
+    with pytest.raises(BadDiscriminantError):
+        principal_form(22)
+
+
+def test_rho_where_c_is_at_least_the_root_takes_r_in_the_half_open_interval():
+    # disc 21 <= c^2 = 25, so r = -b mod 2|c| is taken in (-|c|, |c|]: 9 becomes -1.
+    f = QuadForm(1, 1, -5)
+    g = rho(f)
+    ac = abs(f.c)
+    assert (g.b + f.b) % (2 * ac) == 0 and -ac < g.b <= ac
+    assert g == QuadForm(-5, -1, 1)
+    assert g.disc == f.disc
 
 
 def test_represents_one_pinned_examples():
