@@ -6,7 +6,11 @@ usable CPU, have decided every line; the parent decides any line a worker did
 not, so a failure reads as on one CPU).  All numeric values in the output are
 exact: integers stay JSON integers and non-integer rationals are encoded as
 ``"p/q"`` strings, so a document survives a JSON round trip losslessly.
-``encode_number`` writes it; the tests decode it with ``tests/helpers.py``.
+``encode_number`` defines that encoding; the tests decode it with
+``tests/helpers.py``.  A document is written by ``_json_text`` with the bytes
+of ``json.dump(doc, indent=2, default=encode_number)``; only corpus records,
+one compact line each, go through ``json.dumps``, whose ``default`` is then
+``encode_number``.
 
 Exit codes: 0 on success, 2 when the input fails validation (an error
 document; argparse's own usage errors print usage to stderr and no
@@ -28,6 +32,7 @@ import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import takewhile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NoReturn, Sequence, TextIO
 
@@ -65,16 +70,108 @@ log = logging.getLogger(__name__)
 
 # ---- exact JSON number encoding ----
 
+# Integers of at least this many bits are written by `_decimal_text`.  On Python
+# 3.11 `int.__repr__` and it both took 2.6 ms at 12,000 digits (39,864 bits);
+# at 30,000 digits `int.__repr__` took 15.7 ms and `_decimal_text` 6.8 ms.
+_DECIMAL_BITS = 40_000
+_BIG = 1 << _DECIMAL_BITS
+# The element types of a list that `_json_text` writes with one join.
+_INTS = {int}
+_NUMBERS = {int, Fraction}
+
+
 def encode_number(value: Any) -> int | str:
     """Encode an exact rational for JSON: int when integral, else ``"p/q"``.
 
-    Documents carry ints and Fractions as computed; ``json`` writes the ints
-    itself and hands every Fraction here as its ``default``.
+    Documents carry ints and Fractions as computed.  `_json_text` writes both
+    itself; a corpus record goes through ``json.dumps``, which writes the ints
+    and hands every Fraction here as its ``default``.
     """
     f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return f.numerator
     return f"{f.numerator}/{f.denominator}"
+
+
+def _decimal_text(n: int) -> str:
+    """The decimal digits of n, by divide and conquer through `decimal`.
+
+    Before Python 3.12 `int.__repr__` is quadratic in the length.  n is split
+    at half its bits, n = hi * 2^h + lo, each half converted alone and joined
+    by one `Decimal` product with 2^h, each power of two built once, as in
+    CPython 3.12's ``Lib/_pylong.py`` (``int_to_decimal_string``).
+    """
+    import decimal  # only an integer of tens of thousands of digits gets here
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        if w not in powers:
+            powers[w] = decimal.Decimal(2) ** w if w <= 128 else power(w >> 1) * power(w - (w >> 1))
+        return powers[w]
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        if w <= 128:
+            return decimal.Decimal(m)
+        h = w >> 1
+        hi = m >> h
+        return convert(m - (hi << h), h) + convert(hi, w - h) * power(h)
+
+    with decimal.localcontext() as context:
+        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+def _number_text(value: int | Fraction) -> str:
+    """An int or Fraction as JSON, as ``encode_number`` reads it."""
+    if type(value) is not int:
+        if value.denominator != 1:
+            return f'"{_number_text(value.numerator)}/{_number_text(value.denominator)}"'
+        value = value.numerator
+    return int.__repr__(value) if -_BIG < value < _BIG else _decimal_text(value)
+
+
+def _json_text(value: Any, level: str = "\n") -> str:
+    """`value` exactly as ``json.dumps(value, indent=2, default=encode_number)``
+    writes it, for string keys and no floats; `level` is a newline and the
+    current indent.
+
+    ``json`` writes with its pure-Python encoder whenever it indents.  Here a
+    list of ints, or of ints and Fractions, is one ``str.join``.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = level + "  "
+        kinds = set(map(type, value))
+        if kinds <= _INTS and -_BIG < min(value) and max(value) < _BIG:
+            items = map(int.__repr__, value)
+        elif kinds <= _NUMBERS:
+            items = map(_number_text, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + level + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = level + "  "
+        return "{" + inner + ("," + inner).join(
+            [f"{encode_basestring_ascii(key)}: "
+             f"{encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)}"
+             for key, item in value.items()]) + level + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _number_text(value)
+    return _json_text(encode_number(value), level)
 
 
 @contextmanager
@@ -96,8 +193,7 @@ def _exact_integers() -> Iterator[None]:
 
 def _print_document(doc: dict) -> None:
     with _exact_integers():
-        json.dump(doc, sys.stdout, indent=2, default=encode_number)
-    sys.stdout.write("\n")
+        sys.stdout.write(_json_text(doc) + "\n")
 
 
 # ---- report documents ----

@@ -27,14 +27,16 @@ ends at the half period.  They are built only when some anchor lies on the
 principal cycle; the root 0 of N/f^2 = +-1 reaches its first state in one
 step, and the fundamental unit is read from the class of 1.  The principal
 cycle is not walked at all where no class can exist for a reason seen
-first: no solution modulo 8, modulo an odd prime of D or modulo q^2 at an
-odd q dividing D and N once each, or D not a square modulo any |N/f^2|.
+first: no solution modulo 8, modulo an odd prime of D (each one, its large
+primes found by Miller-Rabin and Pollard-Brent) or modulo q^2 at an odd q
+dividing D and N once each, or D not a square modulo any |N/f^2|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from math import gcd, inf, isqrt, log2
 from typing import Iterator, NamedTuple, Sequence
 
@@ -98,6 +100,76 @@ def _factor(n: int) -> dict[int, int]:
     """Prime factorisation {p: e} of |n| by `_trial_division`; {} for |n| <= 1."""
     primes, rest = _trial_division(n, abs(n))
     return primes | {rest: 1} if rest > 1 else primes
+
+
+# (b, psi): Miller-Rabin to the prime bases up to b is exact below psi, the least
+# composite that passes them all (OEIS A014233: G. Jaeschke, Math. Comp. 61, 1993;
+# Y. Jiang and Y. Deng, Math. Comp. 83, 2014; J. Sorenson and J. Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_WITNESSES = ((2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751), (11, 2152302898747),
+              (13, 3474749660383), (17, 341550071728321), (19, 341550071728321),
+              (23, 3825123056546413051), (29, 3825123056546413051), (31, 3825123056546413051),
+              (37, 318665857834031151167461), (41, 3317044064679887385961981))
+# Pollard-Brent multiplies this many differences together between two gcds.
+_RHO_BATCH = 64
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 1 to the first 13 prime bases, each taken only
+    where n is not below the psi of those before it: exact below 3.3 * 10^24."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    t = (n - 1) >> s
+    for a, psi in _WITNESSES:
+        x = pow(a, t, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of an odd composite n, by Pollard's rho with Brent's cycle
+    search (R. P. Brent, "An improved Monte Carlo factorization algorithm", BIT 20,
+    1980) on x -> x^2 + c for c = 1, 2, ... until one splits n."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch passed the collision: take its steps one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _odd_primes(n: int) -> set[int]:
+    """The primes of an odd n >= 1, split by `_rho_divisor`; a composite that
+    `_is_probable_prime` passes, which none below 3.3 * 10^24 does, stays whole."""
+    if n == 1:
+        return set()
+    if _is_probable_prime(n):
+        return {n}
+    f = _rho_divisor(n)
+    return _odd_primes(f) | _odd_primes(n // f)
 
 
 def _signed_divisors(n: int) -> set[int]:
@@ -354,11 +426,14 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
     """Full solution description of x^2 - d*y^2 = n (d, n nonzero).
 
     For d > 0 nonsquare it is empty, with no cycle walked, where d = 3 and
-    n = 2 mod 4 but n != 1 - d mod 8, or n is not a square modulo an odd
-    prime of d (`_residue_obstructed`, before n is factored), or an odd prime
-    q divides d and n once each with (-(d/q)*(n/q) | q) = -1: q | x, so
-    q*x'^2 - (d/q)*y^2 = n/q with q not dividing y.  That test reads n's
-    primes, which may lie far above the d^(1/4) where the first one stops.
+    n = 2 mod 4 but n != 1 - d mod 8, or n is not a square modulo some odd
+    prime of d (`_residue_obstructed`, which tests every one, before n is
+    factored), or an odd prime q divides d and n once each with
+    (-(d/q)*(n/q) | q) = -1: q | x, so q*x'^2 - (d/q)*y^2 = n/q with q not
+    dividing y.  That test reads n's primes, and ends equations the first
+    cannot: the Hilbert symbol (d, n) is then -1 at q and so, by the product
+    formula, at some other prime of 2n, which no residue modulo a prime of d
+    sees.
     """
     if d == 0 or n == 0:
         raise ValidationError(f"Pell problem needs nonzero D and N, got D={d}, N={n}")
@@ -399,18 +474,17 @@ def _residue_obstructed(d: int, n: int) -> bool:
     prime of d, so none at all.
 
     Where d = 3 and n = 2 modulo 4, x^2 + y^2 = 2 modulo 4 makes x and y odd,
-    so n = 1 - d modulo 8.  Otherwise some odd prime q | d with (n/q) = -1
-    rules n out, as x^2 = n modulo q.  d's odd primes up to d^(1/4) are
-    divided out by `_trial_division` and tested one by one where they do not
-    divide n; with gcd(r, n) = 1, (n/r) = -1 for the odd part r left over
-    shows such a q among r's primes.  The bound keeps the cost to about
-    d^(1/4)/2 divisions, against a walk of order sqrt(d).
+    so n = 1 - d modulo 8.  Every odd prime q | d that does not divide n is
+    tested: (n/q) = -1 rules n out, as x^2 = n modulo q.  d's odd primes up
+    to d^(1/4) come from `_trial_division` and are tested first; the odd part
+    left over, at most three primes, all above d^(1/4), is split by
+    `_odd_primes` only where none of those rules n out.
     """
     if d % 4 == 3 and n % 4 == 2 and (n + d - 1) % 8:
         return True
     primes, r = _trial_division(d // (d & -d), isqrt(isqrt(d)))  # d's odd part
     return (any(n % q and jacobi(n, q) == -1 for q in primes)
-            or r > 1 and gcd(r, n) == 1 and jacobi(n, r) == -1)
+            or any(n % q and jacobi(n, q) == -1 for q in _odd_primes(r)))
 
 
 def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> tuple[
@@ -545,7 +619,7 @@ def _least_in_class(v: PellSolution, power: int, n: int, d: int, x: int, y: int,
     rest = s + k * size
     near = abs(rest) > size / 2 - 1e-9 * (size + abs(s) + 1)  # within rounding of a tie
     ks = [k, k - 1 if rest > 0 else k + 1] if near else [k]
-    return min((_normalize_sign(_unit_power(x, y, d, v, e * j + power) if e * j + power else v)
+    return min((_normalize_sign(_unit_power(x, y, d, v, e * j + power))
                 for j in ks), key=_size_key)
 
 

@@ -86,6 +86,39 @@ def test_number_round_trip(value):
     assert json.loads(json.dumps(encoded)) == encoded
 
 
+# ---- the document writer ----
+
+# Integers past the 4,300-digit text limit, and on both sides of the size where
+# the writer turns from int.__repr__ to its decimal conversion.
+_big_ints = st.builds(
+    lambda at_switch, step, sign: sign * ((cli._BIG if at_switch else 10**4300) + step),
+    st.booleans(), st.integers(-2, 2), st.sampled_from([1, -1]))
+_numbers = st.one_of(
+    st.integers(), _big_ints, st.fractions(), st.integers().map(F),
+    st.builds(F, _big_ints, st.integers(1, 9)))
+_strings = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", '\\"', "\n\t\r\x00\x1f\x7f", "é∂€😀", "[1, 2]", "{\"a\": 1},", ",", ""])
+_documents = st.recursive(
+    st.none() | st.booleans() | _numbers | _strings,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(_numbers, max_size=5),
+        st.dictionaries(_strings, children, max_size=4),
+        st.builds(pell.PellSolution, children, children)),
+    max_leaves=12)
+
+
+@given(_documents)
+@settings(max_examples=150, deadline=None)
+def test_the_writer_prints_what_json_dumps_writes_with_indent_2(doc):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._print_document(doc)
+    with cli._exact_integers():
+        assert out.getvalue() == json.dumps(doc, indent=2, default=encode_number) + "\n"
+
+
 # ---- cyclic command ----
 
 def test_cyclic_free_example():

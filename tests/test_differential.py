@@ -9,6 +9,7 @@ sympy is an optional test dependency; without it the module is skipped.
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -23,8 +24,8 @@ from hopfq.fields import is_squarefree
 from hopfq.freeness import _factor
 from hopfq.linalg import det, hnf_integer, mat_inv
 from hopfq.pell import (
-    SolutionClassSet, _residue_obstructed, _signed_divisors, _square_roots, _trial_division, jacobi,
-    solve_all,
+    _WITNESSES, SolutionClassSet, _is_probable_prime, _odd_primes, _residue_obstructed,
+    _signed_divisors, _square_roots, _trial_division, jacobi, solve_all,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -186,9 +187,11 @@ def _mod8_pell_cases(count: int, seed: int) -> list[tuple[int, int]]:
 
 def _shared_prime_pell_cases(count: int, seed: int) -> list[tuple[int, int, int]]:
     """(d, N, q): nonsquare d < 5,000 with an odd prime q <= 13 dividing it
-    once, and N = +-q*m with q not dividing m and |N| <= 10^4.  Two N in three
-    are uniform; the third is a value x^2 - d*y^2 with q | x and q not dividing
-    y, which is solvable."""
+    once, and N = +-q*m with q not dividing m and |N| <= 10^4.  One N in
+    three is uniform; one is uniform among those on which the residue test is
+    silent, which it is on few uniform N now that it tests every prime of d;
+    the third is a value x^2 - d*y^2 with q | x and q not dividing y, which
+    is solvable."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < count:
@@ -203,6 +206,8 @@ def _shared_prime_pell_cases(count: int, seed: int) -> list[tuple[int, int, int]
             n = x * x - d * y * y
         else:
             n = rng.choice((1, -1)) * q * rng.randint(1, 10**4 // q)
+            if len(cases) % 3 == 1 and _residue_obstructed(d, n):
+                continue
         if 1 <= abs(n) <= 10**4 and n % q == 0 and (n // q) % q:
             cases.append((d, n, q))
     return cases
@@ -387,27 +392,47 @@ def test_signed_divisors_match_sympy_divisors_about_the_cube_root():
         assert _signed_divisors(n) == _signed_divisors(-n) == want | {-t for t in want}, n
 
 
+def test_each_psi_is_the_least_composite_that_passes_its_bases():
+    """Each bound of the Miller-Rabin table is composite and a strong
+    probable prime to every base up to its own, and the next base, where the
+    bound rises, catches it; the last bound passes all 13 bases."""
+    mr = pytest.importorskip("sympy.ntheory.primetest").mr
+    bounds = [psi for _, psi in _WITNESSES]
+    for k, (base, psi) in enumerate(_WITNESSES):
+        assert not sympy.isprime(psi)
+        assert mr(psi, [a for a, _ in _WITNESSES[:k + 1]]), base
+        assert _is_probable_prime(psi) is (psi == bounds[-1])
+        assert psi == max(bounds[:k + 1])
+
+
+def test_odd_primes_match_sympy_factorint():
+    """Every odd n below 2*10^4, and seeded products of up to four odd prime
+    powers below 10^24, prime squares and cubes among them."""
+    rng = random.Random(2036)
+    values = list(range(1, 20001, 2))
+    while len(values) < 10**4 + 300:
+        n = 1
+        for _ in range(rng.randint(1, 4)):
+            n *= int(sympy.nextprime(rng.randrange(2, 10 ** rng.randint(1, 6)))) ** rng.randint(1, 3)
+        if n % 2 and n < 10**24:
+            values.append(n)
+    for n in values:
+        assert _odd_primes(n) == set(factorint(n)), n
+
+
 def _reference_obstructed(d: int, n: int) -> bool:
-    """The residue test read off factorint: the mod-8 line, then each odd
-    prime q <= floor(d^(1/4)) of d not dividing n on its own, then the Jacobi
-    symbol of what is left of d's odd part where it is coprime to n."""
+    """The complete residue test read off factorint: the mod-8 line, or an odd
+    prime q of d with q not dividing n and (n/q) = -1."""
     if d % 4 == 3 and n % 4 == 2 and (n + d - 1) % 8:
         return True
-    bound = int(sympy.integer_nthroot(d, 4)[0])
-    rest = d // (d & -d)
-    for q, e in factorint(rest).items():
-        if q <= bound:
-            if n % q and sympy.jacobi_symbol(n % q, q) == -1:
-                return True
-            rest //= q**e
-    return rest > 1 and gcd(rest, n) == 1 and sympy.jacobi_symbol(n % rest, rest) == -1
+    return any(q > 2 and n % q and sympy.jacobi_symbol(n % q, q) == -1 for q in factorint(d))
 
 
 def _quartic_root_shapes(count: int, seed: int) -> list[tuple[int, int]]:
     """(d, N) with d = q*m for primes q <= 997 and m, m in [q^3, (q+1)^4/q), so
-    that floor(d^(1/4)) = q: the last prime the residue test takes on its own.
-    In every other case (N/q) = (N/m) = -1, so the Jacobi symbol of q*m cannot
-    see q; the rest draw N uniformly."""
+    that floor(d^(1/4)) = q: the last prime that trial division tests, with m
+    left to the split of the cofactor.  In every other case (N/q) = (N/m) = -1,
+    so that the Jacobi symbol of q*m would read +1; the rest draw N uniformly."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < count:
@@ -423,12 +448,32 @@ def _quartic_root_shapes(count: int, seed: int) -> list[tuple[int, int]]:
     return cases
 
 
+def _hidden_pair_cases(count: int, seed: int) -> list[tuple[int, int]]:
+    """(d, N) with d = s*p*q, s a small odd squarefree part and p < q primes
+    above d^(1/4), and (N/p) = (N/q) = -1 with N coprime to d: the Jacobi
+    symbol of the cofactor p*q reads +1, and only its split shows the
+    obstruction.  p has 3 to 9 digits."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        digits = rng.randint(3, 9)
+        p = int(sympy.nextprime(rng.randrange(10 ** (digits - 1), 10**digits)))
+        q = int(sympy.nextprime(rng.randrange(p, 2 * p)))
+        d = rng.choice((1, 3, 5, 15, 21)) * p * q
+        if p <= int(sympy.integer_nthroot(d, 4)[0]):
+            continue
+        n = rng.choice((1, -1)) * rng.randint(1, 10**6)
+        if gcd(n, d) == 1 and jacobi(n, p) == jacobi(n, q) == -1:
+            cases.append((d, n))
+    return cases
+
+
 def test_residue_obstructed_matches_a_reference_from_sympy_factorint():
     """Every d of the cube-root shapes against four N each (uniform, twice an
-    odd number, a multiple of a prime of d, a value x^2 - d*y^2), and d = q*m
-    with q = floor(d^(1/4))."""
+    odd number, a multiple of a prime of d, a value x^2 - d*y^2), d = q*m
+    with q = floor(d^(1/4)), and d whose two large primes both rule N out."""
     rng = random.Random(2029)
-    cases = _quartic_root_shapes(60, seed=2030)
+    cases = _quartic_root_shapes(60, seed=2030) + _hidden_pair_cases(30, seed=2035)
     for d in _cube_root_shapes():
         x, y = rng.randint(1, 10**6), rng.randint(1, 3)
         cases += [(d, rng.choice((1, -1)) * rng.randint(1, 10**6)),
@@ -439,6 +484,26 @@ def test_residue_obstructed_matches_a_reference_from_sympy_factorint():
     for d, n in cases:
         assert _residue_obstructed(d, n) == _reference_obstructed(d, n), (d, n)
     assert min(verdicts.values()) >= 60, verdicts
+
+
+@given(st.integers(2, 3000), st.integers(-3000, 3000).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_a_residue_obstruction_leaves_diop_DN_empty(d, n):
+    """Soundness of the complete test: where it rules N out, sympy's diop_DN
+    finds no solution of x^2 - d*y^2 = N either."""
+    assume(isqrt(d) ** 2 != d and _residue_obstructed(d, n))
+    assert diop_DN(d, n) == []
+
+
+def test_the_split_of_a_cofactor_of_two_12_digit_primes_takes_seconds_at_most():
+    """d = p*q near 10^24 with p, q 12-digit primes and (N/p) = (N/q) = -1:
+    trial division to d^(1/4) finds nothing, and Pollard-Brent must split d
+    itself to see that N is no square modulo p."""
+    p, q = 999999999989, 999999999959
+    n = next(n for n in range(3, 10**4) if jacobi(n, p) == jacobi(n, q) == -1)
+    start = time.perf_counter()
+    assert _residue_obstructed(p * q, n)
+    assert time.perf_counter() - start < 10
 
 
 # ---- Legendre's families at the domain edge ----

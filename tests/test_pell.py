@@ -760,26 +760,43 @@ def test_a_shared_prime_obstruction_leaves_no_solution(problem):
 
 
 def test_a_shared_prime_decides_a_biquadratic_structure_without_a_walk(monkeypatch):
-    """The field (-6219803503, 135957049) has the derived radicand
-    k = -845626129627742647, whose principal cycle has about 10^9 steps.  Its
-    structure solves x^2 - |k|*y^2 = +-2*135957049: the residue test rules out
-    the sign -, and the prime 135957049, dividing k and the target once each,
-    rules out the sign +.  So it is not free with no walk of sqrt(|k|)."""
-    walk = pell._principal_walk
+    """The field (-563561681, 741484906) is of the first type, with the
+    derived radicand k = -2*p*q for the primes p = 563561681 = 1 mod 4 and
+    q = 370742453 = 5 mod 8; |k| is about 4.2*10^17, far beyond a walk of
+    its principal cycle.  Its structure solves x^2 - |k|*y^2 = +-4q.  N = +-4q is a square
+    modulo p, as (q/p) = (p/q) = 1, so the residue test is silent on both
+    signs, and |k| = 2 mod 4 leaves out the mod-8 line.  q divides |k| and N
+    once each and (-2p*(+-4) | q) = (2/q) = -1, so the test at q rules out
+    both signs before any square root is taken: not free with no walk."""
+    p, q = 563561681, 370742453
+    d = 2 * p * q
+    roots = pell._square_roots
 
-    def bounded(d, anchors):
-        assert d <= 10**12, f"walked the principal cycle of sqrt({d})"
-        return walk(d, anchors)
+    def other_radicand(radicand, m, factors):
+        assert radicand != d, f"took a square root of {radicand} modulo {m}"
+        return roots(radicand, m, factors)
 
-    monkeypatch.setattr(pell, "_principal_walk", bounded)
-    d, n, q = 845626129627742647, 2 * 135957049, 135957049
-    assert d % q == 0 and (d // q) % q and jacobi(-(d // q) * (n // q), q) == -1
-    assert pell._residue_obstructed(d, -n) and not pell._residue_obstructed(d, n)
-    fs = summary(canonicalize_biquadratic(-6219803503, 135957049))
+    monkeypatch.setattr(pell, "_square_roots", other_radicand)
+    for n in (4 * q, -4 * q):
+        assert not pell._residue_obstructed(d, n) and jacobi(-(d // q) * (n // q), q) == -1
+    fs = summary(canonicalize_biquadratic(-p, 2 * q))
     reports = {e.structure.subfield_tag: e.report for e in fs.structures}
-    derived = reports["sqrt(-845626129627742647)"]
+    derived = reports[f"sqrt({-d})"]
     assert (derived.decision, derived.method, derived.witness) == (NOT_FREE, "pell_criterion", None)
-    assert reports["sqrt(-6219803503)"].decision == FREE
+    assert reports[f"sqrt({-p})"].decision == FREE
+
+
+def test_the_residue_test_ends_both_signs_of_a_structure_at_two_large_primes():
+    """The field (-6219803503, 135957049) has the derived radicand
+    k = -845626129627742647 = -6219803503 * 135957049, whose structure solves
+    x^2 - |k|*y^2 = +-2*135957049.  The mod-8 line rules out the sign -, and
+    the sign + is no square modulo 6219803503, a prime of |k| far above
+    |k|^(1/4) that only the split of the cofactor shows."""
+    d, n = 845626129627742647, 2 * 135957049
+    assert d == 6219803503 * 135957049 and jacobi(n, 6219803503) == -1
+    assert d % 4 == 3 and (-n + d - 1) % 8 and not (n + d - 1) % 8
+    assert pell._residue_obstructed(d, -n) and pell._residue_obstructed(d, n)
+    assert pell._trial_division(d, isqrt(isqrt(d))) == ({}, d)
 
 
 @pytest.mark.parametrize("n, rep", [(1, (1, 0)), (-1, (1, 1))])
