@@ -279,7 +279,8 @@ def _run_field(args: argparse.Namespace) -> int:
 
 
 def _run_pell(args: argparse.Namespace) -> int:
-    if max(abs(args.D), abs(args.N)) > SQUAREFREE_LIMIT:  # N is factored by trial division
+    # The unit walks about sqrt(D) steps, and -c a period modulo |N|.
+    if max(abs(args.D), abs(args.N)) > SQUAREFREE_LIMIT:
         raise ValidationError(f"pell takes |D|, |N| <= {SQUAREFREE_LIMIT}, got {args.D}, {args.N}")
     solutions = solve_all(args.D, args.N)
     doc: dict = {

@@ -29,24 +29,22 @@ from .errors import (
     NotSquarefreeError,
     ValidationError,
 )
-from .pell import _trial_division, is_square
+from .pell import _primes
 
 SQUAREFREE_LIMIT = 10**12
 
 
 def is_squarefree(n: int) -> bool:
-    """True iff no prime square divides |n|.
-
-    `pell._trial_division` up to the cube root; the rest has at most two
-    prime factors, so it is squarefree unless it is a perfect square.
-    """
+    """True iff no prime square divides |n|, read off `pell._primes` to the first square."""
     if n == 0:
         raise ValidationError("squarefree test needs a nonzero integer")
     n = abs(n)
     if n > SQUAREFREE_LIMIT:
         raise ValidationError(f"squarefree test supports |n| <= {SQUAREFREE_LIMIT}, got {n}")
-    primes, rest = _trial_division(n, int(n ** (1 / 3)) + 1)
-    return sum(primes.values()) == len(primes) and not (rest > 1 and is_square(rest))
+    for _, e in _primes(n):
+        if e > 1:
+            return False
+    return True
 
 
 # ---- cyclic quartic fields ----

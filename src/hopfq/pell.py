@@ -5,7 +5,7 @@ finitely many solutions when D < 0 or D is a perfect square, otherwise
 finitely many solution classes closed under multiplication by the fundamental
 unit.  Also provides the divisibility-constrained search behind
 `hopfq pell -c`, reduction cycles of indefinite forms, the Jacobi symbol, and
-the one trial division of the package, `_trial_division`.
+`_primes`, the one route of the package from an integer to its primes.
 
 The class search follows K. Matthews, "The Diophantine equation
 x^2 - Dy^2 = N, D > 0", Expo. Math. 18, 2000, with the square roots of D
@@ -27,9 +27,9 @@ ends at the half period.  They are built only when some anchor lies on the
 principal cycle; the root 0 of N/f^2 = +-1 reaches its first state in one
 step, and the fundamental unit is read from the class of 1.  The principal
 cycle is not walked at all where no class can exist for a reason seen
-first: no solution modulo 8, modulo an odd prime of D (each one, its large
-primes found by Miller-Rabin and Pollard-Brent) or modulo q^2 at an odd q
-dividing D and N once each, or D not a square modulo any |N/f^2|.
+first: no solution modulo 8, modulo an odd prime of D (tested as each is
+found) or modulo q^2 at an odd q dividing D and N once each, or D not a
+square modulo any |N/f^2|.
 """
 
 from __future__ import annotations
@@ -76,32 +76,6 @@ def jacobi(a: int, n: int) -> int:
 
 # ---- factorisation and square roots modulo m ----
 
-def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
-    """({p: e} for the primes p <= bound of |n|, what is left of |n|): the one
-    trial division of the package; the odd f stop once f^2 exceeds the rest."""
-    n = abs(n)
-    primes: dict[int, int] = {}
-    if bound > 1 and n and not n & 1:  # 2, read off the bits
-        primes[2] = e = (n & -n).bit_length() - 1
-        n >>= e
-    root = isqrt(n)
-    for f in range(3, bound + 1, 2):
-        if f > root:
-            break
-        if not n % f:
-            while not n % f:
-                n //= f
-                primes[f] = primes.get(f, 0) + 1
-            root = isqrt(n)
-    return primes, n
-
-
-def _factor(n: int) -> dict[int, int]:
-    """Prime factorisation {p: e} of |n| by `_trial_division`; {} for |n| <= 1."""
-    primes, rest = _trial_division(n, abs(n))
-    return primes | {rest: 1} if rest > 1 else primes
-
-
 # (b, psi): Miller-Rabin to the prime bases up to b is exact below psi, the least
 # composite that passes them all (OEIS A014233: G. Jaeschke, Math. Comp. 61, 1993;
 # Y. Jiang and Y. Deng, Math. Comp. 83, 2014; J. Sorenson and J. Webster, "Strong
@@ -112,6 +86,9 @@ _WITNESSES = ((2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751), (11, 2152
               (37, 318665857834031151167461), (41, 3317044064679887385961981))
 # Pollard-Brent multiplies this many differences together between two gcds.
 _RHO_BATCH = 64
+# `_primes` trial-divides by 2 and the odd numbers below this bound.
+_TRIAL_BOUND = 256
+_TRIAL_DIVISORS = (2, *range(3, _TRIAL_BOUND, 2))
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -161,15 +138,42 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-def _odd_primes(n: int) -> set[int]:
-    """The primes of an odd n >= 1, split by `_rho_divisor`; a composite that
-    `_is_probable_prime` passes, which none below 3.3 * 10^24 does, stays whole."""
-    if n == 1:
-        return set()
+def _odd_primes(n: int) -> dict[int, int]:
+    """{p: e}, smallest p first, of an odd n > 1, split by `_rho_divisor`; a part
+    at or above the last psi that `_is_probable_prime` passes raises `ValidationError`."""
     if _is_probable_prime(n):
-        return {n}
+        if n >= _WITNESSES[-1][1]:
+            raise ValidationError(f"cannot prove {n} prime: it is not below {_WITNESSES[-1][1]}")
+        return {n: 1}
     f = _rho_divisor(n)
-    return _odd_primes(f) | _odd_primes(n // f)
+    a, b = _odd_primes(f), _odd_primes(n // f)
+    return {p: a.get(p, 0) + b.get(p, 0) for p in sorted(a | b)}
+
+
+def _primes(n: int) -> Iterator[tuple[int, int]]:
+    """The primes p of |n| with their exponents e, smallest first and one at a
+    time: the one route from an integer to its primes.  Trial division stops
+    once p^2 exceeds what is left, which is then 1 or a prime; a rest of at
+    least `_TRIAL_BOUND`^2 is split by `_odd_primes`."""
+    n = abs(n)
+    for p in _TRIAL_DIVISORS:
+        if p * p > n:
+            break
+        e = 0
+        while not n % p:
+            n //= p
+            e += 1
+        if e:
+            yield p, e
+    if n >= _TRIAL_BOUND * _TRIAL_BOUND:
+        yield from _odd_primes(n).items()
+    elif n > 1:
+        yield n, 1
+
+
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of |n|; {} for |n| <= 1."""
+    return dict(_primes(n))
 
 
 def _signed_divisors(n: int) -> set[int]:
@@ -475,16 +479,12 @@ def _residue_obstructed(d: int, n: int) -> bool:
 
     Where d = 3 and n = 2 modulo 4, x^2 + y^2 = 2 modulo 4 makes x and y odd,
     so n = 1 - d modulo 8.  Every odd prime q | d that does not divide n is
-    tested: (n/q) = -1 rules n out, as x^2 = n modulo q.  d's odd primes up
-    to d^(1/4) come from `_trial_division` and are tested first; the odd part
-    left over, at most three primes, all above d^(1/4), is split by
-    `_odd_primes` only where none of those rules n out.
+    tested as `_primes` finds it: (n/q) = -1 rules n out, as x^2 = n modulo q,
+    and the primes of d above it are not looked for.
     """
     if d % 4 == 3 and n % 4 == 2 and (n + d - 1) % 8:
         return True
-    primes, r = _trial_division(d // (d & -d), isqrt(isqrt(d)))  # d's odd part
-    return (any(n % q and jacobi(n, q) == -1 for q in primes)
-            or any(n % q and jacobi(n, q) == -1 for q in _odd_primes(r)))
+    return any(q > 2 and n % q and jacobi(n, q) == -1 for q, _ in _primes(d))
 
 
 def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> tuple[

@@ -264,8 +264,8 @@ def test_pell_zero_input_exits_2():
 @pytest.mark.parametrize("d, n", [(2, 1000000016000000063),  # 1000000007 * 1000000009
                                   (10**12 + 1, 1), (-2, -10**12 - 1)])
 def test_pell_beyond_the_limit_exits_2_at_once(d, n):
-    """N is factored by trial division up to sqrt|N| and the unit's walk runs
-    about sqrt(D) steps, so both are bounded like the field radicands."""
+    """The unit's walk runs about sqrt(D) steps and `-c`'s period walk runs
+    modulo |N|, so both are bounded like the field radicands."""
     start = time.perf_counter()
     code, doc = invoke_json(["pell", "-D", str(d), "-N", str(n)])
     assert time.perf_counter() - start < 1.0

@@ -1,7 +1,7 @@
 """Differential tests of hopfq.linalg, hopfq.pell (classes, square roots
-modulo m, Legendre's families at the domain edge) and the trial division
-behind the factorisation, the divisors, the residue test and the squarefree
-test against sympy.
+modulo m, Legendre's families at the domain edge) and `pell._primes`, the one
+route to primes behind the factorisation, the divisors, the residue test and
+the squarefree test, against sympy.
 
 sympy is an optional test dependency; without it the module is skipped.
 """
@@ -24,8 +24,8 @@ from hopfq.fields import is_squarefree
 from hopfq.freeness import _factor
 from hopfq.linalg import det, hnf_integer, mat_inv
 from hopfq.pell import (
-    _WITNESSES, SolutionClassSet, _is_probable_prime, _odd_primes, _residue_obstructed,
-    _signed_divisors, _square_roots, _trial_division, jacobi, solve_all,
+    _TRIAL_BOUND, _WITNESSES, SolutionClassSet, _is_probable_prime, _odd_primes, _primes,
+    _residue_obstructed, _signed_divisors, _square_roots, jacobi, solve_all,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -306,14 +306,13 @@ def test_square_roots_match_sympy_sqrt_mod():
         assert _square_roots(d, m, _factor(m)) == want, (d, m)
 
 
-# ---- the one trial division, through each of its callers ----
+# ---- the one route to primes, through each of its callers ----
 
 @cache
 def _cube_root_shapes(seed: int = 2028) -> tuple[int, ...]:
     """Seeded n <= 10^12 of the shapes p^2, p^2*q and p*q*r for primes p, q, r:
     with the squared p below the cube root of n, above it, and at it, where q
-    is the twin prime p + 2 and floor(cbrt(n)) = p is the last prime the
-    squarefree test must divide out."""
+    is the twin prime p + 2 and floor(cbrt(n)) = p."""
     rng = random.Random(seed)
 
     def prime(lo: int, hi: int) -> int:
@@ -344,8 +343,11 @@ def _cube_root_shapes(seed: int = 2028) -> tuple[int, ...]:
 def test_factor_matches_sympy_factorint():
     """Seeded values: small and signed ones, primes and prime squares near the
     largest d = b^2 + c^2 of the benchmark (b, c up to 10^5), products of two
-    primes near its square root, sums of two squares, and the shapes about
-    the cube root that the squarefree test meets."""
+    primes near its square root, sums of two squares, the shapes about the
+    cube root that the squarefree test meets, primes and prime powers about
+    `_TRIAL_BOUND`, products of two 12-digit primes, twice a prime just below
+    10^12 (a biquadratic target) and the two prime factors of the last psi.
+    `_primes` yields the same primes and exponents, smallest first."""
     rng = random.Random(2021)
     top = 2 * 10**10
     values = list(range(-40, 41)) + [2**33, 3**20, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
@@ -355,25 +357,15 @@ def test_factor_matches_sympy_factorint():
     values += [rng.randint(1, 10**5) ** 2 + rng.randint(1, 10**5) ** 2 for _ in range(40)]
     values += [rng.randint(-top, top) for _ in range(20)]
     values += [sign * n for n in _cube_root_shapes() for sign in (1, -1)]
+    below, above = int(sympy.prevprime(_TRIAL_BOUND)), int(sympy.nextprime(_TRIAL_BOUND))
+    values += [below**2, below * above, above**2, above**3, 3 * above**2 * int(sympy.nextprime(above))]
+    twelve = [int(sympy.prevprime(rng.randrange(10**11, 10**12))) for _ in range(4)]
+    values += [p * q for p, q in zip(twelve, twelve[1:])] + [999999999989 * 999999999959]
+    values += [2 * int(sympy.prevprime(10**12)), 1287836182261, 2575672364521]
     for n in values:
         want = {} if abs(n) <= 1 else {int(p): e for p, e in factorint(abs(n)).items()}
         assert _factor(n) == want, n
-
-
-def test_trial_division_splits_n_at_its_bound():
-    """The primes it returns are those of n up to the bound, with their
-    exponents, and the rest holds every other prime: all above the bound,
-    or one prime alone where f^2 passed the rest first."""
-    for n in _cube_root_shapes() + (2, 4, 6, 9, 2**40, 3**25, 2**20 * 3**3 * 5):
-        want = {int(p): e for p, e in factorint(n).items()}
-        roots = (int(sympy.integer_nthroot(n, k)[0]) for k in (4, 3, 2))
-        for bound in (0, 1, 2, 3, *roots, n):
-            primes, rest = _trial_division(n, bound)
-            assert _trial_division(-n, bound) == (primes, rest), (n, bound)
-            assert all(p <= bound and want[p] == e for p, e in primes.items()), (n, bound)
-            assert prod(p**e for p, e in primes.items()) * rest == n, (n, bound)
-            left = {p: e for p, e in want.items() if p not in primes}
-            assert all(p > bound for p in left) or list(left.values()) == [1], (n, bound)
+        assert list(_primes(n)) == sorted(want.items()), n
 
 
 def test_is_squarefree_matches_sympy_factorint_about_the_cube_root():
@@ -406,10 +398,11 @@ def test_each_psi_is_the_least_composite_that_passes_its_bases():
 
 
 def test_odd_primes_match_sympy_factorint():
-    """Every odd n below 2*10^4, and seeded products of up to four odd prime
-    powers below 10^24, prime squares and cubes among them."""
+    """Every odd n from 3 to 2*10^4, and seeded products of up to four odd
+    prime powers below 10^24, prime squares and cubes among them: the same
+    primes and exponents, smallest first."""
     rng = random.Random(2036)
-    values = list(range(1, 20001, 2))
+    values = list(range(3, 20001, 2))
     while len(values) < 10**4 + 300:
         n = 1
         for _ in range(rng.randint(1, 4)):
@@ -417,7 +410,7 @@ def test_odd_primes_match_sympy_factorint():
         if n % 2 and n < 10**24:
             values.append(n)
     for n in values:
-        assert _odd_primes(n) == set(factorint(n)), n
+        assert list(_odd_primes(n).items()) == sorted(factorint(n).items()), n
 
 
 def _reference_obstructed(d: int, n: int) -> bool:
@@ -430,9 +423,10 @@ def _reference_obstructed(d: int, n: int) -> bool:
 
 def _quartic_root_shapes(count: int, seed: int) -> list[tuple[int, int]]:
     """(d, N) with d = q*m for primes q <= 997 and m, m in [q^3, (q+1)^4/q), so
-    that floor(d^(1/4)) = q: the last prime that trial division tests, with m
-    left to the split of the cofactor.  In every other case (N/q) = (N/m) = -1,
-    so that the Jacobi symbol of q*m would read +1; the rest draw N uniformly."""
+    that floor(d^(1/4)) = q: q is found by trial division where it is below
+    `_TRIAL_BOUND`, and by the split of d above it.  In every other case
+    (N/q) = (N/m) = -1, so that the Jacobi symbol of q*m would read +1; the
+    rest draw N uniformly."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < count:
@@ -451,8 +445,8 @@ def _quartic_root_shapes(count: int, seed: int) -> list[tuple[int, int]]:
 def _hidden_pair_cases(count: int, seed: int) -> list[tuple[int, int]]:
     """(d, N) with d = s*p*q, s a small odd squarefree part and p < q primes
     above d^(1/4), and (N/p) = (N/q) = -1 with N coprime to d: the Jacobi
-    symbol of the cofactor p*q reads +1, and only its split shows the
-    obstruction.  p has 3 to 9 digits."""
+    symbol of p*q reads +1, and only its split shows the obstruction.  p has
+    3 to 9 digits."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < count:
@@ -497,8 +491,8 @@ def test_a_residue_obstruction_leaves_diop_DN_empty(d, n):
 
 def test_the_split_of_a_cofactor_of_two_12_digit_primes_takes_seconds_at_most():
     """d = p*q near 10^24 with p, q 12-digit primes and (N/p) = (N/q) = -1:
-    trial division to d^(1/4) finds nothing, and Pollard-Brent must split d
-    itself to see that N is no square modulo p."""
+    trial division to `_TRIAL_BOUND` finds nothing, and Pollard-Brent must
+    split d itself to see that N is no square modulo p."""
     p, q = 999999999989, 999999999959
     n = next(n for n in range(3, 10**4) if jacobi(n, p) == jacobi(n, q) == -1)
     start = time.perf_counter()

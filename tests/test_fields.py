@@ -82,9 +82,8 @@ def test_is_squarefree_matches_naive(n):
     (10**12, False),
 ])
 def test_is_squarefree_near_its_limit_matches_the_factorisation(n, squarefree):
-    """Trial division stops at the cube root of what is left; the cofactor,
-    two primes on either side of 10^4 or one near 10^6, is squarefree unless
-    it is a square."""
+    """Two primes on either side of 10^4 or one near 10^6 above the small
+    primes: what trial division leaves is split by Pollard-Brent."""
     assert is_squarefree(n) is squarefree
     assert squarefree == all(e == 1 for e in _factor(n).values())
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
 import sys
 from math import isqrt, prod
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,7 +26,7 @@ from hopfq.errors import (
     SquareDiscriminantError,
     ValidationError,
 )
-from hopfq.fields import canonicalize_biquadratic, validate_cyclic
+from hopfq.fields import canonicalize_biquadratic, is_squarefree, validate_cyclic
 from hopfq.freeness import FREE, NOT_FREE, decide_cyclic, summary
 from hopfq.pell import (
     PellSolution,
@@ -701,10 +704,9 @@ def test_no_walk_where_the_target_fails_the_mod8_test(monkeypatch):
 def obstruction_problems(draw):
     """(D, N) with nonsquare 2 <= D <= 10^4 and 1 <= |N| <= 10^4, three kinds
     in equal shares.  D is an odd prime q <= 7 times a cofactor of at least
-    q^3, so that q lies below D^(1/4) and is tested on its own; or uniform,
-    its odd primes mostly left to the Jacobi symbol of what trial division
-    leaves; or 3 mod 4 with N twice an odd number, where the mod-8 test rules
-    out half the N: about a third of the examples kept by the test below."""
+    q^3, so that q lies below D^(1/4); or uniform; or 3 mod 4 with N twice
+    an odd number, where the mod-8 test rules out half the N: about a third
+    of the examples kept by the test below."""
     kind = draw(st.integers(0, 2))
     if kind == 0:
         q = draw(st.sampled_from([3, 5, 7]))
@@ -791,12 +793,59 @@ def test_the_residue_test_ends_both_signs_of_a_structure_at_two_large_primes():
     k = -845626129627742647 = -6219803503 * 135957049, whose structure solves
     x^2 - |k|*y^2 = +-2*135957049.  The mod-8 line rules out the sign -, and
     the sign + is no square modulo 6219803503, a prime of |k| far above
-    |k|^(1/4) that only the split of the cofactor shows."""
+    `_TRIAL_BOUND` that only the split by Pollard-Brent shows."""
     d, n = 845626129627742647, 2 * 135957049
     assert d == 6219803503 * 135957049 and jacobi(n, 6219803503) == -1
     assert d % 4 == 3 and (-n + d - 1) % 8 and not (n + d - 1) % 8
     assert pell._residue_obstructed(d, -n) and pell._residue_obstructed(d, n)
-    assert pell._trial_division(d, isqrt(isqrt(d))) == ({}, d)
+    assert all(d % p for p in range(2, pell._TRIAL_BOUND))
+
+
+def test_a_probable_prime_past_the_last_psi_is_not_called_prime():
+    """The last psi of the Miller-Rabin table passes all 13 bases, though it
+    is 1287836182261 * 2575672364521: from there on no part is taken as prime."""
+    psi = pell._WITNESSES[-1][1]
+    assert psi == 1287836182261 * 2575672364521 == 3317044064679887385961981
+    with pytest.raises(ValidationError):
+        pell._factor(psi)
+
+
+def test_the_factorisation_of_two_12_digit_primes_ends_within_seconds():
+    """Trial division to the square root would run toward 10^12 steps; the
+    split by Pollard-Brent takes about half a second.  A child process, so
+    that a hang is killed at the timeout."""
+    script = "from hopfq.pell import _factor\nprint(_factor(999999999989 * 999999999959))\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(pell.__file__).resolve().parent.parent)}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=10)
+    assert result.stdout == "{999999999959: 1, 999999999989: 1}\n", result.stderr
+
+
+def test_the_residue_test_stops_at_the_first_prime_that_rules_n_out(monkeypatch):
+    """d = 3*p*q with 12-digit primes p and q: 3 rules out every n = 2 mod 3,
+    and p and q are not looked for."""
+    monkeypatch.setattr(pell, "_odd_primes", _unread("_odd_primes"))
+    d = 3 * 999999999989 * 999999999959
+    assert all(pell._residue_obstructed(d, n) for n in (2, 5, -1, -4, 2 * 10**6 + 3))
+
+
+def test_the_squarefree_test_stops_at_the_first_square(monkeypatch):
+    """249999999973 is the largest prime p with 4*p within the 10^12 limit:
+    2^2 answers, and p is not looked for."""
+    monkeypatch.setattr(pell, "_odd_primes", _unread("_odd_primes"))
+    assert is_squarefree(4 * 249999999973) is False
+
+
+def test_every_d_below_the_square_of_the_trial_bound_is_split_by_trial_division(monkeypatch):
+    """Below _TRIAL_BOUND^2 what trial division leaves is 1 or a prime, so the
+    residue test, the squarefree test and the factorisation never call on
+    Miller-Rabin or Pollard-Brent there."""
+    monkeypatch.setattr(pell, "_odd_primes", _unread("_odd_primes"))
+    for d in range(2, pell._TRIAL_BOUND ** 2):
+        pell._residue_obstructed(d, 3)
+        factors = pell._factor(d)
+        assert prod(p**e for p, e in factors.items()) == d
+        assert is_squarefree(d) is (max(factors.values()) == 1)
 
 
 @pytest.mark.parametrize("n, rep", [(1, (1, 0)), (-1, (1, 1))])
