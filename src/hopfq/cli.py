@@ -169,9 +169,7 @@ def _json_text(value: Any, level: str = "\n") -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return _number_text(value)
-    return _json_text(encode_number(value), level)
+    return _number_text(value)  # an int or a Fraction
 
 
 @contextmanager

@@ -27,9 +27,9 @@ ends at the half period.  They are built only when some anchor lies on the
 principal cycle; the root 0 of N/f^2 = +-1 reaches its first state in one
 step, and the fundamental unit is read from the class of 1.  The principal
 cycle is not walked at all where no class can exist for a reason seen
-first: no solution modulo 8, modulo an odd prime of D (tested as each is
-found) or modulo q^2 at an odd q dividing D and N once each, or D not a
-square modulo any |N/f^2|.
+first: no solution modulo 8, or modulo an odd prime q of D or q^2 where q
+divides D and N once each (`_residue_obstructed`, at each q as it is found,
+before N is factored), or D not a square modulo any |N/f^2|.
 """
 
 from __future__ import annotations
@@ -429,15 +429,9 @@ def _size_key(s: PellSolution) -> tuple:
 def solve_all(d: int, n: int) -> SolutionClassSet:
     """Full solution description of x^2 - d*y^2 = n (d, n nonzero).
 
-    For d > 0 nonsquare it is empty, with no cycle walked, where d = 3 and
-    n = 2 mod 4 but n != 1 - d mod 8, or n is not a square modulo some odd
-    prime of d (`_residue_obstructed`, which tests every one, before n is
-    factored), or an odd prime q divides d and n once each with
-    (-(d/q)*(n/q) | q) = -1: q | x, so q*x'^2 - (d/q)*y^2 = n/q with q not
-    dividing y.  That test reads n's primes, and ends equations the first
-    cannot: the Hilbert symbol (d, n) is then -1 at q and so, by the product
-    formula, at some other prime of 2n, which no residue modulo a prime of d
-    sees.
+    For d > 0 nonsquare it is empty, with no cycle walked and n not factored,
+    where a local rule of `_residue_obstructed` rules n out; n's primes serve
+    only its square divisors and the square roots of d modulo n/f^2.
     """
     if d == 0 or n == 0:
         raise ValidationError(f"Pell problem needs nonzero D and N, got D={d}, N={n}")
@@ -459,12 +453,8 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
         return SolutionClassSet("finite" if ordered else "empty", ordered)
 
     if _residue_obstructed(d, n):
-        return SolutionClassSet("empty", ())  # no square root of n modulo a prime of d
-    factors = _factor(n)
-    if any(e == 1 and q > 2 and d % q == 0 and (d // q) % q
-           and jacobi(-(d // q) * (n // q), q) == -1 for q, e in factors.items()):
-        return SolutionClassSet("empty", ())  # no solution modulo q^2 at a q || d, n
-    divisors = _square_divisors(factors)
+        return SolutionClassSet("empty", ())  # no solution modulo 8, q or q^2 at a prime q of d
+    divisors = _square_divisors(_factor(n))
     minimal, reps = _primitive_class_reps(d, [(n // (f * f), rest) for f, rest in divisors])
     found = {PellSolution(f * x, f * y) for (f, _), class_reps in zip(divisors, reps)
              for x, y in class_reps}
@@ -474,17 +464,25 @@ def solve_all(d: int, n: int) -> SolutionClassSet:
 
 
 def _residue_obstructed(d: int, n: int) -> bool:
-    """True where x^2 - d*y^2 = n has no solution modulo 8 or modulo an odd
-    prime of d, so none at all.
+    """True where x^2 - d*y^2 = n has no solution modulo 8, or modulo q or
+    q^2 at an odd prime q of d, so none at all.  The three local rules:
 
-    Where d = 3 and n = 2 modulo 4, x^2 + y^2 = 2 modulo 4 makes x and y odd,
-    so n = 1 - d modulo 8.  Every odd prime q | d that does not divide n is
-    tested as `_primes` finds it: (n/q) = -1 rules n out, as x^2 = n modulo q,
-    and the primes of d above it are not looked for.
+    - mod 8: where d = 3 and n = 2 modulo 4, x^2 + y^2 = 2 modulo 4 makes x
+      and y odd, so n = 1 - d modulo 8;
+    - residue: at q not dividing n, (n/q) = -1 rules n out, as x^2 = n modulo q;
+    - q^2: at q dividing d and n once each, (-(d/q)*(n/q) | q) = -1 rules n
+      out: q | x, so q*x'^2 - (d/q)*y^2 = n/q with q not dividing y.  This is
+      the Hilbert symbol (d, n) = -1 at q, and so, by the product formula, at
+      some other prime of 2n, which no residue modulo a prime of d sees.  At
+      any other q | n the symbol is 0, as q divides d/q or n/q.
+
+    Each odd prime of d is tested as `_primes` finds it, and the primes of d
+    above the first that rules n out are not looked for.
     """
     if d % 4 == 3 and n % 4 == 2 and (n + d - 1) % 8:
         return True
-    return any(q > 2 and n % q and jacobi(n, q) == -1 for q, _ in _primes(d))
+    return any(q > 2 and jacobi(n if n % q else -(d // q) * (n // q), q) == -1
+               for q, _ in _primes(d))
 
 
 def _primitive_class_reps(d: int, targets: list[tuple[int, dict[int, int]]]) -> tuple[

@@ -36,6 +36,7 @@ from hopfq.pell import (
     _size_key,
     _unit_power,
     is_reduced,
+    jacobi,
     principal_form,
     rho,
     solve_all,
@@ -210,6 +211,16 @@ def solutions_within(d: int, n: int, bound: int) -> list[PellSolution]:
                 else:
                     x, y = t * x - d * u * y, -u * x + t * y
     return sorted(inside, key=_size_key)
+
+
+def residue_rule_alone(d: int, n: int, primes) -> bool:
+    """The mod-8 line and the residue rule of `pell._residue_obstructed`,
+    without its q^2 rule: d = 3 and n = 2 modulo 4 with n != 1 - d modulo 8,
+    or an odd q of `primes`, the primes of d, with q not dividing n and
+    (n/q) = -1.  A prime dividing n is never tested here."""
+    if d % 4 == 3 and n % 4 == 2 and (n + d - 1) % 8:
+        return True
+    return any(q > 2 and n % q and jacobi(n, q) == -1 for q in primes)
 
 
 def minimal_negative_solution(d: int) -> tuple[int, int] | None:

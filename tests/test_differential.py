@@ -28,6 +28,8 @@ from hopfq.pell import (
     _residue_obstructed, _signed_divisors, _square_roots, jacobi, solve_all,
 )
 
+from helpers import residue_rule_alone
+
 sympy = pytest.importorskip("sympy")
 sympy_random = pytest.importorskip("sympy.core.random")
 factorint = pytest.importorskip("sympy.ntheory").factorint
@@ -188,10 +190,10 @@ def _mod8_pell_cases(count: int, seed: int) -> list[tuple[int, int]]:
 def _shared_prime_pell_cases(count: int, seed: int) -> list[tuple[int, int, int]]:
     """(d, N, q): nonsquare d < 5,000 with an odd prime q <= 13 dividing it
     once, and N = +-q*m with q not dividing m and |N| <= 10^4.  One N in
-    three is uniform; one is uniform among those on which the residue test is
-    silent, which it is on few uniform N now that it tests every prime of d;
-    the third is a value x^2 - d*y^2 with q | x and q not dividing y, which
-    is solvable."""
+    three is uniform; one is uniform among those on which the residue rule
+    alone (`residue_rule_alone`) is silent, which it is on few uniform N, as
+    it tests every prime of d; the third is a value x^2 - d*y^2 with q | x
+    and q not dividing y, which is solvable."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < count:
@@ -206,7 +208,7 @@ def _shared_prime_pell_cases(count: int, seed: int) -> list[tuple[int, int, int]
             n = x * x - d * y * y
         else:
             n = rng.choice((1, -1)) * q * rng.randint(1, 10**4 // q)
-            if len(cases) % 3 == 1 and _residue_obstructed(d, n):
+            if len(cases) % 3 == 1 and residue_rule_alone(d, n, factorint(d)):
                 continue
         if 1 <= abs(n) <= 10**4 and n % q == 0 and (n // q) % q:
             cases.append((d, n, q))
@@ -256,13 +258,15 @@ def test_solve_all_classes_match_sympy_diop_DN_on_both_sides_of_the_residue_test
 
 
 def test_solve_all_classes_match_sympy_diop_DN_on_both_sides_of_the_shared_prime_test():
-    """diop_DN referees the cases that the test at a prime q dividing d and N
-    once each rules out before any square root, those the residue test rules
-    out first, and those left to the class search."""
+    """diop_DN referees the cases that the q^2 rule at a prime q dividing d
+    and N once each rules out before any square root, those the residue rule
+    alone rules out, and those left to the class search.  Where the q^2 rule
+    fires, `_residue_obstructed` ends the equation."""
     cases = _shared_prime_pell_cases(60, seed=2026)
     fires = [jacobi(-(d // q) * (n // q), q) == -1 for d, n, q in cases]
-    silent = [not _residue_obstructed(d, n) for d, n, _ in cases]
+    silent = [not residue_rule_alone(d, n, factorint(d)) for d, n, _ in cases]
     assert sum(f and r for f, r in zip(fires, silent)) >= 10  # ended by the shared prime
+    assert all(_residue_obstructed(d, n) for (d, n, _), f in zip(cases, fires) if f)
     assert sum(r and not f for f, r in zip(fires, silent)) >= 15  # left to the class search
     assert _assert_classes_match_diop_DN([(d, n) for d, n, _ in cases]) >= 15
 
@@ -414,11 +418,16 @@ def test_odd_primes_match_sympy_factorint():
 
 
 def _reference_obstructed(d: int, n: int) -> bool:
-    """The complete residue test read off factorint: the mod-8 line, or an odd
-    prime q of d with q not dividing n and (n/q) = -1."""
+    """The three local rules read off factorint: the mod-8 line, an odd prime
+    q of d with q not dividing n and (n/q) = -1, or an odd prime q dividing
+    d and n once each with (-(d/q)*(n/q) | q) = -1."""
     if d % 4 == 3 and n % 4 == 2 and (n + d - 1) % 8:
         return True
-    return any(q > 2 and n % q and sympy.jacobi_symbol(n % q, q) == -1 for q in factorint(d))
+    primes_of_d, primes_of_n = factorint(d), factorint(abs(n))
+    return any(q > 2 and (sympy.jacobi_symbol(n % q, q) == -1 if n % q else
+                          e == primes_of_n[q] == 1
+                          and sympy.jacobi_symbol(-(d // q) * (n // q) % q, q) == -1)
+               for q, e in primes_of_d.items())
 
 
 def _quartic_root_shapes(count: int, seed: int) -> list[tuple[int, int]]:
@@ -465,9 +474,11 @@ def _hidden_pair_cases(count: int, seed: int) -> list[tuple[int, int]]:
 def test_residue_obstructed_matches_a_reference_from_sympy_factorint():
     """Every d of the cube-root shapes against four N each (uniform, twice an
     odd number, a multiple of a prime of d, a value x^2 - d*y^2), d = q*m
-    with q = floor(d^(1/4)), and d whose two large primes both rule N out."""
+    with q = floor(d^(1/4)), d whose two large primes both rule N out, and
+    d and N sharing a prime q once each, where the q^2 rule alone ends some."""
     rng = random.Random(2029)
     cases = _quartic_root_shapes(60, seed=2030) + _hidden_pair_cases(30, seed=2035)
+    cases += [(d, n) for d, n, _ in _shared_prime_pell_cases(60, seed=2036)]
     for d in _cube_root_shapes():
         x, y = rng.randint(1, 10**6), rng.randint(1, 3)
         cases += [(d, rng.choice((1, -1)) * rng.randint(1, 10**6)),
@@ -478,6 +489,9 @@ def test_residue_obstructed_matches_a_reference_from_sympy_factorint():
     for d, n in cases:
         assert _residue_obstructed(d, n) == _reference_obstructed(d, n), (d, n)
     assert min(verdicts.values()) >= 60, verdicts
+    q2_alone = sum(_residue_obstructed(d, n) and not residue_rule_alone(d, n, factorint(d))
+                   for d, n in cases)
+    assert q2_alone >= 20, q2_alone
 
 
 @given(st.integers(2, 3000), st.integers(-3000, 3000).filter(bool))

@@ -185,6 +185,14 @@ def test_cyclic_descriptor_determinants():
 
 # ---- biquadratic canonicalization ----
 
+def test_two_radicands_that_are_1_mod_4_come_from_no_field():
+    """No field's triple has exactly two radicands that are 1 mod 4
+    (`_residue_rule`); a hand-built triple with two raises, not a type."""
+    p = BiquadraticParams(5, 13, 7, 1, (FIRST_INPUT, SECOND_INPUT, DERIVED))
+    with pytest.raises(ValidationError, match="two of the radicands"):
+        classify_biquadratic_type(p)
+
+
 def test_canonicalize_biquadratic_pinned_examples():
     p = canonicalize_biquadratic(5, -2)
     assert (p.m, p.n, p.k, p.d) == (5, -2, -10, 1)

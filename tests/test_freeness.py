@@ -677,6 +677,13 @@ def test_brute_force_examples():
     assert brute_force_generator(red, action, 15) is None
 
 
+def test_brute_force_finds_nothing_for_an_all_zero_action():
+    """The determinant polynomial of the zero action has no coefficient, so no
+    point of the box can pass the test: None before any scan."""
+    _, _, action, red = _cyclic_setup(validate_cyclic(3, 2, 1))
+    assert brute_force_generator(red, [[0] * len(row) for row in action], 1) is None
+
+
 def test_brute_force_raises_where_polynomial_and_matrix_determinants_disagree(monkeypatch):
     _, _, action, red = _cyclic_setup(validate_cyclic(3, 2, 1))
     monkeypatch.setattr(freeness, "test_generator", lambda *args: False)

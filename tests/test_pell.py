@@ -48,6 +48,7 @@ from helpers import (
     is_prime,
     minimal_negative_solution,
     representation_of_one,
+    residue_rule_alone,
     solutions_within,
     stepwise_canonical_in_class,
     stepwise_divisible_solutions,
@@ -376,6 +377,14 @@ def test_every_class_comes_from_one_half_period_tree(monkeypatch):
         for m in itertools.chain(range(-80, -1), range(2, 81)):
             assert pell._primitive_class_reps(d, [(m, pell._factor(m))])[1] == [
                 _stepwise_reps(d, m)]
+
+
+def test_a_wrong_root_makes_the_walk_to_an_anchor_raise_and_not_loop():
+    """With root 0 in place of isqrt(7) = 2 no state of (1 + sqrt(7))/3 reads
+    as reduced, and the walk meets a state twice: the set of states seen
+    turns a wrong test into InternalInconsistencyError, not a hang."""
+    with pytest.raises(InternalInconsistencyError, match="repeated before its period"):
+        pell._walk_to_anchor(7, 0, 1, 3)
 
 
 @pytest.mark.parametrize("m, sides, reps", [
@@ -736,9 +745,9 @@ def test_a_residue_obstruction_leaves_no_solution(problem):
 @st.composite
 def shared_prime_problems(draw):
     """(D, N, q) with D = q*c and N = +-q*m for an odd prime q <= 13 dividing
-    neither c nor m, and c, m <= 10^4 / q.  The test at q fires where
-    (-c*m | q) = -1: on about half the examples, and with the residue test
-    silent on about 30% of them, the ones the test below keeps."""
+    neither c nor m, and c, m <= 10^4 / q.  The q^2 rule at q fires where
+    (-c*m | q) = -1: on about half the examples, and with the residue rule
+    alone silent on about 30% of them, the ones the test below keeps."""
     q = draw(st.sampled_from([3, 5, 7, 11, 13]))
     c = draw(st.integers(1, 10**4 // q).filter(lambda c: c % q))
     m = draw(st.integers(1, 10**4 // q).filter(lambda m: m % q))
@@ -748,12 +757,14 @@ def shared_prime_problems(draw):
 @given(shared_prime_problems())
 @settings(max_examples=200, deadline=None)
 def test_a_shared_prime_obstruction_leaves_no_solution(problem):
-    """Where q divides D and N once each and -(D/q)*(N/q) is not a square
-    modulo q, solve_all ends before any square root is taken, the class
-    search without the test finds no class of any N/f^2, and a scan finds no
-    solution in a box."""
+    """Where q divides D and N once each, -(D/q)*(N/q) is not a square modulo
+    q and the residue rule alone is silent, the q^2 rule of
+    `_residue_obstructed` rules N out, solve_all ends before any square root
+    is taken, the class search without the rule finds no class of any N/f^2,
+    and a scan finds no solution in a box."""
     d, n, q = problem
-    assume(jacobi(-(d // q) * (n // q), q) == -1 and not pell._residue_obstructed(d, n))
+    assume(jacobi(-(d // q) * (n // q), q) == -1 and not residue_rule_alone(d, n, pell._factor(d)))
+    assert pell._residue_obstructed(d, n)
     with mock.patch.object(pell, "_square_roots", _unread("_square_roots")):
         assert solve_all(d, n) == pell.SolutionClassSet("empty", ())
     targets = [(n // (f * f), rest) for f, rest in pell._square_divisors(pell._factor(n))]
@@ -766,10 +777,11 @@ def test_a_shared_prime_decides_a_biquadratic_structure_without_a_walk(monkeypat
     derived radicand k = -2*p*q for the primes p = 563561681 = 1 mod 4 and
     q = 370742453 = 5 mod 8; |k| is about 4.2*10^17, far beyond a walk of
     its principal cycle.  Its structure solves x^2 - |k|*y^2 = +-4q.  N = +-4q is a square
-    modulo p, as (q/p) = (p/q) = 1, so the residue test is silent on both
-    signs, and |k| = 2 mod 4 leaves out the mod-8 line.  q divides |k| and N
-    once each and (-2p*(+-4) | q) = (2/q) = -1, so the test at q rules out
-    both signs before any square root is taken: not free with no walk."""
+    modulo p, as (q/p) = (p/q) = 1, so the residue rule alone is silent on
+    both signs, and |k| = 2 mod 4 leaves out the mod-8 line.  q divides |k|
+    and N once each and (-2p*(+-4) | q) = (2/q) = -1, so the q^2 rule at q
+    rules out both signs before any square root is taken: not free with no
+    walk."""
     p, q = 563561681, 370742453
     d = 2 * p * q
     roots = pell._square_roots
@@ -780,7 +792,8 @@ def test_a_shared_prime_decides_a_biquadratic_structure_without_a_walk(monkeypat
 
     monkeypatch.setattr(pell, "_square_roots", other_radicand)
     for n in (4 * q, -4 * q):
-        assert not pell._residue_obstructed(d, n) and jacobi(-(d // q) * (n // q), q) == -1
+        assert not residue_rule_alone(d, n, (2, p, q)) and jacobi(-(d // q) * (n // q), q) == -1
+        assert pell._residue_obstructed(d, n)
     fs = summary(canonicalize_biquadratic(-p, 2 * q))
     reports = {e.structure.subfield_tag: e.report for e in fs.structures}
     derived = reports[f"sqrt({-d})"]
@@ -827,6 +840,19 @@ def test_the_residue_test_stops_at_the_first_prime_that_rules_n_out(monkeypatch)
     monkeypatch.setattr(pell, "_odd_primes", _unread("_odd_primes"))
     d = 3 * 999999999989 * 999999999959
     assert all(pell._residue_obstructed(d, n) for n in (2, 5, -1, -4, 2 * 10**6 + 3))
+
+
+def test_the_q2_rule_ends_an_equation_before_the_rest_of_d_is_split(monkeypatch):
+    """d = 3*p*q with 12-digit primes p and q and n = 3*m with 3 not dividing
+    m and (-(d/3)*m | 3) = -1: the q^2 rule at 3 ends each equation, and
+    neither p and q nor the primes of n are looked for.  The mod-8 line is
+    silent, as d = 1 mod 4."""
+    monkeypatch.setattr(pell, "_odd_primes", _unread("_odd_primes"))
+    monkeypatch.setattr(pell, "_factor", _unread("_factor"))
+    d = 3 * 999999999989 * 999999999959
+    for n in (3, 12, 21, -6):
+        assert n % 9 and jacobi(-(d // 3) * (n // 3), 3) == -1 and d % 4 == 1
+        assert solve_all(d, n) == pell.SolutionClassSet("empty", ())
 
 
 def test_the_squarefree_test_stops_at_the_first_square(monkeypatch):
