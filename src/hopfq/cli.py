@@ -22,6 +22,7 @@ on stderr.  The log level is taken from the ``HOPFQ_LOG`` environment variable.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import logging
@@ -101,8 +102,6 @@ def _decimal_text(n: int) -> str:
     by one `Decimal` product with 2^h, each power of two built once, as in
     CPython 3.12's ``Lib/_pylong.py`` (``int_to_decimal_string``).
     """
-    import decimal  # only an integer of tens of thousands of digits gets here
-
     powers: dict[int, decimal.Decimal] = {}
 
     def power(w: int) -> decimal.Decimal:

@@ -49,9 +49,9 @@ class EvenModulusError(ValidationError):
 class NotSquarefreeError(ValidationError):
     """An integer that must be squarefree is not."""
 
-    def __init__(self, value: int, message: str | None = None):
+    def __init__(self, value: int):
         self.value = value
-        super().__init__(message or f"{value} is not squarefree")
+        super().__init__(f"{value} is not squarefree")
 
 
 class NotCoprimeError(ValidationError):

@@ -8,9 +8,9 @@ x^2 + a*y^2 = +-t for the three biquadratic ones.  A decision is prescreen,
 then class representatives, then formula, then determinant test: each family
 supplies a prescreen verdict, a witness (the first class representative that
 qualifies) and the paper's generator formula in it, and one routine,
-`_decide`, verifies the one generator before it is reported.  Fast
-prescreens settle many inputs without touching the Pell machinery, and an
-exhaustive box-scan oracle provides an independent check for tests.
+`_decide`, verifies the one generator before it is reported.  A not-free
+prescreen verdict needs no Pell solve; a free one still takes its witness from
+the solved classes.  A box-scan oracle provides an independent check for tests.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .fields import (
     integral_basis_cyclic,
 )
 from .hopf import (
+    FieldParams,
     ReductionReport,
     StructureId,
     action_matrix,
@@ -48,8 +49,6 @@ from .linalg import content_primitive, quotient
 from .pell import (
     SolutionClassSet, _divisible_solutions_from, _factor, _signed_divisors, jacobi, solve_all,
 )
-
-FieldParams = CyclicQuarticParams | BiquadraticParams
 
 FREE = "free"
 NOT_FREE = "not_free"
@@ -213,8 +212,7 @@ def prescreen_biquadratic(
         else:
             h1 = UNDECIDED
         if abs(n) == 2 * d:
-            h2 = PrescreenVerdict(FREE, "n equals plus or minus 2d")
-            h3 = PrescreenVerdict(FREE, "n equals plus or minus 2d")
+            h2 = h3 = PrescreenVerdict(FREE, "n equals plus or minus 2d")
         else:
             h2 = (PrescreenVerdict(NOT_FREE, "positive radicand n with n != 2d")
                   if n > 0 else UNDECIDED)
@@ -409,21 +407,20 @@ def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _roots(poly: list[int], target: int, values: set[int], xs: range) -> list[int]:
-    """The x in xs at which poly, its coefficients from the constant up, is a
-    nonzero divisor of target.
+def _roots(poly: list[int], values: set[int], xs: range) -> dict[int, int]:
+    """{x: poly(x)} for the x in xs with poly(x) in `values`, for poly's
+    coefficients from the constant up.
 
     Where poly has degree 1 or 2, poly(x) = v is solved for each v in
-    `values`, the divisors of target and their negatives: one division, or a
-    discriminant and its square root.  Otherwise every x in xs is tried.
+    `values`: one division, or a discriminant and its square root.
+    Otherwise every x in xs is tried.
     """
     degree = len(poly) - 1
     while degree > 0 and not poly[degree]:
         degree -= 1
     if not 1 <= degree <= 2:
-        return [x for x in xs if (v := sum(c * x**j for j, c in enumerate(poly)))
-                and not target % v]
-    found = []
+        return {x: v for x in xs if (v := sum(c * x**j for j, c in enumerate(poly))) in values}
+    found = {}
     for v in values:
         if degree == 1:
             nums, den = (v - poly[0],), poly[1]
@@ -437,21 +434,21 @@ def _roots(poly: list[int], target: int, values: set[int], xs: range) -> list[in
         for num in nums:
             x, r = divmod(num, den)
             if not r and x in xs:
-                found.append(x)
+                found[x] = v
     return found
 
 
-def _candidate_rows(forms: list[list[int]], bound: int, target: int, values: set[int]):
-    """(beta_3, the beta_4 of its rows that can hold a point) for beta_3 in [0, bound].
+def _candidate_rows(forms: list[list[int]], bound: int, values: set[int]):
+    """(beta_3, {beta_4: G(beta_3, beta_4)} for its rows that can hold a point), beta_3 <= bound.
 
     forms[e] holds the coefficients of the binary form r_e of degree 3 - e in
     R = sum_e beta_2^e * r_e(beta_3, beta_4), from beta_3^(3 - e) up to
     beta_4^(3 - e).  Their primitive gcd G in Z[beta_3, beta_4] is the power
     of beta_3 they all share times the homogenised primitive gcd of the
     nonzero r_e(1, t).  By Gauss's lemma G divides every r_e, so a row that
-    holds a point has G(beta_3, beta_4) = +-t for a divisor t of target, and
-    only those beta_4 are yielded (`_roots`, given all the signed divisors
-    `values` of target).  Only rows (beta_3, beta_4) >= (0, 0) are considered.
+    holds a point has G(beta_3, beta_4) = +-t for a divisor t of the target,
+    and only those beta_4 are yielded (`_roots`, given all the signed divisors
+    `values` of the target).  Only rows (beta_3, beta_4) >= (0, 0) are considered.
     """
     primitives = [_primitive(form) for form in forms]
     shift = min(len(form) - len(poly) for form, poly in zip(forms, primitives) if poly)
@@ -461,7 +458,7 @@ def _candidate_rows(forms: list[list[int]], bound: int, target: int, values: set
     for b3 in range(bound + 1):
         # G(b3, beta_4) from the constant up; at b3 = 0 it is zero or a monomial.
         row = [c * b3**(degree - j) for j, c in enumerate(g)]
-        yield b3, _roots(row, target, values, span if b3 else range(bound + 1))
+        yield b3, _roots(row, values, span if b3 else range(bound + 1))
 
 
 def _first_point(content: int, factor: dict[tuple[int, ...], int],
@@ -470,18 +467,18 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
     """Lexicographically first beta in [-bound, bound]^4 with |q(beta)| = target.
 
     q = (c * beta_1 + S) * R as `_split` returns it.  At an integer point
-    with |q| = target, R divides target and c * beta_1 + S = +-target / R,
-    which gives beta_1 directly.  q is homogeneous of degree 4, so beta
-    solves exactly when -beta does, and the box is symmetric: only the rows
-    (beta_3, beta_4) >= (0, 0) are scanned, and each point found stands for
-    the smaller of it and -beta, so the least of them is the first of the
-    box.  Of those rows only the ones where the gcd G of R's coefficients in
-    beta_2 is a divisor of target are visited (`_candidate_rows`), about 3 of
-    313 at bound 12, and on each only the beta_2 where R is one, found by the
-    same rule (`_roots`): solved where R has degree 1 or 2 in beta_2, as on
-    every row the pipeline builds.  R's coefficients are expanded for each
-    beta_3 with such a row, then for each row beta_4.  The signed divisors of
-    target are listed once, from its factorisation.
+    with |q| = target, R divides target and c * beta_1 + S = +-target / R.
+    q is homogeneous of degree 4, so beta solves exactly when -beta does, and
+    the box is symmetric: only the rows (beta_3, beta_4) >= (0, 0) are
+    scanned, and each point found stands for the smaller of it and -beta, so
+    the least of them is the first of the box.  Of those rows only the ones
+    where the gcd G of R's coefficients in beta_2 is a divisor of target are
+    visited (`_candidate_rows`), about 3 of 313 at bound 12.  On each, one
+    rule (`_roots`) finds the beta_2 where R is a divisor, then the beta_1
+    where c * beta_1 + S = +-target / R, solving where the polynomial has
+    degree 1 or 2, as R has in beta_2 on every row the pipeline builds.  R's
+    coefficients are expanded for each beta_3 with such a row, then for each
+    row beta_4.  The signed divisors of target are listed once.
     """
     # forms[e2][e4]: coefficient of beta_2^e2 * beta_3^(3 - e2 - e4) * beta_4^e4 in R.
     forms = [[0] * (4 - e2) for e2 in range(4)]
@@ -491,7 +488,7 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
     values = _signed_divisors(target)
     span = range(-bound, bound + 1)
     found = []
-    for b3, b4s in _candidate_rows(forms, bound, target, values):
+    for b3, b4s in _candidate_rows(forms, bound, values):
         if not b4s:
             continue
         powers = (1, b3, b3 * b3, b3**3)
@@ -504,12 +501,10 @@ def _first_point(content: int, factor: dict[tuple[int, ...], int],
             r1 = (r12 * b4 + r11) * b4 + r10
             r2 = r21 * b4 + r20
             s_row = s3 * b3 + s4 * b4
-            for b2 in _roots([r0, r1, r2, r3], target, values, span):
-                value = ((r3 * b2 + r2) * b2 + r1) * b2 + r0
-                for t in (target // value, -target // value):
-                    b1, r = divmod(t - s2 * b2 - s_row, content)
-                    if not r and -bound <= b1 <= bound:
-                        found.append(min((b1, b2, b3, b4), (-b1, -b2, -b3, -b4)))
+            for b2, value in _roots([r0, r1, r2, r3], values, span).items():
+                t = target // value
+                for b1 in _roots([s2 * b2 + s_row, content], {t, -t}, span):
+                    found.append(min((b1, b2, b3, b4), (-b1, -b2, -b3, -b4)))
     return min(found, default=None)
 
 

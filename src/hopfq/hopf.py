@@ -251,11 +251,11 @@ def reduction_report(action: Sequence[Sequence]) -> ReductionReport:
     short of full rank).  Column i of adjugate(H) solves H x = det(H) * e_i by exact
     back substitution; D^{-1} e_i = x / (content * det H).
     """
-    result = hnf(action)
-    d_matrix, h = result.hnf, result.primitive
+    content, h = hnf(action)
+    d_matrix = [[content * x for x in row] for row in h]
     index = d_matrix[0][0] * d_matrix[1][1] * d_matrix[2][2] * d_matrix[3][3]
     det_h = h[0][0] * h[1][1] * h[2][2] * h[3][3]
-    den = result.content * det_h
+    den = content * det_h
     basis_columns = []
     for i in range(4):
         x = [0, 0, 0, 0]

@@ -5,14 +5,13 @@ fractions.Fraction.  No floats appear anywhere.  `det`, `mat_inv` and `hnf`
 split a rational matrix once into content * primitive integer matrix
 (`content_primitive`), work on the primitive part with Python ints (Bareiss
 determinant and cofactor adjugate for any size, row Hermite normal form) and
-put the content back at the end; an integer matrix has integer content, so
-integer input never meets a Fraction.  The 4x4 determinant and adjugate that
-the Hopf pipeline needs come from 2x2 minors (`det_adjugate_4x4`).
+put the content back at the end, or return it beside the Hermite form; integer
+input has integer content, so it never meets a Fraction.  The 4x4 determinant
+and adjugate that the Hopf pipeline needs come from 2x2 minors (`det_adjugate_4x4`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -107,25 +106,11 @@ def hnf_integer(a: list[list[int]]) -> list[list[int]]:
     return [list(map(int, row)) for row in w[:ncols]]
 
 
-@dataclass(frozen=True)
-class HnfResult:
-    """Hermite normal form of a rational matrix.
-
-    hnf equals content times `primitive`, the integer HNF of the primitive
-    part, so its rows span the same lattice as the input rows.  Both hnf and
-    content are ints for an integer input.
-    """
-
-    hnf: list[list[int | Fraction]]
-    content: int | Fraction
-    primitive: list[list[int]]
-
-
-def hnf(m) -> HnfResult:
-    """Hermite normal form of a rational matrix with full column rank."""
+def hnf(m) -> tuple[int | Fraction, list[list[int]]]:
+    """(content, H) for a rational matrix m with full column rank, H the integer
+    Hermite form of m's primitive part: the rows of content * H span m's row lattice."""
     content, primitive = content_primitive(m)
-    h = hnf_integer(primitive)
-    return HnfResult(hnf=[[content * x for x in row] for row in h], content=content, primitive=h)
+    return content, hnf_integer(primitive)
 
 
 # ---- determinants and inverses ----

@@ -353,8 +353,8 @@ def _principal_walk(d: int, anchors: dict[int, set[int]]
     return quotients, 2 * len(quotients) - (2 if m1 == m else 1), sides
 
 
-def _period_convergent(quotients: list[int], period: int, lengths: Sequence[int] = (),
-                       rows: dict[int, tuple[int, int]] | None = None) -> tuple[int, int, int]:
+def _period_convergent(quotients: list[int], period: int, lengths: Sequence[int],
+                       rows: dict[int, tuple[int, int]]) -> tuple[int, int, int]:
     """(x, y, s) of the convergent built from one period of sqrt(d): x^2 - d*y^2 = s.
 
     `quotients` are a_0, a_1, ... up to the middle of the period, of length
@@ -375,11 +375,6 @@ def _period_convergent(quotients: list[int], period: int, lengths: Sequence[int]
     bh, bh1, bk, bk1 = _times(a, (quotients[r + 1], 1, 1, 0)) if period % 2 == 0 else a
     r11 = bh * h + bh1 * h1
     return quotients[0] * r11 + bk * h + bk1 * h1, r11, (-1) ** period
-
-
-def _unit_from(x: int, y: int, s: int) -> tuple[int, int]:
-    """The fundamental unit from the minimal +-1 solution: itself, or its square."""
-    return (x, y) if s == 1 else (2 * x * x + 1, 2 * x * y)  # x^2 + d*y^2 = 2*x^2 + 1
 
 
 def fundamental_unit(d: int) -> tuple[int, int]:
@@ -409,8 +404,8 @@ class SolutionClassSet:
     U = (t, u) acting by (x, y) -> (t*x + D*u*y, u*x + t*y).  `minimal` is
     the minimal solution (x, y, s) of x^2 - D*y^2 = s = +-1, set for kind
     "indefinite" alone: it is not computed when there is no class.  `unit`
-    is built from it on first use, as a divisibility search needs it only
-    for a class that it walks.
+    (the minimal solution if s = 1, else its square) is built on first use,
+    as a divisibility search needs it only for a class that it walks.
     """
 
     kind: str
@@ -419,7 +414,10 @@ class SolutionClassSet:
 
     @cached_property
     def unit(self) -> tuple[int, int] | None:
-        return None if self.minimal is None else _unit_from(*self.minimal)
+        if self.minimal is None:
+            return None
+        x, y, s = self.minimal
+        return (x, y) if s == 1 else (2 * x * x + 1, 2 * x * y)  # x^2 + d*y^2 = 2*x^2 + 1
 
 
 def _size_key(s: PellSolution) -> tuple:

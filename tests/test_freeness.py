@@ -846,7 +846,7 @@ def test_candidate_rows_hold_every_row_the_gcd_test_accepts():
     for factor, target in scans:
         forms = _forms(factor)
         values = {v for t in range(1, target + 1) if not target % t for v in (t, -t)}
-        candidates = {(b3, b4) for b3, b4s in freeness._candidate_rows(forms, bound, target, values)
+        candidates = {(b3, b4) for b3, b4s in freeness._candidate_rows(forms, bound, values)
                       for b4 in b4s}
         tau = len(values) // 2
         assert len(candidates) <= 2 * tau * (bound + 1)
@@ -887,11 +887,11 @@ def test_no_candidate_row_is_scanned_point_by_point_on_the_oracle_space(monkeypa
     assert len(scans) >= 40
     roots, rows, scanned = freeness._roots, [], []
 
-    def watched_roots(poly, target, values, xs):
+    def watched_roots(poly, values, xs):
         if sys._getframe(1).f_code.co_name == "_first_point":
             rows.append(poly)
             xs = _Watched(xs, scanned)
-        return roots(poly, target, values, xs)
+        return roots(poly, values, xs)
 
     monkeypatch.setattr(freeness, "_roots", watched_roots)
     found = sum(freeness._first_point(*split, bound, target) is not None

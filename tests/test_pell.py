@@ -366,7 +366,7 @@ def test_every_class_comes_from_one_half_period_tree(monkeypatch):
     and every class of every small (d, m) is still the stepwise reference's."""
     convergent = pell._period_convergent
 
-    def half_only(quotients, period, lengths=(), rows=None):
+    def half_only(quotients, period, lengths, rows):
         assert all(n <= (period - 1) // 2 for n in lengths)
         return convergent(quotients, period, lengths, rows)
 
